@@ -11,9 +11,10 @@ Ensemble file: ``{"dim": d, "states": [[amp, ...], ...]}`` for pure
 ensembles (one [re, im] amplitude per level), or
 ``{"dim": d, "density_matrices": [flat matrix, ...]}`` otherwise.
 
-Table file: ``{"witness": kind, "N": n, "m": m, "k": k, "p": [[[...]]]}``
-with ``p[x-1][y-1][b-1]``; pair measurements ordered lexicographically by
-(x, x') with x > x'.
+Table file: ``{"witness": kind, "N": n, "m": m, "k": k, "p": [[[...]]],
+"empirical": flag}`` with ``p[x-1][y-1][b-1]``; pair measurements ordered
+lexicographically by (x, x') with x > x'. ``empirical`` marks finite-shot
+frequencies; a file without it holds exact probabilities.
 
 See-saw dump: the pure-ensemble schema plus ``"effects"``, a map from pair
 strings ``"x,x'"`` to flat matrices.
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DimWitnessError, FileFormatError, NotPure
 from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet, pure_state
 from .seesaw import SeesawResult
-from .witnesses import ProbabilityTable, WitnessKind
+from .witnesses import ProbabilityTable, WitnessKind, pair_labels
 
 
 def _pair(z: complex) -> list[float]:
@@ -50,7 +51,10 @@ def _json_to_complex_array(data, count: int, where: str) -> np.ndarray:
     for i, entry in enumerate(data):
         if not isinstance(entry, list) or len(entry) != 2:
             raise FileFormatError(f"{where}[{i}]: expected an [re, im] pair")
-        out[i] = complex(float(entry[0]), float(entry[1]))
+        try:
+            out[i] = complex(float(entry[0]), float(entry[1]))
+        except (TypeError, ValueError):
+            raise FileFormatError(f"{where}[{i}]: [re, im] must be numbers, got {entry}") from None
     return out
 
 
@@ -126,6 +130,7 @@ def save_table(table: ProbabilityTable, kind: WitnessKind, path) -> None:
         "m": table.m,
         "k": table.k,
         "p": [[list(map(float, row)) for row in per_x] for per_x in table.p],
+        "empirical": table.empirical,
     }
     _write_json(path, payload)
 
@@ -152,8 +157,11 @@ def load_table(path) -> tuple[ProbabilityTable, WitnessKind]:
         raise FileFormatError(f"{path}: 'p' must be a numeric array") from exc
     if p.shape != (n, m, k):
         raise FileFormatError(f"{path}: 'p' has shape {p.shape}, declared ({n}, {m}, {k})")
+    empirical = data.get("empirical", False)
+    if not isinstance(empirical, bool):
+        raise FileFormatError(f"{path}: 'empirical' must be true or false")
     try:
-        table = ProbabilityTable(p)
+        table = ProbabilityTable(p, empirical=empirical)
     except DimWitnessError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return table, kind
@@ -162,12 +170,13 @@ def load_table(path) -> tuple[ProbabilityTable, WitnessKind]:
 def save_seesaw_dump(result: SeesawResult, path) -> None:
     """Write a see-saw model: the pure ensemble plus the pair effects."""
     vectors = result.ensemble.vectors()
+    measurements = result.measurements
     payload = {
         "dim": result.ensemble.dim,
         "states": [_vector_to_json(v) for v in vectors],
         "effects": {
-            f"{x},{xp}": _matrix_to_json(effect.matrix)
-            for (x, xp), effect in sorted(result.measurements.effects.items())
+            f"{x},{xp}": _matrix_to_json(effect)
+            for (x, xp), effect in zip(pair_labels(measurements.N), measurements.stack)
         },
     }
     _write_json(path, payload)

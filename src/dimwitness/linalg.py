@@ -9,19 +9,19 @@ and the zero-eigenvalue cutoff that downstream modules rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitian
+from .errors import BadArgument, NotHermitian
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances shared by validators and decompositions.
 
-    Passing a custom instance to the functions that accept one tightens or
-    loosens every check uniformly.
+    ``DEFAULT_TOLS`` is the one home of these constants: every validator and
+    decomposition in the package reads its slack from it.
     """
 
     hermitian: float = 1e-10        # max |A - A^dag| entry allowed
@@ -54,48 +54,65 @@ def hermitian_deviation(a) -> float:
     return float(np.max(np.abs(a - a.conj().swapaxes(-2, -1))))
 
 
-def require_hermitian(a, tols: Tolerances = DEFAULT_TOLS, what: str = "matrix") -> np.ndarray:
-    """Validate ``a`` as Hermitian and return it as a symmetrized complex array.
+def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndarray:
+    """Validate ``a`` as finite and Hermitian; return it symmetrized, as complex.
 
-    Raises ``NotHermitian`` reporting the offending deviation when the
-    entrywise asymmetry exceeds ``tols.hermitian``.
+    ``a`` is one square matrix or a stack of shape (..., n, n), checked in
+    one pass. ``what`` names the input in errors; for a stack it may be a
+    function naming member k of the flattened stack. Raises ``BadArgument``
+    on NaN or infinite entries and ``NotHermitian`` reporting the offending
+    deviation when the entrywise asymmetry exceeds ``DEFAULT_TOLS.hermitian``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise NotHermitian(f"{what} must be square, got shape {a.shape}")
-    dev = hermitian_deviation(a)
-    if dev > tols.hermitian:
-        raise NotHermitian(f"{what} is not Hermitian: max |A - A^dag| = {dev:.3e}")
-    return (a + a.conj().swapaxes(-2, -1)) / 2.0
+
+    def name(k: int) -> str:
+        return what if isinstance(what, str) else what(k)
+
+    adjoint = a.conj().swapaxes(-2, -1)
+    dev = np.abs(a - adjoint).max(axis=(-2, -1))
+    # a NaN or infinite entry makes its member's deviation NaN or infinite,
+    # so finiteness costs nothing to check on valid input
+    ok = dev <= DEFAULT_TOLS.hermitian
+    if not ok.all():
+        dev = dev.reshape(-1)
+        k = int(np.argmin(ok.reshape(-1)))
+        if not np.isfinite(a.reshape(dev.size, -1)[k]).all():
+            raise BadArgument(f"{name(k)} has non-finite entries")
+        raise NotHermitian(f"{name(k)} is not Hermitian: max |A - A^dag| = {dev[k]:.3e}")
+    symmetrized = a + adjoint
+    symmetrized /= 2.0
+    return symmetrized
 
 
-def eig_hermitian(a, tols: Tolerances = DEFAULT_TOLS) -> EigenDecomposition:
+def eig_hermitian(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
-    The input is validated against ``tols.hermitian`` first; ``NotHermitian``
-    propagates otherwise. Eigenvectors are orthonormal columns.
+    The input is validated by ``require_hermitian`` first. Eigenvectors are
+    orthonormal columns.
     """
-    h = require_hermitian(a, tols)
+    h = require_hermitian(a)
     values, vectors = np.linalg.eigh(h)
     return EigenDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
 
 
-def trace_norm(a, tols: Tolerances = DEFAULT_TOLS) -> float:
+def trace_norm(a) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix (Schatten 1-norm)."""
-    h = require_hermitian(a, tols)
+    h = require_hermitian(a)
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
 
 
-def positive_part_projector(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def positive_part_projector(a) -> np.ndarray:
     """Projector onto the strictly positive eigenspace of a Hermitian matrix.
 
-    Eigenvalues with magnitude at or below ``tols.zero_eigenvalue`` are
-    treated as zero and excluded, so a (numerically) vanishing input maps to
-    the zero matrix rather than to noise.
+    Eigenvalues with magnitude at or below ``DEFAULT_TOLS.zero_eigenvalue``
+    are treated as zero and excluded, so a (numerically) vanishing input maps
+    to the zero matrix rather than to noise.
     """
-    h = require_hermitian(a, tols)
+    h = require_hermitian(a)
     values, vectors = np.linalg.eigh(h)
-    return projector_from_eigh(values, vectors, tols.zero_eigenvalue)
+    return projector_from_eigh(values, vectors, DEFAULT_TOLS.zero_eigenvalue)
 
 
 def projector_from_eigh(values: np.ndarray, vectors: np.ndarray, cutoff: float) -> np.ndarray:

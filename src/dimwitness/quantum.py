@@ -12,19 +12,17 @@ by ordered pairs (x, x') with x > x'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
+from . import kernels
 from .errors import BadArgument, DimensionMismatch, NotPure
-from .linalg import (
-    DEFAULT_TOLS,
-    Tolerances,
-    positive_part_projector,
-    require_hermitian,
-    trace_norm,
-)
+from .kernels import pair_labels
+from .linalg import DEFAULT_TOLS, require_hermitian, trace_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +36,9 @@ class StateVector:
         if amps.ndim != 1 or amps.shape[0] < 1:
             raise BadArgument(f"amplitudes must be a nonempty 1-D array, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > DEFAULT_TOLS.unit_norm:
+        if not abs(norm - 1.0) <= DEFAULT_TOLS.unit_norm:
+            if not math.isfinite(norm):
+                raise BadArgument("state vector has non-finite amplitudes")
             raise BadArgument(f"state vector norm deviates from 1 by {abs(norm - 1.0):.3e}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -62,7 +62,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         tols = DEFAULT_TOLS
-        mat = require_hermitian(self.matrix, tols, what="density matrix")
+        mat = require_hermitian(self.matrix, what="density matrix")
         eigenvalues = np.linalg.eigvalsh(mat)
         if float(eigenvalues.min()) < -tols.positivity:
             raise BadArgument(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
@@ -75,7 +75,6 @@ class DensityMatrix:
             outer = np.outer(self.vector.amplitudes, self.vector.amplitudes.conj())
             if float(np.max(np.abs(mat - outer))) > tols.residual:
                 raise BadArgument("density matrix does not match its pure-vector witness")
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -91,20 +90,31 @@ class Effect:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        tols = DEFAULT_TOLS
-        mat = require_hermitian(self.matrix, tols, what="effect")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        if float(eigenvalues.min()) < -tols.positivity or float(eigenvalues.max()) > 1 + tols.effect_ceiling:
-            raise BadArgument(
-                f"effect spectrum [{eigenvalues.min():.3e}, {eigenvalues.max():.3e}] leaves [0, 1]"
-            )
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _checked_effects(self.matrix, "effect"))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _checked_effects(stack, what) -> np.ndarray:
+    """Validate one effect, or a stack of them in one pass; return it read-only.
+
+    Every member must be finite, Hermitian and have spectrum in [0, 1] within
+    tolerance; ``what`` names the input or member k as in
+    ``require_hermitian``.
+    """
+    tols = DEFAULT_TOLS
+    mat = require_hermitian(stack, what)
+    eigenvalues = np.linalg.eigvalsh(mat).reshape(-1, mat.shape[-1])
+    lo, hi = eigenvalues[:, 0], eigenvalues[:, -1]
+    bad = np.flatnonzero((lo < -tols.positivity) | (hi > 1 + tols.effect_ceiling))
+    if bad.size:
+        k = bad[0]
+        name = what if isinstance(what, str) else what(k)
+        raise BadArgument(f"{name} spectrum [{lo[k]:.3e}, {hi[k]:.3e}] leaves [0, 1]")
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,36 +152,61 @@ class Ensemble:
         return np.stack([s.vector.amplitudes for s in self.states])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PairMeasurementSet:
     """Binary measurements indexed by preparation pairs (x, x'), x > x'.
 
-    Only the b = 1 effect is stored per pair; the set must contain exactly
-    one entry for every pair with 1 <= x' < x <= N.
+    Only the b = 1 effect is stored per pair, as one read-only (P, d, d)
+    ``stack`` in ``pair_labels`` order, P = N(N-1)/2. Build it from a
+    mapping with exactly one ``Effect`` for every pair 1 <= x' < x <= N, or
+    from a raw stack with ``from_stack``; ``effects`` gives the mapping back.
     """
 
-    effects: Mapping[tuple[int, int], Effect]
+    stack: np.ndarray
+    N: int
 
-    def __post_init__(self) -> None:
-        effects = dict(self.effects)
+    def __init__(self, effects: Mapping[tuple[int, int], Effect]) -> None:
+        effects = dict(effects)
         if not effects:
             raise BadArgument("measurement set needs at least one pair")
         n = max(x for x, _ in effects)
-        expected = {(x, xp) for x in range(2, n + 1) for xp in range(1, x)}
-        if set(effects) != expected:
+        labels = pair_labels(n)
+        if set(effects) != set(labels):
             raise BadArgument(f"pair keys must be exactly all (x, x') with {n} >= x > x' >= 1")
         dims = {e.dim for e in effects.values()}
         if len(dims) != 1:
             raise DimensionMismatch(f"pair effects live in different dimensions: {sorted(dims)}")
-        object.__setattr__(self, "effects", effects)
+        stack = np.stack([effects[pair].matrix for pair in labels])
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "N", n)
 
-    @property
-    def N(self) -> int:
-        return max(x for x, _ in self.effects)
+    @classmethod
+    def from_stack(cls, stack) -> PairMeasurementSet:
+        """Validate a (P, d, d) stack of b = 1 effects in ``pair_labels`` order.
+
+        One batched pass applies the ``Effect`` checks to every member; the
+        error names the first offending pair.
+        """
+        stack = np.asarray(stack, dtype=complex)
+        p = stack.shape[0] if stack.ndim == 3 else 0
+        n = (1 + math.isqrt(1 + 8 * p)) // 2
+        if p < 1 or n * (n - 1) // 2 != p:
+            raise BadArgument(f"need a (P, d, d) stack with P = N(N-1)/2 >= 1, got shape {stack.shape}")
+        labels = pair_labels(n)
+        self = cls.__new__(cls)
+        object.__setattr__(self, "stack", _checked_effects(stack, lambda k: f"effect {labels[k]}"))
+        object.__setattr__(self, "N", n)
+        return self
 
     @property
     def dim(self) -> int:
-        return next(iter(self.effects.values())).dim
+        return self.stack.shape[-1]
+
+    @cached_property
+    def effects(self) -> dict[tuple[int, int], Effect]:
+        """The b = 1 effect of every pair, keyed (x, x')."""
+        return {pair: Effect(m) for pair, m in zip(pair_labels(self.N), self.stack)}
 
 
 def pure_state(amplitudes) -> DensityMatrix:
@@ -185,11 +220,11 @@ def _require_same_dim(a, b) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma: the optimal single-shot
     distinguishing advantage between the two states."""
     _require_same_dim(rho, sigma)
-    return 0.5 * trace_norm(rho.matrix - sigma.matrix, tols)
+    return 0.5 * trace_norm(rho.matrix - sigma.matrix)
 
 
 def fidelity_pure(psi: StateVector, phi: StateVector) -> float:
@@ -199,7 +234,7 @@ def fidelity_pure(psi: StateVector, phi: StateVector) -> float:
     return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)))
 
 
-def helstrom_effect(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances = DEFAULT_TOLS) -> Effect:
+def helstrom_effect(rho: DensityMatrix, sigma: DensityMatrix) -> Effect:
     """Measurement operator that optimally distinguishes rho from sigma.
 
     The projector onto the positive eigenspace of rho - sigma maximizes
@@ -207,18 +242,15 @@ def helstrom_effect(rho: DensityMatrix, sigma: DensityMatrix, tols: Tolerances =
     distance. Identical states yield the zero effect.
     """
     _require_same_dim(rho, sigma)
-    return Effect(positive_part_projector(rho.matrix - sigma.matrix, tols))
+    return Effect(kernels.positive_projectors((rho.matrix - sigma.matrix)[None])[0])
 
 
-def helstrom_measurements(ensemble: Ensemble, tols: Tolerances = DEFAULT_TOLS) -> PairMeasurementSet:
+def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
     """Optimal discrimination effect for every preparation pair of the ensemble."""
     if ensemble.N < 2:
         raise BadArgument("pair measurements need at least two preparations")
-    effects = {}
-    for x in range(2, ensemble.N + 1):
-        for xp in range(1, x):
-            effects[(x, xp)] = helstrom_effect(ensemble.states[x - 1], ensemble.states[xp - 1], tols)
-    return PairMeasurementSet(effects)
+    projectors = kernels.positive_projectors(kernels.state_differences(ensemble.matrices()))
+    return PairMeasurementSet.from_stack(projectors)
 
 
 def fourier_ensemble(n_states: int, dim: int) -> Ensemble:

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import BadArgument, DimWitnessError, NonMonotonic
-from .linalg import DEFAULT_TOLS, projector_from_eigh
-from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet, StateVector
-from .witnesses import WitnessKind, pair_labels, quantum_bound
+from .quantum import DensityMatrix, Ensemble, PairMeasurementSet, StateVector
+from .witnesses import WitnessKind, quantum_bound
 
 #: Objective decrease beyond this across a half-step signals a bug.
 MONOTONIC_SLACK = 1e-9
@@ -66,7 +66,7 @@ class SeesawConfig:
             raise BadArgument("restarts must be at least 1")
         if self.max_iters < 1:
             raise BadArgument("max_iters must be at least 1")
-        if self.improvement_tol <= 0:
+        if not self.improvement_tol > 0:
             raise BadArgument("improvement_tol must be positive")
         if not 0 <= self.seed < 2**64:
             raise BadArgument(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -98,12 +98,11 @@ def _random_pure_states(seed: int, restart: int, n: int, d: int) -> tuple[np.nda
     return vecs, np.einsum("ni,nj->nij", vecs, vecs.conj())
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    # Rotate the global phase so the largest-magnitude amplitude is real
-    # positive; makes dumped models deterministic.
-    j = int(np.argmax(np.abs(vec)))
-    phase = vec[j] / abs(vec[j])
-    return vec / phase
+def _fix_phase(vecs: np.ndarray) -> np.ndarray:
+    # Rotate each row's global phase so its largest-magnitude amplitude is
+    # real positive; makes dumped models deterministic.
+    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+    return vecs / (lead / np.abs(lead))[:, None]
 
 
 def _hermitize(stack: np.ndarray) -> np.ndarray:
@@ -115,15 +114,12 @@ class _Run:
 
     def __init__(self, cfg: SeesawConfig, restart: int):
         self.cfg = cfg
-        self.labels = pair_labels(cfg.N)
-        self.ix = np.array([x - 1 for x, _ in self.labels])
-        self.ixp = np.array([xp - 1 for _, xp in self.labels])
         self.state_vectors, self.states = _random_pure_states(cfg.seed, restart, cfg.N, cfg.d)
-        self.effects = np.zeros((len(self.labels), cfg.d, cfg.d), dtype=complex)
+        n_pairs = cfg.N * (cfg.N - 1) // 2
+        self.effects = np.zeros((n_pairs, cfg.d, cfg.d), dtype=complex)
 
     def _differences(self) -> np.ndarray:
-        deltas = self.states[self.ix] - self.states[self.ixp]
-        return np.real(np.einsum("pij,pji->p", deltas, self.effects))
+        return kernels.pair_differences(kernels.born(self.states, self.effects))
 
     def _objective(self) -> float:
         t = self._differences()
@@ -132,21 +128,17 @@ class _Run:
         return float(np.sum(t))
 
     def _update_measurements(self) -> None:
-        deltas = _hermitize(self.states[self.ix] - self.states[self.ixp])
-        values, vectors = np.linalg.eigh(deltas)
-        self.effects = projector_from_eigh(values, vectors, DEFAULT_TOLS.zero_eigenvalue)
+        deltas = _hermitize(kernels.state_differences(self.states))
+        self.effects = kernels.positive_projectors(deltas)
 
     def _update_states(self) -> None:
         if self.cfg.witness is WitnessKind.QUADRATIC:
             weights = 2.0 * self._differences()
         else:
-            weights = np.ones(len(self.labels))
-        weighted = weights[:, None, None] * self.effects
-        h = np.zeros_like(self.states)
-        np.add.at(h, self.ix, weighted)
-        np.subtract.at(h, self.ixp, weighted)
+            weights = np.ones(len(self.effects))
+        h = kernels.pair_sums(self.cfg.N, weights, self.effects)
         _, vectors = np.linalg.eigh(_hermitize(h))
-        tops = np.stack([_fix_phase(vectors[i, :, -1]) for i in range(self.cfg.N)])
+        tops = _fix_phase(vectors[:, :, -1])
         self.state_vectors = tops
         self.states = np.einsum("ni,nj->nij", tops, tops.conj())
 
@@ -213,13 +205,10 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     states = []
     for vec in best_run.state_vectors:
         states.append(DensityMatrix(np.outer(vec, vec.conj()), vector=StateVector(vec)))
-    effects = {
-        pair: Effect(_hermitize(best_run.effects[y])) for y, pair in enumerate(best_run.labels)
-    }
     return SeesawResult(
         best_value=best_value,
         ensemble=Ensemble(tuple(states)),
-        measurements=PairMeasurementSet(effects),
+        measurements=PairMeasurementSet.from_stack(best_run.effects),
         iterations_used=total_sweeps,
         restart_values=tuple(restart_values),
     )

@@ -15,10 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import BadArgument, DimensionMismatch, NotAPovm, ShapeMismatch
 from .linalg import DEFAULT_TOLS
 from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet
-from .witnesses import ProbabilityTable, pair_labels
+from .witnesses import ProbabilityTable
 
 
 def _require_seed(seed: int) -> int:
@@ -42,7 +43,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.depolarizing_eta <= 1.0:
             raise BadArgument(f"depolarizing_eta must lie in [0, 1], got {self.depolarizing_eta}")
-        if self.shots is not None and self.shots < 1:
+        if self.shots is not None and not self.shots >= 1:
             raise BadArgument(f"shots must be positive when given, got {self.shots}")
 
 
@@ -69,16 +70,8 @@ def _require_compatible(ensemble: Ensemble, measurements: PairMeasurementSet) ->
 def born_table(ensemble: Ensemble, measurements: PairMeasurementSet) -> ProbabilityTable:
     """Exact pair-witness table: P(1|x, (x,x')) = tr(rho_x M_(x,x'))."""
     _require_compatible(ensemble, measurements)
-    n = ensemble.N
-    labels = pair_labels(n)
-    p = np.empty((n, len(labels), 2))
-    rhos = ensemble.matrices()
-    for y, pair in enumerate(labels):
-        effect = measurements.effects[pair].matrix
-        p1 = np.real(np.einsum("xij,ji->x", rhos, effect))
-        p[:, y, 0] = p1
-        p[:, y, 1] = 1.0 - p1
-    return ProbabilityTable(p)
+    p1 = kernels.born(ensemble.matrices(), measurements.stack)
+    return ProbabilityTable(np.stack([p1, 1.0 - p1], axis=2))
 
 
 def noisy_table(
@@ -127,7 +120,5 @@ def guessing_table(ensemble: Ensemble, effects: Sequence[Effect]) -> Probability
     deviation = float(np.max(np.abs(total - np.eye(ensemble.dim))))
     if deviation > DEFAULT_TOLS.povm_sum:
         raise NotAPovm(f"effects sum to identity only within {deviation:.3e}")
-    rhos = ensemble.matrices()
-    stack = np.stack([e.matrix for e in effects])
-    p = np.real(np.einsum("xij,bji->xb", rhos, stack))[:, None, :]
-    return ProbabilityTable(p)
+    p = kernels.born(ensemble.matrices(), np.stack([e.matrix for e in effects]))
+    return ProbabilityTable(p[:, None, :])

@@ -20,12 +20,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import BadArgument, OutOfRange, ShapeMismatch, TooLarge
+from .kernels import pair_labels
 from .linalg import DEFAULT_TOLS
 
 #: Comparison slack against closed-form bounds.
@@ -45,16 +46,6 @@ class WitnessKind(enum.Enum):
             return 1, n_preparations
         m = n_preparations * (n_preparations - 1) // 2
         return m, 2
-
-
-@lru_cache(maxsize=None)
-def pair_labels(n_preparations: int) -> tuple[tuple[int, int], ...]:
-    """Measurement labels (x, x') with x > x', in lexicographic order.
-
-    This fixes the meaning of the measurement index y for pair witnesses:
-    y = 1, 2, 3, ... corresponds to (2,1), (3,1), (3,2), (4,1), ...
-    """
-    return tuple((x, xp) for x in range(2, n_preparations + 1) for xp in range(1, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +69,10 @@ class ProbabilityTable:
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ShapeMismatch(f"table must have shape (N, m, k), got {arr.shape}")
         tols = DEFAULT_TOLS
-        if float(arr.min()) < -tols.probability or float(arr.max()) > 1 + tols.probability:
+        # NaN fails both comparisons, so the range check also catches it
+        if not (arr.min() >= -tols.probability and arr.max() <= 1 + tols.probability):
+            if not np.isfinite(arr).all():
+                raise ShapeMismatch("table entries must be finite")
             raise ShapeMismatch("table entries must lie in [0, 1] within tolerance")
         worst = float(np.max(np.abs(arr.sum(axis=2) - 1.0)))
         if worst > tols.row_sum:
@@ -113,17 +107,13 @@ def pair_differences(table: ProbabilityTable) -> np.ndarray:
     """P(1|x,(x,x')) - P(1|x',(x,x')) for every pair, in ``pair_labels`` order."""
     if table.k != 2 or table.m != table.N * (table.N - 1) // 2:
         raise ShapeMismatch("pair differences need a pair-witness shaped table")
-    labels = pair_labels(table.N)
-    out = np.empty(len(labels))
-    for y, (x, xp) in enumerate(labels):
-        out[y] = table.p[x - 1, y, 0] - table.p[xp - 1, y, 0]
-    return out
+    return kernels.pair_differences(table.p[:, :, 0])
 
 
 def eval_guessing(table: ProbabilityTable) -> float:
     """Average probability of outcome b = x under preparation x."""
     require_kind_shape(table, WitnessKind.GUESSING)
-    return float(np.mean([table.p[x, 0, x] for x in range(table.N)]))
+    return float(np.mean(np.diagonal(table.p[:, 0, :])))
 
 
 def eval_quadratic(table: ProbabilityTable) -> float:
@@ -255,6 +245,8 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
     Raises ``OutOfRange`` when ``value`` exceeds the unrestricted ceiling (or
     undershoots the witness range) by more than the numeric slack.
     """
+    if not math.isfinite(value):
+        raise BadArgument(f"witness value must be finite, got {value}")
     lo, hi = _witness_range(kind, n_preparations)
     if value < lo - NUMERIC_SLACK:
         raise OutOfRange(f"value {value} below the {kind.value} witness range [{lo}, {hi}]")
