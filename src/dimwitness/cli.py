@@ -16,6 +16,7 @@ problems. ``--json`` switches every subcommand to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -184,6 +185,8 @@ def _cmd_seesaw(args) -> int:
         "quantum_bound": bound,
         "gap": gap,
         "restart_values": list(result.restart_values),
+        "restart_sweeps": list(result.restart_sweeps),
+        "restart_stops": list(result.restart_stops),
         "iterations_used": result.iterations_used,
         "out": args.out,
     }
@@ -358,9 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # building costs ~20x a parse: pay it once
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except DimWitnessError as exc:

@@ -1,10 +1,11 @@
 """Stacked pair kernels: the array core behind every pair computation.
 
 Internal module. Everything here runs on plain arrays and validates nothing:
-states as an (N, d, d) stack of density matrices, pair effects as a
-(P, d, d) stack of b = 1 effects with P = N(N-1)/2, both in ``pair_labels``
-order -- pair y is (x, x') = (2,1), (3,1), (3,2), (4,1), ... The domain
-classes check their inputs at the edges and hand their arrays in here.
+states as an (N, d, d) stack of density matrices (pure ones as (N, d)
+vectors), pair effects as a (P, d, d) stack of b = 1 effects (rank-one ones
+as scale |u><u|) with P = N(N-1)/2, in ``pair_labels`` order -- pair y is
+(x, x') = (2,1), (3,1), (3,2), (4,1), ... The domain classes check their
+inputs at the edges and hand their arrays in here.
 """
 
 from __future__ import annotations
@@ -43,11 +44,8 @@ def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_incidence(n: int) -> np.ndarray:
     """Signed (N, P) incidence: +1 at (x, y) and -1 at (x', y) for pair y = (x, x')."""
     ix, ixp = pair_index(n)
-    cols = np.arange(len(ix))
-    incidence = np.zeros((n, len(ix)))
-    incidence[ix, cols] = 1.0
-    incidence[ixp, cols] = -1.0
-    return _frozen(incidence)
+    eye = np.eye(n)
+    return _frozen(eye[:, ix] - eye[:, ixp])
 
 
 def state_differences(rhos: np.ndarray) -> np.ndarray:
@@ -87,13 +85,31 @@ def pair_differences(p1: np.ndarray) -> np.ndarray:
     return p1[ix, cols] - p1[ixp, cols]
 
 
-def pair_sums(n: int, weights: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """H_x = sum_y w_y ([x = x_y] - [x = x'_y]) M_y over the pairs, shape (N, d, d).
+def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-part projectors scale |u><u| of |a><a| - |b><b| for stacked unit vectors (..., d).
+
+    With c = <a|b> and s = sqrt(1-|c|^2) the positive eigenvalue,
+    u = a - (conj(c)/(1+s)) b and scale = 1/<u|u> = (1+s)/(2 s^2); scale is 0
+    when s <= ``DEFAULT_TOLS.zero_eigenvalue``, as in ``positive_projectors``.
+    """
+    c = np.einsum("...i,...i->...", a.conj(), b)
+    # s as the norm of b's component orthogonal to a vanishes with it, where
+    # sqrt(1-|c|^2) keeps rounding noise of order 1e-8 for identical states
+    s = np.linalg.norm(b - c[..., None] * a, axis=-1)
+    u = a - (c.conj() / (1.0 + s))[..., None] * b
+    scale = np.zeros_like(s)
+    norms = np.einsum("...i,...i->...", u.conj(), u).real
+    np.divide(1.0, norms, out=scale, where=s > DEFAULT_TOLS.zero_eigenvalue)
+    return u, scale
+
+
+def pair_sums(n: int, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """H_x = sum_y w_y ([x = x_y] - [x = x'_y]) |u_y><u_y|, stacked: (..., P), (..., P, d) -> (..., N, d, d).
 
     The transpose of ``pair_differences``: tr(rho_x H_x) collects every
     weighted pair difference that preparation x takes part in.
     """
-    p, d = effects.shape[0], effects.shape[-1]
-    weighted = weights[:, None] * effects.reshape(p, d * d)
-    # the incidence is real, so one real matmul on the (re, im) pairs does it
-    return (pair_incidence(n) @ weighted.view(float)).view(complex).reshape(n, d, d)
+    coeffs = pair_incidence(n) * weights[..., None, :]
+    # H_x = U^T diag(coeffs_x) conj(U): one batched matmul over (..., N)
+    left = np.swapaxes(coeffs[..., None] * u[..., None, :, :], -1, -2)
+    return left @ u.conj()[..., None, :, :]

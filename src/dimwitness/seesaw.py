@@ -2,17 +2,20 @@
 
 Both half-steps are closed form. With states fixed, each pair's optimal
 binary effect is the projector onto the positive eigenspace of the state
-difference. With measurements fixed, the linear witness decomposes per state
-into tr(rho_x H_x) for an effective operator H_x, maximized by the projector
-onto its top eigenvector; the quadratic witness is handled by the same state
-step applied to its linearization at the current point (weights twice the
-current pair differences), a vertex step that cannot decrease a convex
-objective. Either way the objective is nondecreasing across half-steps, which
-the loop asserts.
+difference; the states are pure, so it is the rank-one projector of
+``kernels.rank_one_projectors`` and needs no eigensolver. With measurements
+fixed, the linear witness decomposes per state into tr(rho_x H_x) for an
+effective operator H_x, maximized by the projector onto its top eigenvector;
+the quadratic witness is handled by the same state step applied to its
+linearization at the current point (weights twice the current pair
+differences), a vertex step that cannot decrease a convex objective. Either
+way the objective is nondecreasing across half-steps, which the loop asserts.
 
 Restarts draw independent Haar-random pure starting states from a
-counter-based Philox stream keyed by (seed, restart index), so results are
-reproducible and restarts could be evaluated in any order.
+counter-based Philox stream keyed by (seed, restart index) and advance in
+lock-step as one stacked ascent on an (R, N, d) array of state vectors. Every
+operation acts on each restart alone, so a restart's result is reproducible
+and does not depend on how many restarts run beside it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadArgument, DimWitnessError, NonMonotonic
-from .quantum import DensityMatrix, Ensemble, PairMeasurementSet, StateVector
+from .quantum import Ensemble, PairMeasurementSet, pure_state
 from .witnesses import WitnessKind, quantum_bound
 
 #: Objective decrease beyond this across a half-step signals a bug.
@@ -77,8 +80,10 @@ class SeesawResult:
     """Best value over restarts with a witnessing model attached.
 
     ``iterations_used`` counts full (measurement + state) sweeps summed over
-    all restarts; ``restart_values`` records each restart's final value in
-    restart order.
+    all restarts. In restart order, ``restart_values`` records each restart's
+    final value, ``restart_sweeps`` its sweeps and ``restart_stops`` why it
+    stopped: ``"stalled"`` (a sweep improved by less than
+    ``improvement_tol``) or ``"max_iters"``.
     """
 
     best_value: float
@@ -86,114 +91,85 @@ class SeesawResult:
     measurements: PairMeasurementSet
     iterations_used: int
     restart_values: tuple[float, ...]
+    restart_sweeps: tuple[int, ...]
+    restart_stops: tuple[str, ...]
 
 
-def _random_pure_states(seed: int, restart: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    key = np.array([seed, restart], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    re = rng.standard_normal((n, d))
-    im = rng.standard_normal((n, d))
-    vecs = re + 1j * im
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return vecs, np.einsum("ni,nj->nij", vecs, vecs.conj())
+def _random_pure_states(seed: int, restart: int, n: int, d: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, restart], dtype=np.uint64)))
+    vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    # Rotate each row's global phase so its largest-magnitude amplitude is
+    # Rotate each vector's global phase so its largest-magnitude amplitude is
     # real positive; makes dumped models deterministic.
-    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
-    return vecs / (lead / np.abs(lead))[:, None]
+    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-1)[..., None], axis=-1)
+    return vecs / (lead / np.abs(lead))
 
 
-def _hermitize(stack: np.ndarray) -> np.ndarray:
-    return (stack + stack.conj().swapaxes(-2, -1)) / 2.0
-
-
-class _Run:
-    """One restart of the alternating ascent."""
-
-    def __init__(self, cfg: SeesawConfig, restart: int):
-        self.cfg = cfg
-        self.state_vectors, self.states = _random_pure_states(cfg.seed, restart, cfg.N, cfg.d)
-        n_pairs = cfg.N * (cfg.N - 1) // 2
-        self.effects = np.zeros((n_pairs, cfg.d, cfg.d), dtype=complex)
-
-    def _differences(self) -> np.ndarray:
-        return kernels.pair_differences(kernels.born(self.states, self.effects))
-
-    def _objective(self) -> float:
-        t = self._differences()
-        if self.cfg.witness is WitnessKind.QUADRATIC:
-            return float(np.dot(t, t))
-        return float(np.sum(t))
-
-    def _update_measurements(self) -> None:
-        deltas = _hermitize(kernels.state_differences(self.states))
-        self.effects = kernels.positive_projectors(deltas)
-
-    def _update_states(self) -> None:
-        if self.cfg.witness is WitnessKind.QUADRATIC:
-            weights = 2.0 * self._differences()
-        else:
-            weights = np.ones(len(self.effects))
-        h = kernels.pair_sums(self.cfg.N, weights, self.effects)
-        _, vectors = np.linalg.eigh(_hermitize(h))
-        tops = _fix_phase(vectors[:, :, -1])
-        self.state_vectors = tops
-        self.states = np.einsum("ni,nj->nij", tops, tops.conj())
-
-    def ascend(self) -> tuple[float, int]:
-        value = -math.inf
-        sweeps = 0
-        for _ in range(self.cfg.max_iters):
-            sweeps += 1
-            self._update_measurements()
-            after_measurements = self._objective()
-            if after_measurements < value - MONOTONIC_SLACK:
-                raise NonMonotonic(
-                    f"measurement step decreased the objective: {value} -> {after_measurements}"
-                )
-            self._update_states()
-            after_states = self._objective()
-            if after_states < after_measurements - MONOTONIC_SLACK:
-                raise NonMonotonic(
-                    f"state step decreased the objective: {after_measurements} -> {after_states}"
-                )
-            if after_states - value < self.cfg.improvement_tol and value > -math.inf:
-                value = after_states
-                break
-            value = after_states
-        # leave the reported model self-consistent: re-derive the optimal
-        # measurements for the final states and report that value
-        self._update_measurements()
-        final = self._objective()
-        if final < value - MONOTONIC_SLACK:
-            raise NonMonotonic(f"final measurement step decreased the objective: {value} -> {final}")
-        return final, sweeps
+def _require_monotonic(step: str, restarts: np.ndarray, before: np.ndarray, after: np.ndarray) -> None:
+    bad = np.flatnonzero(after < before - MONOTONIC_SLACK)
+    if bad.size:
+        k = bad[0]
+        raise NonMonotonic(
+            f"restart {restarts[k]}: {step} step decreased the objective: {before[k]} -> {after[k]}"
+        )
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
     """Best witness value over ``cfg.restarts`` independent see-saw ascents.
 
-    Each restart is monotonically nondecreasing across half-steps (violations
-    raise ``NonMonotonic``) and stops once a full sweep improves by less than
-    ``cfg.improvement_tol``, or at ``cfg.max_iters``. The best restart's
-    states and measurements are returned as validated domain objects; the
-    value always respects the d-dimensional quantum ceiling.
+    Each sweep runs on the restarts still active, with one stacked ``eigh``
+    for the state half-step. A restart is monotonically nondecreasing across
+    half-steps (violations raise ``NonMonotonic`` naming it) and leaves the
+    active set, its vectors and value frozen, once a full sweep improves by
+    less than ``cfg.improvement_tol``, or at ``cfg.max_iters``. The first
+    restart with the best value has its states and measurements returned as
+    validated domain objects; the value always respects the d-dimensional
+    quantum ceiling.
     """
-    best_value = -math.inf
-    best_run: _Run | None = None
-    restart_values = []
-    total_sweeps = 0
-    for restart in range(cfg.restarts):
-        run = _Run(cfg, restart)
-        value, sweeps = run.ascend()
-        restart_values.append(value)
-        total_sweeps += sweeps
-        if value > best_value:
-            best_value = value
-            best_run = run
-    assert best_run is not None
+    quadratic = cfg.witness is WitnessKind.QUADRATIC
+    ix, ixp = kernels.pair_index(cfg.N)
+    vecs = np.stack([_random_pure_states(cfg.seed, r, cfg.N, cfg.d) for r in range(cfg.restarts)])
+
+    def differences(v: np.ndarray, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        # tr(rho_x E_y) = scale_y |<u_y|psi_x>|^2 for pure states and rank-one effects
+        born = [np.abs(np.einsum("rpi,rpi->rp", u.conj(), v[:, side])) ** 2 for side in (ix, ixp)]
+        return scale * (born[0] - born[1])
+
+    def objective(t: np.ndarray) -> np.ndarray:
+        return np.einsum("rp,rp->r", t, t) if quadratic else t.sum(axis=-1)
+
+    values = np.full(cfg.restarts, -math.inf)
+    sweeps = np.zeros(cfg.restarts, dtype=int)
+    active = np.arange(cfg.restarts)
+    for _ in range(cfg.max_iters):
+        v = vecs[active]
+        u, scale = kernels.rank_one_projectors(v[:, ix], v[:, ixp])
+        t = differences(v, u, scale)
+        after_measurements = objective(t)
+        _require_monotonic("measurement", active, values[active], after_measurements)
+        weights = scale * (2.0 * t if quadratic else 1.0)
+        _, eigvecs = np.linalg.eigh(kernels.pair_sums(cfg.N, weights, u))
+        v = _fix_phase(eigvecs[..., -1])
+        after_states = objective(differences(v, u, scale))
+        _require_monotonic("state", active, after_measurements, after_states)
+        vecs[active] = v
+        sweeps[active] += 1
+        done = after_states - values[active] < cfg.improvement_tol
+        values[active] = after_states
+        active = active[~done]
+        if not active.size:
+            break
+
+    # leave the reported models self-consistent: re-derive the optimal
+    # measurements for the final states and report that value
+    u, scale = kernels.rank_one_projectors(vecs[:, ix], vecs[:, ixp])
+    final = objective(differences(vecs, u, scale))
+    _require_monotonic("final measurement", np.arange(cfg.restarts), values, final)
+    best = int(np.argmax(final))
+    best_value = float(final[best])
 
     ceiling = quantum_bound(cfg.witness, cfg.N, cfg.d)
     if best_value > ceiling + 1e-6:
@@ -202,15 +178,16 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             "this indicates a numerical inconsistency"
         )
 
-    states = []
-    for vec in best_run.state_vectors:
-        states.append(DensityMatrix(np.outer(vec, vec.conj()), vector=StateVector(vec)))
+    effects = scale[best, :, None, None] * np.einsum("pi,pj->pij", u[best], u[best].conj())
     return SeesawResult(
         best_value=best_value,
-        ensemble=Ensemble(tuple(states)),
-        measurements=PairMeasurementSet.from_stack(best_run.effects),
-        iterations_used=total_sweeps,
-        restart_values=tuple(restart_values),
+        ensemble=Ensemble(tuple(map(pure_state, vecs[best]))),
+        measurements=PairMeasurementSet.from_stack(effects),
+        iterations_used=int(sweeps.sum()),
+        restart_values=tuple(float(x) for x in final),
+        restart_sweeps=tuple(int(k) for k in sweeps),
+        # the restarts still active ran every sweep without stalling
+        restart_stops=tuple("max_iters" if r in active else "stalled" for r in range(cfg.restarts)),
     )
 
 
@@ -244,6 +221,8 @@ def verify_table2(
     """
     if not 3 <= n_max <= 10:
         raise BadArgument(f"n_max must lie in 3..10, got {n_max}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadArgument(f"tol must be finite and non-negative, got {tol}")
     entries = []
     for n in sorted(TIGHT_DIMENSIONS):
         if n > n_max:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -170,6 +171,9 @@ class TestSeesaw:
         assert code == 0
         payload = json.loads(out)
         assert payload["gap"] <= 1e-3
+        assert len(payload["restart_sweeps"]) == len(payload["restart_stops"]) == 20
+        assert sum(payload["restart_sweeps"]) == payload["iterations_used"]
+        assert set(payload["restart_stops"]) == {"stalled"}
 
     def test_full_dimension_quadratic(self, capsys):
         code, out, _ = run(capsys, "seesaw", "--witness", "quadratic", "--N", "4", "--d", "4")
@@ -262,3 +266,11 @@ class TestClassical:
 
     def test_guard_exits_2(self, capsys):
         assert run(capsys, "classical", "--witness", "quadratic", "--N", "30", "--d", "3")[0] == 2
+
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    assert run(capsys, "bounds", "--witness", "quadratic", "--N", "4", "--d", "2")[0] == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda *a, **k: pytest.fail("main rebuilt the parser"))
+    assert run(capsys, "classical", "--witness", "guessing", "--N", "3", "--d", "2")[0] == 0

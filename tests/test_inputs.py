@@ -81,6 +81,13 @@ class TestNonFiniteFiles:
         assert out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tightness_grid_rejects_bad_tol(capsys, tol):
+    code, out, err = run(capsys, "reproduce", "--table", "2", "--nmax", "3", "--tol", tol)
+    assert code == 2
+    assert out == "" and "tol" in err
+
+
 class TestEmpiricalFlag:
     def test_noisy_table_round_trip_through_cli(self, capsys, tmp_path):
         path = tmp_path / "noisy.json"

@@ -16,8 +16,15 @@ from dimwitness import (
     pair_differences,
     pair_labels,
     positive_part_projector,
+    pure_state,
 )
-from dimwitness.kernels import pair_incidence, pair_index, pair_sums
+from dimwitness.kernels import (
+    pair_incidence,
+    pair_index,
+    pair_sums,
+    positive_projectors,
+    rank_one_projectors,
+)
 
 
 def oracle(ensemble: Ensemble):
@@ -72,16 +79,45 @@ def test_index_and_incidence_follow_pair_labels():
         assert np.array_equal(incidence[:, y], expected)
 
 
+def unit_vectors(rng, shape):
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def projectors_of(vecs):
+    return np.einsum("...i,...j->...ij", vecs, vecs.conj())
+
+
+def test_rank_one_projectors_match_stacked_eigensolve():
+    rng = np.random.default_rng(23)
+    a, b = unit_vectors(rng, (4, 6, 3)), unit_vectors(rng, (4, 6, 3))
+    # a row of identical pairs, and a pair orthogonal by Gram-Schmidt
+    b[1] = a[1]
+    b[0, 1] -= np.vdot(a[0, 1], b[0, 1]) * a[0, 1]
+    b[0, 1] /= np.linalg.norm(b[0, 1])
+    u, scale = rank_one_projectors(a, b)
+    effects = scale[..., None, None] * projectors_of(u)
+    expected = positive_projectors(projectors_of(a) - projectors_of(b))
+    assert np.max(np.abs(effects - expected)) <= 1e-12
+    assert np.all(scale[1] == 0.0)
+    assert np.max(np.abs(effects[0, 1] - projectors_of(a[0, 1]))) <= 1e-12
+
+
 def test_pair_sums_collect_each_preparations_pairs():
     rng = np.random.default_rng(22)
-    n, d = 5, 3
-    effects = helstrom_measurements(random_pure_ensemble(rng, n, d)).stack
-    weights = rng.standard_normal(len(effects))
-    expected = np.zeros((n, d, d), dtype=complex)
-    for y, (x, xp) in enumerate(pair_labels(n)):
-        expected[x - 1] += weights[y] * effects[y]
-        expected[xp - 1] -= weights[y] * effects[y]
-    assert np.max(np.abs(pair_sums(n, weights, effects) - expected)) <= 1e-12
+    restarts, n, d = 3, 5, 3
+    vecs = unit_vectors(rng, (restarts, n, d))
+    ix, ixp = pair_index(n)
+    u, scale = rank_one_projectors(vecs[:, ix], vecs[:, ixp])
+    weights = rng.standard_normal(scale.shape)
+    h = pair_sums(n, weights * scale, u)
+    for r in range(restarts):
+        effects = helstrom_measurements(Ensemble(tuple(map(pure_state, vecs[r])))).stack
+        expected = np.zeros((n, d, d), dtype=complex)
+        for y, (x, xp) in enumerate(pair_labels(n)):
+            expected[x - 1] += weights[r, y] * effects[y]
+            expected[xp - 1] -= weights[r, y] * effects[y]
+        assert np.max(np.abs(h[r] - expected)) <= 1e-12
 
 
 class TestBatchedEffectCheck:

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dimwitness import (
     BadArgument,
+    NonMonotonic,
     SeesawConfig,
     WitnessKind,
     born_table,
@@ -14,6 +16,7 @@ from dimwitness import (
     quantum_bound,
     verify_table2,
 )
+from dimwitness import kernels
 
 Q, L = WitnessKind.QUADRATIC, WitnessKind.LINEAR
 
@@ -79,6 +82,30 @@ class TestResultStructure:
         assert a.restart_values == b.restart_values
         c = optimize(SeesawConfig(L, 3, 2, restarts=6, seed=10))
         assert a.restart_values != c.restart_values
+
+    @pytest.mark.parametrize("kind", [L, Q])
+    def test_restart_results_do_not_depend_on_batch(self, kind):
+        cfg = SeesawConfig(kind, 4, 2, restarts=20)
+        few, many = optimize(replace(cfg, restarts=3)), optimize(cfg)
+        assert few.restart_values == many.restart_values[:3]
+        assert few.restart_sweeps == many.restart_sweeps[:3]
+
+    def test_restart_records(self):
+        slow = optimize(SeesawConfig(L, 7, 4, seed=1))
+        assert slow.restart_sweeps == (500,) * 20
+        assert slow.restart_stops == ("max_iters",) * 20
+        fast = optimize(SeesawConfig(L, 3, 2, seed=1))
+        assert "max_iters" not in fast.restart_stops
+        assert all(0 < k < 500 for k in fast.restart_sweeps)
+        for result in (slow, fast):
+            assert sum(result.restart_sweeps) == result.iterations_used
+
+    def test_decreasing_state_step_names_its_restart(self, monkeypatch):
+        # negated operators make the state step pick the worst eigenvector
+        pair_sums = kernels.pair_sums
+        monkeypatch.setattr(kernels, "pair_sums", lambda *args: -pair_sums(*args))
+        with pytest.raises(NonMonotonic, match=r"^restart 0: state step"):
+            optimize(SeesawConfig(L, 4, 2, restarts=3))
 
     def test_states_carry_pure_witnesses(self):
         result = optimize(SeesawConfig(L, 4, 2, restarts=3))
