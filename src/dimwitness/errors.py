@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+import numbers
 
 
 class DimWitnessError(Exception):
@@ -47,3 +49,19 @@ class NonMonotonic(DimWitnessError):
 
 class FileFormatError(DimWitnessError):
     """A JSON input file is malformed or violates a load-time invariant."""
+
+
+def require_int(value, name: str, low: int, high: int) -> int:
+    """Return ``value`` as an ``int`` if it is a non-bool integer in [low, high].
+
+    Anything else -- a bool, a float such as 1.5 or inf, an out-of-range
+    integer -- raises ``BadArgument`` naming the argument.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
+        raise BadArgument(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def require_seed(seed) -> int:
+    """A seed keys a Philox stream as one 64-bit word: an integer in [0, 2**64)."""
+    return require_int(seed, "seed", 0, 2**64 - 1)

@@ -2,7 +2,8 @@
 
 Complex numbers are stored as [re, im] pairs and matrices as flat row-major
 lists of such pairs, so every file is trivially parseable anywhere and
-diff-friendly. Floats go through the default JSON encoder (shortest decimal
+compact: one line of JSON with a trailing newline, written by the C encoder
+of ``json.dumps``. Floats go through ``repr`` (shortest decimal
 representation), which round-trips binary doubles exactly.
 
 Schemas
@@ -32,16 +33,9 @@ from .seesaw import SeesawResult
 from .witnesses import ProbabilityTable, WitnessKind, pair_labels
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [_pair(z) for z in v]
-
-
-def _matrix_to_json(m: np.ndarray) -> list[list[float]]:
-    return [_pair(z) for z in m.reshape(-1)]
+def _complex_to_json(a: np.ndarray) -> list[list[float]]:
+    """A vector or matrix as a flat row-major list of [re, im] pairs."""
+    return np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
 
 
 def _json_to_complex_array(data, count: int, where: str) -> np.ndarray:
@@ -70,9 +64,10 @@ def _read_json(path) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
+    # json.dumps without indent runs the C encoder; json.dump never does.
+    text = json.dumps(payload) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def save_ensemble(ensemble: Ensemble, path) -> None:
@@ -81,9 +76,9 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
     try:
         vectors = ensemble.vectors()
     except NotPure:
-        payload["density_matrices"] = [_matrix_to_json(s.matrix) for s in ensemble.states]
+        payload["density_matrices"] = [_complex_to_json(s.matrix) for s in ensemble.states]
     else:
-        payload["states"] = [_vector_to_json(v) for v in vectors]
+        payload["states"] = [_complex_to_json(v) for v in vectors]
     _write_json(path, payload)
 
 
@@ -129,7 +124,7 @@ def save_table(table: ProbabilityTable, kind: WitnessKind, path) -> None:
         "N": table.N,
         "m": table.m,
         "k": table.k,
-        "p": [[list(map(float, row)) for row in per_x] for per_x in table.p],
+        "p": table.p.tolist(),
         "empirical": table.empirical,
     }
     _write_json(path, payload)
@@ -173,9 +168,9 @@ def save_seesaw_dump(result: SeesawResult, path) -> None:
     measurements = result.measurements
     payload = {
         "dim": result.ensemble.dim,
-        "states": [_vector_to_json(v) for v in vectors],
+        "states": [_complex_to_json(v) for v in vectors],
         "effects": {
-            f"{x},{xp}": _matrix_to_json(effect)
+            f"{x},{xp}": _complex_to_json(effect)
             for (x, xp), effect in zip(pair_labels(measurements.N), measurements.stack)
         },
     }

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, DimWitnessError, NonMonotonic
+from .errors import BadArgument, DimWitnessError, NonMonotonic, require_seed
 from .quantum import Ensemble, PairMeasurementSet, pure_state
 from .witnesses import WitnessKind, quantum_bound
 
@@ -71,8 +71,7 @@ class SeesawConfig:
             raise BadArgument("max_iters must be at least 1")
         if not self.improvement_tol > 0:
             raise BadArgument("improvement_tol must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise BadArgument(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        object.__setattr__(self, "seed", require_seed(self.seed))
 
 
 @dataclass(frozen=True)

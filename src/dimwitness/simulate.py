@@ -3,9 +3,11 @@
 Exact tables follow the Born rule P(b|x,y) = tr(rho_x M^b_y). Two optional
 distortions feed the certification pipeline with more realistic data:
 depolarizing noise applied to the states, and finite-shot sampling that
-replaces each cell with an empirical frequency. Sampling is driven by a
-counter-based generator keyed per (seed, x, y), so tables are reproducible
-cell by cell regardless of evaluation order.
+replaces each cell with an empirical frequency. Every cell draws from its
+own counter-based Philox stream keyed by (seed, x, y), so tables are
+reproducible cell by cell regardless of evaluation order. One generator
+serves a whole table: before each cell it is reset to the fresh state of
+that cell's stream, which draws exactly what a new generator would.
 """
 
 from __future__ import annotations
@@ -16,16 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, DimensionMismatch, NotAPovm, ShapeMismatch
+from .errors import BadArgument, DimensionMismatch, NotAPovm, ShapeMismatch, require_int, require_seed
 from .linalg import DEFAULT_TOLS
 from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet
 from .witnesses import ProbabilityTable
-
-
-def _require_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise BadArgument(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,8 @@ class NoiseModel:
 
     ``depolarizing_eta`` mixes each state with the maximally mixed one:
     rho -> (1 - eta) rho + eta I/d. ``shots = None`` means exact
-    probabilities.
+    probabilities; otherwise it is an integer in [1, 2**63 - 1], the range
+    of the sampler's trial count.
     """
 
     depolarizing_eta: float = 0.0
@@ -43,8 +40,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.depolarizing_eta <= 1.0:
             raise BadArgument(f"depolarizing_eta must lie in [0, 1], got {self.depolarizing_eta}")
-        if self.shots is not None and not self.shots >= 1:
-            raise BadArgument(f"shots must be positive when given, got {self.shots}")
+        if self.shots is not None:
+            object.__setattr__(self, "shots", require_int(self.shots, "shots", 1, 2**63 - 1))
 
 
 def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
@@ -84,26 +81,35 @@ def noisy_table(
 
     Depolarizing acts on the states before the Born rule. With ``shots`` set,
     every (x, y) cell becomes the success frequency of that many Bernoulli
-    trials at the exact probability, drawn from a Philox stream keyed by
-    (seed, x, y); the result is deterministic given the seed and is flagged
+    trials at the exact probability (clipped to [0, 1]), drawn with one
+    ``binomial`` call from the Philox stream keyed by [seed, (x << 32) | y].
+    One bit generator serves the table: before each cell it is reset to that
+    stream's fresh state (counter 0, empty buffer), so each cell gets the
+    same draw as from its own new generator, independent of evaluation
+    order. The result is deterministic given the seed and is flagged
     ``empirical``.
     """
-    _require_seed(seed)
+    seed = require_seed(seed)
     noisy = Ensemble(tuple(depolarize(s, noise.depolarizing_eta) for s in ensemble.states))
     exact = born_table(noisy, measurements)
-    if noise.shots is None:
+    shots = noise.shots
+    if shots is None:
         return exact
-    n, m = exact.N, exact.m
-    p = np.empty((n, m, 2))
-    for x in range(1, n + 1):
-        for y in range(1, m + 1):
-            cell_key = np.array([seed, (x << 32) | y], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=cell_key))
-            p1 = float(np.clip(exact.p[x - 1, y - 1, 0], 0.0, 1.0))
-            freq = rng.binomial(noise.shots, p1) / noise.shots
-            p[x - 1, y - 1, 0] = freq
-            p[x - 1, y - 1, 1] = 1.0 - freq
-    return ProbabilityTable(p, empirical=True)
+    key = [seed, 0]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bit_generator = np.random.Philox(key=0)  # reset to a cell's stream before every draw
+    rng = np.random.Generator(bit_generator)
+    counts = []
+    for x, row in enumerate(np.clip(exact.p[:, :, 0], 0.0, 1.0).tolist(), start=1):
+        for y, p1 in enumerate(row, start=1):
+            key[1] = (x << 32) | y
+            bit_generator.state = fresh
+            counts.append(rng.binomial(shots, p1))
+    # int / int is correctly rounded for any shot count; a float64 array
+    # division is not once counts pass 2**53.
+    freq = np.array([c / shots for c in counts]).reshape(exact.N, exact.m)
+    return ProbabilityTable(np.stack([freq, 1.0 - freq], axis=2), empirical=True)
 
 
 def guessing_table(ensemble: Ensemble, effects: Sequence[Effect]) -> ProbabilityTable:

@@ -5,11 +5,15 @@ from conftest import random_density, random_pure_ensemble
 from dimwitness import (
     Ensemble,
     FileFormatError,
+    NoiseModel,
+    ProbabilityTable,
     SeesawConfig,
     WitnessKind,
     born_table,
+    depolarize,
     fourier_ensemble,
     helstrom_measurements,
+    noisy_table,
     optimize,
 )
 from dimwitness.files import (
@@ -127,3 +131,58 @@ class TestSeesawDump:
         path.write_text('{"dim": 1, "states": [[[1.0, 0.0]]], "effects": {"oops": [[1.0, 0.0]]}}')
         with pytest.raises(FileFormatError):
             load_seesaw_dump(path)
+
+
+def compact_text(path) -> str:
+    """The file's text, checked to be one JSON line ending in a newline."""
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    assert "\n" not in text[:-1]
+    return text
+
+
+class TestCompactWriterRoundTrip:
+    """Every float written by the compact writer reads back bit for bit."""
+
+    def test_table_floats_are_bitwise(self, tmp_path):
+        path = tmp_path / "table.json"
+        p1 = np.random.default_rng(4).random((6, 15))
+        p1[0, :4] = [5e-324, 1e-300, 0.1, 1.0 / 3.0]
+        table = ProbabilityTable(np.stack([p1, 1.0 - p1], axis=2))
+        save_table(table, WitnessKind.QUADRATIC, path)
+        compact_text(path)
+        loaded, _ = load_table(path)
+        assert loaded.p.tobytes() == table.p.tobytes()
+
+    def test_noisy_table_floats_and_flag(self, tmp_path):
+        path = tmp_path / "noisy.json"
+        ensemble = fourier_ensemble(6, 3)
+        table = noisy_table(ensemble, helstrom_measurements(ensemble), NoiseModel(0.1, 997), seed=2)
+        save_table(table, WitnessKind.LINEAR, path)
+        compact_text(path)
+        loaded, kind = load_table(path)
+        assert kind is WitnessKind.LINEAR and loaded.empirical
+        assert loaded.p.tobytes() == table.p.tobytes()
+
+    def test_pure_ensemble_amplitudes_are_bitwise(self, tmp_path):
+        path = tmp_path / "pure.json"
+        original = random_pure_ensemble(np.random.default_rng(5), 5, 4)
+        save_ensemble(original, path)
+        compact_text(path)
+        assert load_ensemble(path).vectors().tobytes() == original.vectors().tobytes()
+
+    def test_mixed_ensemble_entries_are_bitwise(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        original = Ensemble(tuple(depolarize(s, 0.3) for s in fourier_ensemble(4, 3).states))
+        save_ensemble(original, path)
+        compact_text(path)
+        assert load_ensemble(path).matrices().tobytes() == original.matrices().tobytes()
+
+    def test_seesaw_dump_is_bitwise(self, tmp_path):
+        path = tmp_path / "model.json"
+        result = optimize(SeesawConfig(WitnessKind.QUADRATIC, 4, 3, restarts=2))
+        save_seesaw_dump(result, path)
+        compact_text(path)
+        ensemble, measurements = load_seesaw_dump(path)
+        assert ensemble.vectors().tobytes() == result.ensemble.vectors().tobytes()
+        assert measurements.stack.tobytes() == result.measurements.stack.tobytes()

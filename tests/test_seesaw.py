@@ -40,6 +40,16 @@ class TestConfigValidation:
         with pytest.raises(BadArgument):
             SeesawConfig(L, 3, 2, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, 2**64, math.inf, "1"])
+    def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
+        with pytest.raises(BadArgument):
+            SeesawConfig(L, 3, 2, seed=seed)
+
+    def test_integer_seeds_up_to_uint64_max_are_kept_as_int(self):
+        assert SeesawConfig(L, 3, 2, seed=2**64 - 1).seed == 2**64 - 1
+        seed = SeesawConfig(L, 3, 2, seed=np.uint64(7)).seed
+        assert seed == 7 and type(seed) is int
+
 
 class TestQuadraticSeesaw:
     def test_orthogonal_states_suffice_at_full_dimension(self):

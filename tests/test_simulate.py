@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ class TestNoiseModel:
             NoiseModel(depolarizing_eta=1.5)
         with pytest.raises(BadArgument):
             NoiseModel(shots=0)
+
+    @pytest.mark.parametrize("shots", [2.5, 1.0, True, False, 0, -3, 2**63, 10**19, math.inf, "100"])
+    def test_shots_must_be_an_integer_in_int64_range(self, shots):
+        with pytest.raises(BadArgument):
+            NoiseModel(shots=shots)
+
+    def test_integer_shots_up_to_int64_max_are_kept_as_int(self):
+        assert NoiseModel(shots=2**63 - 1).shots == 2**63 - 1
+        model = NoiseModel(shots=np.int64(100))
+        assert model.shots == 100 and type(model.shots) is int
 
     def test_depolarize_range_check(self):
         with pytest.raises(BadArgument):
@@ -130,6 +142,69 @@ class TestNoisyTable:
         exact = eval_quadratic(born_table(ensemble, ms))
         empirical = noisy_table(ensemble, ms, NoiseModel(shots=10**6), seed=7)
         assert abs(eval_quadratic(empirical) - exact) <= 5e-3
+
+
+def per_cell_frequencies(ensemble, measurements, eta, shots, seed):
+    """Reference sampler: a new Philox generator keyed [seed, (x << 32) | y] per cell."""
+    noisy = Ensemble(tuple(depolarize(s, eta) for s in ensemble.states))
+    exact = born_table(noisy, measurements).p[:, :, 0]
+    freq = np.empty(exact.shape)
+    for x in range(1, exact.shape[0] + 1):
+        for y in range(1, exact.shape[1] + 1):
+            key = np.array([seed, (x << 32) | y], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            freq[x - 1, y - 1] = rng.binomial(shots, float(np.clip(exact[x - 1, y - 1], 0.0, 1.0))) / shots
+    return freq
+
+
+def assert_same_as_per_cell(table, ensemble, measurements, eta, shots, seed):
+    freq = per_cell_frequencies(ensemble, measurements, eta, shots, seed)
+    assert table.p[:, :, 0].tobytes() == freq.tobytes()
+    assert table.p[:, :, 1].tobytes() == (1.0 - freq).tobytes()
+
+
+class TestSamplerKeying:
+    """The one-generator sampler draws bit for bit what a generator per cell draws."""
+
+    @pytest.mark.parametrize("shots", [1, 5, 100, 10**4, 10**6])
+    def test_matches_a_generator_per_cell(self, shots):
+        ensemble = fourier_ensemble(7, 3)
+        ms = helstrom_measurements(ensemble)
+        for seed in (0, 2**64 - 1):
+            for eta in (0.0, 0.1):
+                table = noisy_table(ensemble, ms, NoiseModel(eta, shots), seed)
+                assert_same_as_per_cell(table, ensemble, ms, eta, shots, seed)
+
+    @pytest.mark.parametrize("shots", [10**18 + 9, 2**63 - 1])
+    def test_matches_a_generator_per_cell_beyond_float_integers(self, shots):
+        # past 2**53 counts a float64 division of the count array rounds twice
+        ensemble = fourier_ensemble(12, 3)
+        ms = helstrom_measurements(ensemble)
+        table = noisy_table(ensemble, ms, NoiseModel(0.1, shots), 2**64 - 1)
+        assert_same_as_per_cell(table, ensemble, ms, 0.1, shots, 2**64 - 1)
+
+    def test_certain_outcomes_on_orthogonal_states(self):
+        ensemble = basis_pair()
+        effect = Effect(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        table = noisy_table(ensemble, PairMeasurementSet({(2, 1): effect}), NoiseModel(shots=50), seed=4)
+        assert table.p[:, 0, 0].tolist() == [1.0, 0.0]
+
+    def test_interleaved_calls_with_different_seeds_do_not_disturb_each_other(self):
+        ensemble = fourier_ensemble(5, 2)
+        ms = helstrom_measurements(ensemble)
+        model = NoiseModel(0.05, 1000)
+        first = noisy_table(ensemble, ms, model, seed=3)
+        other = noisy_table(ensemble, ms, model, seed=2**64 - 1)
+        again = noisy_table(ensemble, ms, model, seed=3)
+        assert first.p.tobytes() == again.p.tobytes()
+        assert_same_as_per_cell(first, ensemble, ms, 0.05, 1000, 3)
+        assert_same_as_per_cell(other, ensemble, ms, 0.05, 1000, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, 2**64, math.inf, "1"])
+    def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
+        ensemble = fourier_ensemble(3, 2)
+        with pytest.raises(BadArgument):
+            noisy_table(ensemble, helstrom_measurements(ensemble), NoiseModel(shots=10), seed)
 
 
 class TestGuessingTable:
