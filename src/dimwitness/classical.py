@@ -24,8 +24,9 @@ from .errors import BadArgument, IncompleteDecoding, TooLarge
 from .witnesses import (
     ProbabilityTable,
     WitnessKind,
-    max_distinct_pairs,
+    classical_bound,
     pair_labels,
+    require_bound_args,
 )
 
 #: Enumeration refuses to visit more canonical encodings than this.
@@ -136,17 +137,13 @@ def enumerate_max(
     one. Raises ``TooLarge`` when the number of canonical encodings exceeds
     the search guard.
     """
-    if n_preparations < 2:
-        raise BadArgument(f"need at least 2 preparations, got {n_preparations}")
-    if dim < 1:
-        raise BadArgument(f"dimension must be positive, got {dim}")
-    work = _canonical_count(n_preparations, min(dim, n_preparations))
+    n, dim = require_bound_args(n_preparations, dim)
+    work = _canonical_count(n, min(dim, n))
     if work > SEARCH_GUARD:
         raise TooLarge(
-            f"{work} canonical encodings for N={n_preparations}, d={dim} exceed the guard {SEARCH_GUARD}"
+            f"{work} canonical encodings for N={n}, d={dim} exceed the guard {SEARCH_GUARD}"
         )
 
-    n = n_preparations
     if kind is WitnessKind.GUESSING:
         best_used = -1
         best_enc: tuple[int, ...] | None = None
@@ -176,8 +173,4 @@ def balanced_partition_value(n_preparations: int, dim: int) -> float:
     This closed form equals the deterministic maximum of both pair witnesses
     and is what ``enumerate_max`` must reproduce.
     """
-    if n_preparations < 2:
-        raise BadArgument(f"need at least 2 preparations, got {n_preparations}")
-    if dim < 1:
-        raise BadArgument(f"dimension must be positive, got {dim}")
-    return float(max_distinct_pairs(n_preparations, dim))
+    return classical_bound(WitnessKind.QUADRATIC, n_preparations, dim)

@@ -16,6 +16,7 @@ problems. ``--json`` switches every subcommand to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -36,17 +37,11 @@ from .witnesses import (
 _REPRODUCE_N = 7  # preparations used by the reference bound table
 
 
-def _fmt6(value: float) -> str:
-    """Six decimals, except exact integers print bare."""
+def _fmt(value: float, decimals: int = 6) -> str:
+    """Fixed decimals, except exact integers print bare."""
     if value == int(value):
         return str(int(value))
-    return f"{value:.6f}"
-
-
-def _fmt2(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return f"{value:.2f}"
+    return f"{value:.{decimals}f}"
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -56,23 +51,19 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _kind(name: str) -> WitnessKind:
-    return WitnessKind(name)
-
-
 def _cmd_bounds(args) -> int:
-    kind = _kind(args.witness)
+    kind = WitnessKind(args.witness)
     report = bound_report(kind, args.N, args.d)
     if report.classical_bound is None:
         classical_text = "requires enumeration (no closed form at this N, d)"
     else:
-        classical_text = _fmt6(report.classical_bound)
+        classical_text = _fmt(report.classical_bound)
     text = "\n".join(
         [
             f"witness: {kind.value}",
             f"N: {args.N}",
             f"d: {args.d}",
-            f"Q_d: {_fmt6(report.quantum_bound)}",
+            f"Q_d: {_fmt(report.quantum_bound)}",
             f"C_d: {classical_text}",
         ]
     )
@@ -100,7 +91,7 @@ def _cmd_states(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    kind = _kind(args.witness)
+    kind = WitnessKind(args.witness)
     if (args.table is None) == (args.ensemble is None):
         raise DimWitnessError("provide exactly one of --table or --ensemble")
     if args.helstrom and args.ensemble is None:
@@ -149,7 +140,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_seesaw(args) -> int:
-    kind = _kind(args.witness)
+    kind = WitnessKind(args.witness)
     cfg = seesaw.SeesawConfig(
         witness=kind,
         N=args.N,
@@ -198,27 +189,22 @@ def _reproduce_bound_table(args) -> int:
     dims = list(range(2, _REPRODUCE_N + 1))
     classical = [classical_bound(WitnessKind.QUADRATIC, _REPRODUCE_N, d) for d in dims]
     quantum = [quantum_bound(WitnessKind.QUADRATIC, _REPRODUCE_N, d) for d in dims]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "witness": "quadratic",
-                    "N": _REPRODUCE_N,
-                    "d": dims,
-                    "classical": classical,
-                    "quantum": quantum,
-                }
-            )
-        )
-        return 0
     rows = [
         ("d", [str(d) for d in dims]),
-        ("C_d", [_fmt2(c) for c in classical]),
-        ("Q_d", [_fmt2(q) for q in quantum]),
+        ("C_d", [_fmt(c, 2) for c in classical]),
+        ("Q_d", [_fmt(q, 2) for q in quantum]),
     ]
-    print(f"Pair-comparison witness at N={_REPRODUCE_N}: classical (C_d) vs quantum (Q_d) maxima")
+    lines = [f"Pair-comparison witness at N={_REPRODUCE_N}: classical (C_d) vs quantum (Q_d) maxima"]
     for label, cells in rows:
-        print((f"{label:<6}" + "".join(f"{cell:<7}" for cell in cells)).rstrip())
+        lines.append((f"{label:<6}" + "".join(f"{cell:<7}" for cell in cells)).rstrip())
+    payload = {
+        "witness": "quadratic",
+        "N": _REPRODUCE_N,
+        "d": dims,
+        "classical": classical,
+        "quantum": quantum,
+    }
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -226,34 +212,19 @@ def _reproduce_tightness(args) -> int:
     entries = seesaw.verify_table2(
         args.nmax, tol=args.tol, restarts=args.restarts, seed=args.seed
     )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "restarts": args.restarts,
-                    "seed": args.seed,
-                    "tol": args.tol,
-                    "entries": [
-                        {
-                            "N": e.N,
-                            "d": e.d,
-                            "bound": e.bound,
-                            "best_value": e.best_value,
-                            "gap": e.gap,
-                            "attained": e.attained,
-                        }
-                        for e in entries
-                    ],
-                }
-            )
-        )
-        return 0
-    print(f"Linear-witness tightness grid (restarts={args.restarts}, seed={args.seed}, tol={args.tol:.1e})")
+    lines = [f"Linear-witness tightness grid (restarts={args.restarts}, seed={args.seed}, tol={args.tol:.1e})"]
     for e in entries:
         status = "attained" if e.attained else "not attained"
-        print(f"N={e.N} d={e.d}: Q_d {e.bound:.6f}  best {e.best_value:.6f}  gap {e.gap:.2e}  {status}")
+        lines.append(f"N={e.N} d={e.d}: Q_d {e.bound:.6f}  best {e.best_value:.6f}  gap {e.gap:.2e}  {status}")
     if args.nmax >= 8:
-        print("note: N >= 8 rows are local-search reports; a miss is inconclusive")
+        lines.append("note: N >= 8 rows are local-search reports; a miss is inconclusive")
+    payload = {
+        "restarts": args.restarts,
+        "seed": args.seed,
+        "tol": args.tol,
+        "entries": [dataclasses.asdict(e) for e in entries],
+    }
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -264,7 +235,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    kind = _kind(args.witness)
+    kind = WitnessKind(args.witness)
     value, strategy = classical_mod.enumerate_max(kind, args.N, args.d)
     closed = classical_bound(kind, args.N, args.d)
     if closed is None:
@@ -278,8 +249,8 @@ def _cmd_classical(args) -> int:
             f"witness: {kind.value}",
             f"N: {args.N}",
             f"d: {args.d}",
-            f"enumerated maximum: {_fmt6(value)}",
-            f"closed-form value: {'none' if closed is None else _fmt6(closed)}",
+            f"enumerated maximum: {_fmt(value)}",
+            f"closed-form value: {'none' if closed is None else _fmt(closed)}",
             f"verdict: {verdict}",
             f"optimal encoding: {strategy.encoding}",
         ]

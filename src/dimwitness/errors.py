@@ -51,11 +51,12 @@ class FileFormatError(DimWitnessError):
     """A JSON input file is malformed or violates a load-time invariant."""
 
 
-def require_int(value, name: str, low: int, high: int) -> int:
+def require_int(value, name: str, low: int, high: float) -> int:
     """Return ``value`` as an ``int`` if it is a non-bool integer in [low, high].
 
     Anything else -- a bool, a float such as 1.5 or inf, an out-of-range
-    integer -- raises ``BadArgument`` naming the argument.
+    integer -- raises ``BadArgument`` naming the argument. ``high`` may be
+    ``math.inf`` for a count with no upper limit.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
         raise BadArgument(f"{name} must be an integer in [{low}, {high}], got {value!r}")

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DimWitnessError, FileFormatError, NotPure
 from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet, pure_state
 from .seesaw import SeesawResult
+from .simulate import require_compatible
 from .witnesses import ProbabilityTable, WitnessKind, pair_labels
 
 
@@ -82,39 +83,40 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
     _write_json(path, payload)
 
 
+def _read_count(path, data: dict, name: str) -> int:
+    """A positive integer field; JSON ``true`` is not a count."""
+    value = data.get(name)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FileFormatError(f"{path}: '{name}' must be a positive integer")
+    return value
+
+
+def _read_states(path, data: dict, key: str) -> Ensemble:
+    """The ensemble under ``key`` ("states" or "density_matrices"); names a bad state ``key[i]``."""
+    dim = _read_count(path, data, "dim")
+    entries = data.get(key)
+    if not isinstance(entries, list) or not entries:
+        raise FileFormatError(f"{path}: '{key}' must be a nonempty list")
+    pure = key == "states"
+    states: list[DensityMatrix] = []
+    for i, entry in enumerate(entries):
+        where = f"{key}[{i}]"
+        flat = _json_to_complex_array(entry, dim if pure else dim * dim, where)
+        try:
+            states.append(pure_state(flat) if pure else DensityMatrix(flat.reshape(dim, dim)))
+        except DimWitnessError as exc:
+            raise FileFormatError(f"{where}: {exc}") from exc
+    return Ensemble(tuple(states))
+
+
 def load_ensemble(path) -> Ensemble:
     """Read an ensemble file, validating every state and naming offenders."""
     data = _read_json(path)
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise FileFormatError(f"{path}: 'dim' must be a positive integer")
     has_states = "states" in data
     has_matrices = "density_matrices" in data
     if has_states == has_matrices:
         raise FileFormatError(f"{path}: provide exactly one of 'states' or 'density_matrices'")
-
-    states: list[DensityMatrix] = []
-    if has_states:
-        entries = data["states"]
-        if not isinstance(entries, list) or not entries:
-            raise FileFormatError(f"{path}: 'states' must be a nonempty list")
-        for i, entry in enumerate(entries):
-            amps = _json_to_complex_array(entry, dim, f"states[{i}]")
-            try:
-                states.append(pure_state(amps))
-            except DimWitnessError as exc:
-                raise FileFormatError(f"states[{i}]: {exc}") from exc
-    else:
-        entries = data["density_matrices"]
-        if not isinstance(entries, list) or not entries:
-            raise FileFormatError(f"{path}: 'density_matrices' must be a nonempty list")
-        for i, entry in enumerate(entries):
-            flat = _json_to_complex_array(entry, dim * dim, f"density_matrices[{i}]")
-            try:
-                states.append(DensityMatrix(flat.reshape(dim, dim)))
-            except DimWitnessError as exc:
-                raise FileFormatError(f"density_matrices[{i}]: {exc}") from exc
-    return Ensemble(tuple(states))
+    return _read_states(path, data, "states" if has_states else "density_matrices")
 
 
 def save_table(table: ProbabilityTable, kind: WitnessKind, path) -> None:
@@ -138,10 +140,7 @@ def load_table(path) -> tuple[ProbabilityTable, WitnessKind]:
     except ValueError:
         raise FileFormatError(f"{path}: 'witness' must be one of "
                               f"{[k.value for k in WitnessKind]}") from None
-    n, m, k = data.get("N"), data.get("m"), data.get("k")
-    for name, value in (("N", n), ("m", m), ("k", k)):
-        if not isinstance(value, int) or value < 1:
-            raise FileFormatError(f"{path}: '{name}' must be a positive integer")
+    n, m, k = (_read_count(path, data, name) for name in ("N", "m", "k"))
     if (m, k) != kind.table_shape(n):
         raise FileFormatError(
             f"{path}: declared shape (m={m}, k={k}) does not match a {kind.value} witness at N={n}"
@@ -180,19 +179,8 @@ def save_seesaw_dump(result: SeesawResult, path) -> None:
 def load_seesaw_dump(path) -> tuple[Ensemble, PairMeasurementSet]:
     """Read a see-saw dump back into validated domain objects."""
     data = _read_json(path)
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise FileFormatError(f"{path}: 'dim' must be a positive integer")
-    entries = data.get("states")
-    if not isinstance(entries, list) or not entries:
-        raise FileFormatError(f"{path}: 'states' must be a nonempty list")
-    states = []
-    for i, entry in enumerate(entries):
-        amps = _json_to_complex_array(entry, dim, f"states[{i}]")
-        try:
-            states.append(pure_state(amps))
-        except DimWitnessError as exc:
-            raise FileFormatError(f"states[{i}]: {exc}") from exc
+    ensemble = _read_states(path, data, "states")
+    dim = ensemble.dim
     effects_json = data.get("effects")
     if not isinstance(effects_json, dict) or not effects_json:
         raise FileFormatError(f"{path}: 'effects' must be a nonempty object")
@@ -210,6 +198,7 @@ def load_seesaw_dump(path) -> tuple[Ensemble, PairMeasurementSet]:
             raise FileFormatError(f"effects[{key}]: {exc}") from exc
     try:
         measurements = PairMeasurementSet(effects)
+        require_compatible(ensemble, measurements)
     except DimWitnessError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    return Ensemble(tuple(states)), measurements
+    return ensemble, measurements

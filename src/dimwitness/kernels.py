@@ -48,14 +48,6 @@ def pair_incidence(n: int) -> np.ndarray:
     return _frozen(eye[:, ix] - eye[:, ixp])
 
 
-def state_differences(rhos: np.ndarray) -> np.ndarray:
-    """rho_x - rho_x' for every pair, shape (P, d, d)."""
-    ix, ixp = pair_index(len(rhos))
-    deltas = rhos[ix]
-    deltas -= rhos[ixp]
-    return deltas
-
-
 def positive_projectors(deltas: np.ndarray) -> np.ndarray:
     """Projectors onto the strictly positive eigenspaces of a Hermitian stack.
 

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, DimensionMismatch, NotPure
+from .errors import BadArgument, DimensionMismatch, NotPure, require_int
 from .kernels import pair_labels
 from .linalg import DEFAULT_TOLS, require_hermitian, trace_norm
 
@@ -229,8 +229,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def fidelity_pure(psi: StateVector, phi: StateVector) -> float:
     """Overlap magnitude |<psi|phi>| of two pure states."""
-    if psi.dim != phi.dim:
-        raise DimensionMismatch(f"dimension mismatch: {psi.dim} vs {phi.dim}")
+    _require_same_dim(psi, phi)
     return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)))
 
 
@@ -249,8 +248,9 @@ def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
     """Optimal discrimination effect for every preparation pair of the ensemble."""
     if ensemble.N < 2:
         raise BadArgument("pair measurements need at least two preparations")
-    projectors = kernels.positive_projectors(kernels.state_differences(ensemble.matrices()))
-    return PairMeasurementSet.from_stack(projectors)
+    rhos = ensemble.matrices()
+    ix, ixp = kernels.pair_index(ensemble.N)
+    return PairMeasurementSet.from_stack(kernels.positive_projectors(rhos[ix] - rhos[ixp]))
 
 
 def fourier_ensemble(n_states: int, dim: int) -> Ensemble:
@@ -265,6 +265,9 @@ def fourier_ensemble(n_states: int, dim: int) -> Ensemble:
         raise BadArgument(f"need at least one state, got {n_states}")
     if dim < 1 or dim > n_states:
         raise BadArgument(f"dimension must satisfy 1 <= d <= N, got d={dim}, N={n_states}")
+    # in range, but possibly a float or a bool
+    n_states = require_int(n_states, "n_states", 1, math.inf)
+    dim = require_int(dim, "dim", 1, n_states)
     k = np.arange(dim)
     states = []
     for x in range(1, n_states + 1):
@@ -292,10 +295,7 @@ def overlap_sum_identity_check(ensemble: Ensemble) -> tuple[float, float]:
     self-test of the ensemble plumbing. Raises ``NotPure`` when a state has
     no vector representation.
     """
-    vectors = ensemble.vectors()
-    gram = vectors.conj() @ vectors.T
-    overlaps_sq = np.abs(gram) ** 2
-    lhs = float(np.sum(np.tril(overlaps_sq, k=-1)))
+    lhs = float(np.sum(np.tril(pure_overlaps(ensemble), k=-1)))
     n = ensemble.N
     rhs = n * n / 2.0 * purity(average_state(ensemble)) - n / 2.0
     return lhs, rhs

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, DimWitnessError, NonMonotonic, require_seed
+from .errors import BadArgument, DimWitnessError, NonMonotonic, require_int, require_seed
 from .quantum import Ensemble, PairMeasurementSet, pure_state
 from .witnesses import WitnessKind, quantum_bound
 
@@ -71,6 +71,9 @@ class SeesawConfig:
             raise BadArgument("max_iters must be at least 1")
         if not self.improvement_tol > 0:
             raise BadArgument("improvement_tol must be positive")
+        # in range, but possibly a float or a bool
+        for name, low in (("N", 2), ("d", 2), ("restarts", 1), ("max_iters", 1)):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, low, math.inf))
         object.__setattr__(self, "seed", require_seed(self.seed))
 
 
@@ -208,7 +211,6 @@ def verify_table2(
     *,
     restarts: int = 20,
     seed: int = 1,
-    max_iters: int = 500,
 ) -> tuple[TightnessEntry, ...]:
     """Probe every reference tightness entry with N <= n_max.
 
@@ -220,6 +222,7 @@ def verify_table2(
     """
     if not 3 <= n_max <= 10:
         raise BadArgument(f"n_max must lie in 3..10, got {n_max}")
+    n_max = require_int(n_max, "n_max", 3, 10)
     if not (math.isfinite(tol) and tol >= 0):
         raise BadArgument(f"tol must be finite and non-negative, got {tol}")
     entries = []
@@ -227,10 +230,7 @@ def verify_table2(
         if n > n_max:
             continue
         for d in TIGHT_DIMENSIONS[n]:
-            cfg = SeesawConfig(
-                WitnessKind.LINEAR, n, d, restarts=restarts, max_iters=max_iters, seed=seed
-            )
-            result = optimize(cfg)
+            result = optimize(SeesawConfig(WitnessKind.LINEAR, n, d, restarts=restarts, seed=seed))
             bound = quantum_bound(WitnessKind.LINEAR, n, d)
             gap = bound - result.best_value
             entries.append(TightnessEntry(n, d, bound, result.best_value, gap, gap <= tol))

@@ -12,6 +12,7 @@ that cell's stream, which draws exactly what a new generator would.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,22 +39,26 @@ class NoiseModel:
     shots: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.depolarizing_eta <= 1.0:
-            raise BadArgument(f"depolarizing_eta must lie in [0, 1], got {self.depolarizing_eta}")
+        _require_eta(self.depolarizing_eta, "depolarizing_eta")
         if self.shots is not None:
             object.__setattr__(self, "shots", require_int(self.shots, "shots", 1, 2**63 - 1))
 
 
+def _require_eta(eta, name: str) -> None:
+    if isinstance(eta, bool) or not isinstance(eta, numbers.Real) or not 0.0 <= eta <= 1.0:
+        raise BadArgument(f"{name} must lie in [0, 1], got {eta!r}")
+
+
 def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Mix a state with the maximally mixed one: (1 - eta) rho + eta I/d."""
-    if not 0.0 <= eta <= 1.0:
-        raise BadArgument(f"eta must lie in [0, 1], got {eta}")
+    _require_eta(eta, "eta")
     d = rho.dim
     mixed = (1.0 - eta) * rho.matrix + eta * np.eye(d) / d
     return DensityMatrix(mixed)
 
 
-def _require_compatible(ensemble: Ensemble, measurements: PairMeasurementSet) -> None:
+def require_compatible(ensemble: Ensemble, measurements: PairMeasurementSet) -> None:
+    """``DimensionMismatch`` unless the effects share the states' dimension and cover their pairs."""
     if ensemble.dim != measurements.dim:
         raise DimensionMismatch(
             f"states live in dimension {ensemble.dim}, effects in {measurements.dim}"
@@ -66,7 +71,7 @@ def _require_compatible(ensemble: Ensemble, measurements: PairMeasurementSet) ->
 
 def born_table(ensemble: Ensemble, measurements: PairMeasurementSet) -> ProbabilityTable:
     """Exact pair-witness table: P(1|x, (x,x')) = tr(rho_x M_(x,x'))."""
-    _require_compatible(ensemble, measurements)
+    require_compatible(ensemble, measurements)
     p1 = kernels.born(ensemble.matrices(), measurements.stack)
     return ProbabilityTable(np.stack([p1, 1.0 - p1], axis=2))
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, OutOfRange, ShapeMismatch, TooLarge
+from .errors import BadArgument, OutOfRange, ShapeMismatch, TooLarge, require_int
 from .kernels import pair_labels
 from .linalg import DEFAULT_TOLS
 
@@ -138,17 +138,20 @@ def evaluate(kind: WitnessKind, table: ProbabilityTable) -> float:
     return eval_linear(table)
 
 
-def _require_bound_args(n_preparations: int, dim: int) -> None:
+def require_bound_args(n_preparations: int, dim: int) -> tuple[int, int]:
+    """(N, d) of a ceiling or an enumeration as ``int``s: integers with N >= 2, d >= 1."""
     if n_preparations < 2:
         raise BadArgument(f"need at least 2 preparations, got {n_preparations}")
     if dim < 1:
         raise BadArgument(f"dimension must be positive, got {dim}")
+    # in range, but possibly a float or a bool
+    n = require_int(n_preparations, "n_preparations", 2, math.inf)
+    return n, require_int(dim, "dim", 1, math.inf)
 
 
 def quantum_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float:
     """Largest witness value reachable with dim-dimensional quantum systems."""
-    _require_bound_args(n_preparations, dim)
-    n = n_preparations
+    n, dim = require_bound_args(n_preparations, dim)
     deff = min(dim, n)
     if kind is WitnessKind.GUESSING:
         return deff / n
@@ -177,14 +180,11 @@ def classical_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float |
     closed form is available; use the enumeration oracle in
     :mod:`dimwitness.classical` instead.
     """
-    _require_bound_args(n_preparations, dim)
-    n = n_preparations
+    n, dim = require_bound_args(n_preparations, dim)
     if kind is WitnessKind.GUESSING:
         return min(dim, n) / n
-    if kind is WitnessKind.QUADRATIC:
+    if kind is WitnessKind.QUADRATIC or dim == n - 1:
         return float(max_distinct_pairs(n, min(dim, n)))
-    if dim == n - 1:
-        return float(dim * (dim + 1) // 2 - 1)
     return None
 
 
@@ -213,9 +213,10 @@ class BoundReport:
 
 def bound_report(kind: WitnessKind, n_preparations: int, dim: int) -> BoundReport:
     """Assemble quantum and (when closed-form) classical bounds."""
-    q = quantum_bound(kind, n_preparations, dim)
-    c = classical_bound(kind, n_preparations, dim)
-    return BoundReport(kind, n_preparations, dim, q, c, c is not None)
+    n, dim = require_bound_args(n_preparations, dim)
+    q = quantum_bound(kind, n, dim)
+    c = classical_bound(kind, n, dim)
+    return BoundReport(kind, n, dim, q, c, c is not None)
 
 
 class CertifiedDimensions(NamedTuple):
@@ -250,11 +251,9 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
     lo, hi = _witness_range(kind, n_preparations)
     if value < lo - NUMERIC_SLACK:
         raise OutOfRange(f"value {value} below the {kind.value} witness range [{lo}, {hi}]")
-    if value > quantum_bound(kind, n_preparations, n_preparations) + NUMERIC_SLACK:
-        raise OutOfRange(
-            f"value {value} exceeds the unrestricted ceiling "
-            f"{quantum_bound(kind, n_preparations, n_preparations)}"
-        )
+    ceiling = quantum_bound(kind, n_preparations, n_preparations)
+    if value > ceiling + NUMERIC_SLACK:
+        raise OutOfRange(f"value {value} exceeds the unrestricted ceiling {ceiling}")
 
     min_quantum = n_preparations
     for d in range(1, n_preparations + 1):

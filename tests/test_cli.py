@@ -230,6 +230,15 @@ class TestReproduce:
         assert payload["classical"] == [12, 16, 18, 19, 20, 21]
         assert abs(payload["quantum"][1] - 49 / 3) <= 1e-12
 
+    def test_tightness_grid_json_keys_in_order(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--table", "2", "--nmax", "3", "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert list(payload) == ["restarts", "seed", "tol", "entries"]
+        (entry,) = payload["entries"]
+        assert list(entry) == ["N", "d", "bound", "best_value", "gap", "attained"]
+        assert (entry["N"], entry["d"], entry["attained"]) == (3, 2, True)
+
     def test_tightness_grid_up_to_five(self, capsys):
         code, out, _ = run(capsys, "reproduce", "--table", "2", "--nmax", "5")
         assert code == 0

@@ -132,6 +132,19 @@ class TestSeesawDump:
         with pytest.raises(FileFormatError):
             load_seesaw_dump(path)
 
+    def test_invalid_state_names_offending_index(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"dim": 1, "states": [[[1.0, 0.0]], [[2.0, 0.0]]], "effects": {"2,1": [[1.0, 0.0]]}}')
+        with pytest.raises(FileFormatError) as err:
+            load_seesaw_dump(path)
+        assert str(err.value).startswith("states[1]: ")
+
+    def test_effects_must_cover_the_pairs_of_the_states(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"dim": 1, "states": [[[1.0, 0.0]]], "effects": {"2,1": [[1.0, 0.0]]}}')
+        with pytest.raises(FileFormatError, match=r"pairs of 2 preparations, ensemble has 1"):
+            load_seesaw_dump(path)
+
 
 def compact_text(path) -> str:
     """The file's text, checked to be one JSON line ending in a newline."""

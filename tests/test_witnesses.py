@@ -142,6 +142,10 @@ class TestClassicalBound:
         assert classical_bound(L, 5, 2) is None
         assert classical_bound(L, 5, 5) is None
 
+    def test_linear_next_to_full_dimension_is_all_pairs_but_one(self):
+        for n in range(2, 41):
+            assert classical_bound(L, n, n - 1) == n * (n - 1) / 2 - 1
+
     def test_guessing_equals_quantum(self):
         for n in range(2, 7):
             for d in range(1, n + 2):
