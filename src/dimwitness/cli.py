@@ -304,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("seesaw", parents=[common], help="alternating attainability search")
+    p = sub.add_parser("seesaw", parents=[common], help="L-BFGS attainability search over pure states")
     p.add_argument("--witness", choices=pair_choices, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-9, help="per-sweep improvement tolerance")
+    p.add_argument("--tol", type=float, default=1e-9, help="per-iteration improvement tolerance")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--out", help="write the best model to this JSON path")
     p.set_defaults(handler=_cmd_seesaw)

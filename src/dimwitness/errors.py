@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the integer-argument check."""
 
+import math
 import numbers
 
 
@@ -51,15 +52,17 @@ class FileFormatError(DimWitnessError):
     """A JSON input file is malformed or violates a load-time invariant."""
 
 
-def require_int(value, name: str, low: int, high: float) -> int:
+def require_int(value, name: str, low: float = -math.inf, high: float = math.inf) -> int:
     """Return ``value`` as an ``int`` if it is a non-bool integer in [low, high].
 
-    Anything else -- a bool, a float such as 1.5 or inf, an out-of-range
-    integer -- raises ``BadArgument`` naming the argument. ``high`` may be
-    ``math.inf`` for a count with no upper limit.
+    Anything else -- a bool, a string, a float such as 1.5 or inf, an
+    out-of-range integer -- raises ``BadArgument`` naming the argument.
+    Without bounds it checks the type alone, so a caller can check the type
+    before it compares and then word its own range messages.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
-        raise BadArgument(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+        bounds = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
+        raise BadArgument(f"{name} must be an integer{bounds}, got {value!r}")
     return int(value)
 
 

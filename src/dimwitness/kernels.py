@@ -40,14 +40,6 @@ def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(ix), _frozen(ixp)
 
 
-@lru_cache(maxsize=None)
-def pair_incidence(n: int) -> np.ndarray:
-    """Signed (N, P) incidence: +1 at (x, y) and -1 at (x', y) for pair y = (x, x')."""
-    ix, ixp = pair_index(n)
-    eye = np.eye(n)
-    return _frozen(eye[:, ix] - eye[:, ixp])
-
-
 def positive_projectors(deltas: np.ndarray) -> np.ndarray:
     """Projectors onto the strictly positive eigenspaces of a Hermitian stack.
 
@@ -93,15 +85,3 @@ def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     norms = np.einsum("...i,...i->...", u.conj(), u).real
     np.divide(1.0, norms, out=scale, where=s > DEFAULT_TOLS.zero_eigenvalue)
     return u, scale
-
-
-def pair_sums(n: int, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """H_x = sum_y w_y ([x = x_y] - [x = x'_y]) |u_y><u_y|, stacked: (..., P), (..., P, d) -> (..., N, d, d).
-
-    The transpose of ``pair_differences``: tr(rho_x H_x) collects every
-    weighted pair difference that preparation x takes part in.
-    """
-    coeffs = pair_incidence(n) * weights[..., None, :]
-    # H_x = U^T diag(coeffs_x) conj(U): one batched matmul over (..., N)
-    left = np.swapaxes(coeffs[..., None] * u[..., None, :, :], -1, -2)
-    return left @ u.conj()[..., None, :, :]

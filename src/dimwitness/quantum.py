@@ -261,13 +261,11 @@ def fourier_ensemble(n_states: int, dim: int) -> Ensemble:
     every 1 <= d <= N, which makes the ensemble saturate the quadratic
     witness ceiling under optimal pair discrimination.
     """
+    n_states, dim = require_int(n_states, "n_states"), require_int(dim, "dim")
     if n_states < 1:
         raise BadArgument(f"need at least one state, got {n_states}")
     if dim < 1 or dim > n_states:
         raise BadArgument(f"dimension must satisfy 1 <= d <= N, got d={dim}, N={n_states}")
-    # in range, but possibly a float or a bool
-    n_states = require_int(n_states, "n_states", 1, math.inf)
-    dim = require_int(dim, "dim", 1, n_states)
     k = np.arange(dim)
     states = []
     for x in range(1, n_states + 1):

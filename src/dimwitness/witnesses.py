@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,18 +141,21 @@ def evaluate(kind: WitnessKind, table: ProbabilityTable) -> float:
 
 def require_bound_args(n_preparations: int, dim: int) -> tuple[int, int]:
     """(N, d) of a ceiling or an enumeration as ``int``s: integers with N >= 2, d >= 1."""
-    if n_preparations < 2:
-        raise BadArgument(f"need at least 2 preparations, got {n_preparations}")
+    n, dim = require_int(n_preparations, "n_preparations"), require_int(dim, "dim")
+    if n < 2:
+        raise BadArgument(f"need at least 2 preparations, got {n}")
     if dim < 1:
         raise BadArgument(f"dimension must be positive, got {dim}")
-    # in range, but possibly a float or a bool
-    n = require_int(n_preparations, "n_preparations", 2, math.inf)
-    return n, require_int(dim, "dim", 1, math.inf)
+    return n, dim
 
 
 def quantum_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float:
     """Largest witness value reachable with dim-dimensional quantum systems."""
-    n, dim = require_bound_args(n_preparations, dim)
+    return _quantum_ceiling(kind, *require_bound_args(n_preparations, dim))
+
+
+def _quantum_ceiling(kind: WitnessKind, n: int, dim: int) -> float:
+    # the closed forms behind quantum_bound, on checked (N, d)
     deff = min(dim, n)
     if kind is WitnessKind.GUESSING:
         return deff / n
@@ -180,7 +184,11 @@ def classical_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float |
     closed form is available; use the enumeration oracle in
     :mod:`dimwitness.classical` instead.
     """
-    n, dim = require_bound_args(n_preparations, dim)
+    return _classical_ceiling(kind, *require_bound_args(n_preparations, dim))
+
+
+def _classical_ceiling(kind: WitnessKind, n: int, dim: int) -> float | None:
+    # the closed forms behind classical_bound, on checked (N, d)
     if kind is WitnessKind.GUESSING:
         return min(dim, n) / n
     if kind is WitnessKind.QUADRATIC or dim == n - 1:
@@ -214,8 +222,8 @@ class BoundReport:
 def bound_report(kind: WitnessKind, n_preparations: int, dim: int) -> BoundReport:
     """Assemble quantum and (when closed-form) classical bounds."""
     n, dim = require_bound_args(n_preparations, dim)
-    q = quantum_bound(kind, n, dim)
-    c = classical_bound(kind, n, dim)
+    q = _quantum_ceiling(kind, n, dim)
+    c = _classical_ceiling(kind, n, dim)
     return BoundReport(kind, n, dim, q, c, c is not None)
 
 
@@ -246,30 +254,31 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
     Raises ``OutOfRange`` when ``value`` exceeds the unrestricted ceiling (or
     undershoots the witness range) by more than the numeric slack.
     """
-    if not math.isfinite(value):
-        raise BadArgument(f"witness value must be finite, got {value}")
-    lo, hi = _witness_range(kind, n_preparations)
+    n, _ = require_bound_args(n_preparations, 1)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise BadArgument(f"witness value must be a finite number, got {value!r}")
+    lo, hi = _witness_range(kind, n)
     if value < lo - NUMERIC_SLACK:
         raise OutOfRange(f"value {value} below the {kind.value} witness range [{lo}, {hi}]")
-    ceiling = quantum_bound(kind, n_preparations, n_preparations)
+    ceiling = _quantum_ceiling(kind, n, n)
     if value > ceiling + NUMERIC_SLACK:
         raise OutOfRange(f"value {value} exceeds the unrestricted ceiling {ceiling}")
 
-    min_quantum = n_preparations
-    for d in range(1, n_preparations + 1):
-        if quantum_bound(kind, n_preparations, d) >= value - ANALYTIC_SLACK:
+    min_quantum = n
+    for d in range(1, n + 1):
+        if _quantum_ceiling(kind, n, d) >= value - ANALYTIC_SLACK:
             min_quantum = d
             break
 
     from . import classical  # deferred: classical depends on this module
 
     min_classical: int | None = None
-    for d in range(1, n_preparations + 1):
-        bound = classical_bound(kind, n_preparations, d)
+    for d in range(1, n + 1):
+        bound = _classical_ceiling(kind, n, d)
         slack = ANALYTIC_SLACK
         if bound is None:
             try:
-                bound, _ = classical.enumerate_max(kind, n_preparations, d)
+                bound, _ = classical.enumerate_max(kind, n, d)
             except TooLarge:
                 break
             slack = NUMERIC_SLACK

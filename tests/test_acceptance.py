@@ -109,7 +109,7 @@ def test_criterion_6_seesaw_attains_tightness_entries():
         result = optimize(SeesawConfig(L, n, d, restarts=20, seed=1))
         gap = quantum_bound(L, n, d) - result.best_value
         gaps[(n, d)] = gap
-        assert gap <= 1e-3, (n, d, gap)
+        assert gap <= 1e-8, (n, d, gap)
     elapsed = time.time() - started
     assert elapsed < 120.0
     worst = max(gaps.values())

@@ -173,7 +173,7 @@ class TestSeesaw:
         assert payload["gap"] <= 1e-3
         assert len(payload["restart_sweeps"]) == len(payload["restart_stops"]) == 20
         assert sum(payload["restart_sweeps"]) == payload["iterations_used"]
-        assert set(payload["restart_stops"]) == {"stalled"}
+        assert set(payload["restart_stops"]) <= {"stalled", "ceiling"}
 
     def test_full_dimension_quadratic(self, capsys):
         code, out, _ = run(capsys, "seesaw", "--witness", "quadratic", "--N", "4", "--d", "4")

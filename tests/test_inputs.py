@@ -125,7 +125,7 @@ class TestEmpiricalFlag:
 
 
 # (N, d) pairs that are in range but not integers
-NON_INTEGER_SIZES = [(5, 2.5), (5.0, 3), (5, 3.0), (7, True), (np.float64(6.0), 2)]
+NON_INTEGER_SIZES = [(5, 2.5), (5.0, 3), (5, 3.0), (7, True), (np.float64(6.0), 2), ("5", 2), (5, "2")]
 
 
 class TestIntegerArguments:
@@ -133,18 +133,21 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("N", 3.0), ("d", 2.0), ("restarts", 2.5), ("max_iters", 3.5), ("restarts", True), ("max_iters", True)],
+        [
+            ("N", 3.0), ("d", 2.0), ("restarts", 2.5), ("max_iters", 3.5), ("restarts", True), ("max_iters", True),
+            ("N", "3"), ("d", "2"), ("restarts", "2"), ("max_iters", "3"),
+        ],
     )
     def test_seesaw_config(self, name, value):
         with pytest.raises(BadArgument, match=name):
             SeesawConfig(**{"witness": WitnessKind.LINEAR, "N": 3, "d": 2, name: value})
 
-    @pytest.mark.parametrize("n, d", [(4, 2.0), (4.0, 2), (True, 1), (4, True)])
+    @pytest.mark.parametrize("n, d", [(4, 2.0), (4.0, 2), (True, 1), (4, True), ("4", 2), (4, "2")])
     def test_fourier_ensemble(self, n, d):
         with pytest.raises(BadArgument):
             fourier_ensemble(n, d)
 
-    @pytest.mark.parametrize("n_max", [3.5, 3.0, np.float64(4.0)])
+    @pytest.mark.parametrize("n_max", [3.5, 3.0, np.float64(4.0), "5"])
     def test_verify_table2(self, n_max):
         with pytest.raises(BadArgument, match="n_max"):
             verify_table2(n_max)
@@ -179,10 +182,15 @@ class TestIntegerArguments:
             balanced_partition_value(n, d)
 
     @pytest.mark.parametrize("kind", list(WitnessKind))
-    @pytest.mark.parametrize("n", [5.0, np.float64(4.0), 3.5])
+    @pytest.mark.parametrize("n", [5.0, np.float64(4.0), 3.5, "5"])
     def test_certify_dimension(self, kind, n):
         with pytest.raises(BadArgument):
             certify_dimension(kind, n, 0.5)
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, math.inf])
+    def test_certify_dimension_value(self, value):
+        with pytest.raises(BadArgument, match="witness value"):
+            certify_dimension(WitnessKind.QUADRATIC, 5, value)
 
     @pytest.mark.parametrize("eta", [True, False, "0.5", None, 1.5, -0.1, math.nan])
     def test_noise_model_eta(self, eta):

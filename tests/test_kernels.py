@@ -16,15 +16,8 @@ from dimwitness import (
     pair_differences,
     pair_labels,
     positive_part_projector,
-    pure_state,
 )
-from dimwitness.kernels import (
-    pair_incidence,
-    pair_index,
-    pair_sums,
-    positive_projectors,
-    rank_one_projectors,
-)
+from dimwitness.kernels import pair_index, positive_projectors, rank_one_projectors
 
 
 def oracle(ensemble: Ensemble):
@@ -68,15 +61,10 @@ def test_identical_states_give_zero_projectors():
     assert np.max(np.abs(ms.stack)) <= 1e-12
 
 
-def test_index_and_incidence_follow_pair_labels():
+def test_index_follows_pair_labels():
     n = 6
     ix, ixp = pair_index(n)
     assert [(x + 1, xp + 1) for x, xp in zip(ix, ixp)] == list(pair_labels(n))
-    incidence = pair_incidence(n)
-    for y, (x, xp) in enumerate(pair_labels(n)):
-        expected = np.zeros(n)
-        expected[x - 1], expected[xp - 1] = 1.0, -1.0
-        assert np.array_equal(incidence[:, y], expected)
 
 
 def unit_vectors(rng, shape):
@@ -101,23 +89,6 @@ def test_rank_one_projectors_match_stacked_eigensolve():
     assert np.max(np.abs(effects - expected)) <= 1e-12
     assert np.all(scale[1] == 0.0)
     assert np.max(np.abs(effects[0, 1] - projectors_of(a[0, 1]))) <= 1e-12
-
-
-def test_pair_sums_collect_each_preparations_pairs():
-    rng = np.random.default_rng(22)
-    restarts, n, d = 3, 5, 3
-    vecs = unit_vectors(rng, (restarts, n, d))
-    ix, ixp = pair_index(n)
-    u, scale = rank_one_projectors(vecs[:, ix], vecs[:, ixp])
-    weights = rng.standard_normal(scale.shape)
-    h = pair_sums(n, weights * scale, u)
-    for r in range(restarts):
-        effects = helstrom_measurements(Ensemble(tuple(map(pure_state, vecs[r])))).stack
-        expected = np.zeros((n, d, d), dtype=complex)
-        for y, (x, xp) in enumerate(pair_labels(n)):
-            expected[x - 1] += weights[r, y] * effects[y]
-            expected[xp - 1] -= weights[r, y] * effects[y]
-        assert np.max(np.abs(h[r] - expected)) <= 1e-12
 
 
 class TestBatchedEffectCheck:

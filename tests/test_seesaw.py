@@ -6,17 +6,21 @@ import pytest
 
 from dimwitness import (
     BadArgument,
+    Ensemble,
     NonMonotonic,
+    TIGHT_DIMENSIONS,
     SeesawConfig,
     WitnessKind,
     born_table,
     evaluate,
+    helstrom_measurements,
     optimize,
     pure_overlaps,
+    pure_state,
     quantum_bound,
     verify_table2,
 )
-from dimwitness import kernels
+from dimwitness import kernels, seesaw
 
 Q, L = WitnessKind.QUADRATIC, WitnessKind.LINEAR
 
@@ -100,26 +104,85 @@ class TestResultStructure:
         assert few.restart_values == many.restart_values[:3]
         assert few.restart_sweeps == many.restart_sweeps[:3]
 
+    def test_lone_restart_matches_its_batch(self):
+        # a batch of one lays fancy-indexed pair terms out differently
+        for kind in (L, Q):
+            cfg = SeesawConfig(kind, 9, 6, restarts=20, seed=3)
+            one, many = optimize(replace(cfg, restarts=1)), optimize(cfg)
+            assert one.restart_values == many.restart_values[:1]
+            assert one.restart_sweeps == many.restart_sweeps[:1]
+
     def test_restart_records(self):
         slow = optimize(SeesawConfig(L, 7, 4, seed=1))
-        assert slow.restart_sweeps == (500,) * 20
-        assert slow.restart_stops == ("max_iters",) * 20
+        ceiling = quantum_bound(L, 7, 4)
+        assert "max_iters" not in slow.restart_stops
+        assert all(ceiling - v <= 1e-6 for v in slow.restart_values)
+        assert ceiling - slow.best_value <= 1e-9
+        stopped_at = [v for v, stop in zip(slow.restart_values, slow.restart_stops) if stop == "ceiling"]
+        assert stopped_at and all(ceiling - v < 1e-9 for v in stopped_at)
         fast = optimize(SeesawConfig(L, 3, 2, seed=1))
-        assert "max_iters" not in fast.restart_stops
+        assert set(fast.restart_stops) <= {"stalled", "ceiling"}
         assert all(0 < k < 500 for k in fast.restart_sweeps)
         for result in (slow, fast):
             assert sum(result.restart_sweeps) == result.iterations_used
+            assert len(result.restart_stops) == len(result.restart_sweeps) == 20
 
-    def test_decreasing_state_step_names_its_restart(self, monkeypatch):
-        # negated operators make the state step pick the worst eigenvector
-        pair_sums = kernels.pair_sums
-        monkeypatch.setattr(kernels, "pair_sums", lambda *args: -pair_sums(*args))
-        with pytest.raises(NonMonotonic, match=r"^restart 0: state step"):
+    def test_max_iters_stops_every_restart(self):
+        result = optimize(SeesawConfig(L, 7, 4, seed=1, max_iters=3))
+        assert result.restart_sweeps == (3,) * 20
+        assert result.restart_stops == ("max_iters",) * 20
+
+    def test_decreasing_final_measurement_names_its_restart(self, monkeypatch):
+        # shrunken effects make the final measurement step lose value
+        rank_one = kernels.rank_one_projectors
+
+        def shrunk(a, b):
+            u, scale = rank_one(a, b)
+            return u, 0.5 * scale
+
+        monkeypatch.setattr(kernels, "rank_one_projectors", shrunk)
+        with pytest.raises(NonMonotonic, match=r"^restart 0: final measurement step"):
             optimize(SeesawConfig(L, 4, 2, restarts=3))
+
+    def test_non_ascent_direction_falls_back_to_the_gradient(self, monkeypatch):
+        # a descent direction from the history must never be searched along
+        two_loop = seesaw._two_loop
+        monkeypatch.setattr(seesaw, "_two_loop", lambda *args: -two_loop(*args))
+        cfg = SeesawConfig(L, 3, 2, restarts=4, seed=2)
+        starts = np.stack([seesaw._random_pure_states(2, r, 3, 2) for r in range(4)])
+        start_values, _ = seesaw.gram_witness(starts, quadratic=False)
+        result = optimize(cfg)
+        assert all(v > s for v, s in zip(result.restart_values, start_values))
+        assert quantum_bound(L, 3, 2) - result.best_value <= 1e-6
 
     def test_states_carry_pure_witnesses(self):
         result = optimize(SeesawConfig(L, 4, 2, restarts=3))
         assert all(s.vector is not None for s in result.ensemble.states)
+
+
+@pytest.mark.parametrize("kind", [L, Q])
+def test_gradient_matches_central_differences(kind):
+    rng = np.random.default_rng(31)
+    # unnormalized vectors: the value reads only the states they stand for
+    vecs = rng.standard_normal((3, 5, 3)) + 1j * rng.standard_normal((3, 5, 3))
+    values, grad = seesaw.gram_witness(vecs, kind is Q)
+    h = 1e-6
+    for unit in (1.0, 1j):
+        numeric = np.zeros(vecs.shape)
+        for idx in np.ndindex(vecs.shape[1:]):
+            bump = np.zeros(vecs.shape, dtype=complex)
+            bump[(slice(None),) + idx] = h * unit
+            up, _ = seesaw.gram_witness(vecs + bump, kind is Q)
+            down, _ = seesaw.gram_witness(vecs - bump, kind is Q)
+            numeric[(slice(None),) + idx] = (up - down) / (2 * h)
+        analytic = grad.real if unit == 1.0 else grad.imag
+        assert np.max(np.abs(analytic - numeric)) <= 1e-8
+    # the values are the witness of the states under optimal measurements
+    states = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+    for r in range(3):
+        ensemble = Ensemble(tuple(map(pure_state, states[r])))
+        table = born_table(ensemble, helstrom_measurements(ensemble))
+        assert values[r] == pytest.approx(evaluate(kind, table), abs=1e-12)
 
 
 class TestVerifyTable2:
@@ -134,6 +197,13 @@ class TestVerifyTable2:
         entries = verify_table2(5)
         assert [(e.N, e.d) for e in entries] == [(3, 2), (4, 2), (4, 3), (5, 4)]
         assert all(e.attained for e in entries)
+
+    def test_every_listed_entry_up_to_ten(self):
+        entries = verify_table2(10)
+        listed = [(n, d) for n in sorted(TIGHT_DIMENSIONS) for d in TIGHT_DIMENSIONS[n]]
+        assert [(e.N, e.d) for e in entries] == listed
+        for e in entries:
+            assert e.attained and e.gap <= 1e-6, (e.N, e.d, e.gap)
 
     def test_nmax_window(self):
         with pytest.raises(BadArgument):
