@@ -27,9 +27,7 @@ from .errors import (
     TooLarge,
 )
 from .linalg import (
-    DEFAULT_TOLS,
     EigenDecomposition,
-    Tolerances,
     eig_hermitian,
     positive_part_projector,
     trace_norm,

@@ -18,7 +18,8 @@ lexicographically by (x, x') with x > x'. ``empirical`` marks finite-shot
 frequencies; a file without it holds exact probabilities.
 
 See-saw dump: the pure-ensemble schema plus ``"effects"``, a map from pair
-strings ``"x,x'"`` to flat matrices.
+strings ``"x,x'"`` to flat matrices; P effects stand for the N preparations
+with P = N(N-1)/2, so their keys are exactly the pairs of that N.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import json
 import numpy as np
 
 from .errors import DimWitnessError, FileFormatError, NotPure
-from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet, pure_state
+from .kernels import pair_labels, preparation_count
+from .quantum import DensityMatrix, Ensemble, PairMeasurementSet, pure_state
 from .seesaw import SeesawResult
 from .simulate import require_compatible
-from .witnesses import ProbabilityTable, WitnessKind, pair_labels
+from .witnesses import ProbabilityTable, WitnessKind
 
 
 def _complex_to_json(a: np.ndarray) -> list[list[float]]:
@@ -184,20 +186,13 @@ def load_seesaw_dump(path) -> tuple[Ensemble, PairMeasurementSet]:
     effects_json = data.get("effects")
     if not isinstance(effects_json, dict) or not effects_json:
         raise FileFormatError(f"{path}: 'effects' must be a nonempty object")
-    effects = {}
-    for key, entry in effects_json.items():
-        try:
-            x_str, xp_str = key.split(",")
-            x, xp = int(x_str), int(xp_str)
-        except ValueError:
-            raise FileFormatError(f"{path}: effect key '{key}' is not of the form 'x,x''") from None
-        flat = _json_to_complex_array(entry, dim * dim, f"effects[{key}]")
-        try:
-            effects[(x, xp)] = Effect(flat.reshape(dim, dim))
-        except DimWitnessError as exc:
-            raise FileFormatError(f"effects[{key}]: {exc}") from exc
+    n = preparation_count(len(effects_json))
+    keys = [f"{x},{xp}" for x, xp in pair_labels(n)] if n else []
+    if set(effects_json) != set(keys):
+        raise FileFormatError(f"{path}: effect keys must be exactly all 'x,x'' with N >= x > x' >= 1")
+    flat = [_json_to_complex_array(effects_json[key], dim * dim, f"effects[{key}]") for key in keys]
     try:
-        measurements = PairMeasurementSet(effects)
+        measurements = PairMeasurementSet.from_stack(np.reshape(flat, (-1, dim, dim)))
         require_compatible(ensemble, measurements)
     except DimWitnessError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

@@ -10,11 +10,12 @@ inputs at the edges and hand their arrays in here.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLS, projector_from_eigh
+from .linalg import ZERO_EIGENVALUE_TOL, projector_from_eigh
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -32,6 +33,12 @@ def pair_labels(n_preparations: int) -> tuple[tuple[int, int], ...]:
     return tuple((x, xp) for x in range(2, n_preparations + 1) for xp in range(1, x))
 
 
+def preparation_count(n_pairs: int) -> int | None:
+    """The N >= 2 with N(N-1)/2 = n_pairs, or None when n_pairs is no such count."""
+    n = (1 + math.isqrt(1 + 8 * n_pairs)) // 2
+    return n if n_pairs >= 1 and n * (n - 1) // 2 == n_pairs else None
+
+
 @lru_cache(maxsize=None)
 def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based (x, x') of every pair, in ``pair_labels`` order."""
@@ -44,11 +51,11 @@ def positive_projectors(deltas: np.ndarray) -> np.ndarray:
     """Projectors onto the strictly positive eigenspaces of a Hermitian stack.
 
     One stacked eigensolve; eigenvalues at or below
-    ``DEFAULT_TOLS.zero_eigenvalue`` count as zero, so a vanishing member
+    ``ZERO_EIGENVALUE_TOL`` count as zero, so a vanishing member
     maps to the zero matrix.
     """
     values, vectors = np.linalg.eigh(deltas)
-    return projector_from_eigh(values, vectors, DEFAULT_TOLS.zero_eigenvalue)
+    return projector_from_eigh(values, vectors, ZERO_EIGENVALUE_TOL)
 
 
 def born(rhos: np.ndarray, effects: np.ndarray) -> np.ndarray:
@@ -74,7 +81,7 @@ def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
 
     With c = <a|b> and s = sqrt(1-|c|^2) the positive eigenvalue,
     u = a - (conj(c)/(1+s)) b and scale = 1/<u|u> = (1+s)/(2 s^2); scale is 0
-    when s <= ``DEFAULT_TOLS.zero_eigenvalue``, as in ``positive_projectors``.
+    when s <= ``ZERO_EIGENVALUE_TOL``, as in ``positive_projectors``.
     """
     c = np.einsum("...i,...i->...", a.conj(), b)
     # s as the norm of b's component orthogonal to a vanishes with it, where
@@ -83,5 +90,5 @@ def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     u = a - (c.conj() / (1.0 + s))[..., None] * b
     scale = np.zeros_like(s)
     norms = np.einsum("...i,...i->...", u.conj(), u).real
-    np.divide(1.0, norms, out=scale, where=s > DEFAULT_TOLS.zero_eigenvalue)
+    np.divide(1.0, norms, out=scale, where=s > ZERO_EIGENVALUE_TOL)
     return u, scale

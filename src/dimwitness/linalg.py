@@ -8,7 +8,6 @@ and the zero-eigenvalue cutoff that downstream modules rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -16,27 +15,18 @@ import numpy as np
 from .errors import BadArgument, NotHermitian
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared by validators and decompositions.
-
-    ``DEFAULT_TOLS`` is the one home of these constants: every validator and
-    decomposition in the package reads its slack from it.
-    """
-
-    hermitian: float = 1e-10        # max |A - A^dag| entry allowed
-    zero_eigenvalue: float = 1e-10  # eigenvalues with |l| <= this count as zero
-    residual: float = 1e-8          # eigenpair residual / orthonormality slack
-    trace_one: float = 1e-9         # density-matrix trace deviation
-    positivity: float = 1e-9        # allowed negative-eigenvalue excursion
-    effect_ceiling: float = 1e-9    # allowed effect eigenvalue excess above 1
-    unit_norm: float = 1e-10        # state-vector norm deviation
-    povm_sum: float = 1e-8          # max |sum(effects) - identity| entry
-    probability: float = 1e-9       # table entry out-of-range allowance
-    row_sum: float = 1e-8           # table normalization deviation
-
-
-DEFAULT_TOLS = Tolerances()
+# Numerical tolerances: every validator and decomposition in the package
+# reads its slack from these constants.
+HERMITIAN_TOL = 1e-10        # max |A - A^dag| entry allowed
+ZERO_EIGENVALUE_TOL = 1e-10  # eigenvalues with |l| <= this count as zero
+RESIDUAL_TOL = 1e-8          # eigenpair residual / orthonormality slack
+TRACE_ONE_TOL = 1e-9         # density-matrix trace deviation
+POSITIVITY_TOL = 1e-9        # allowed negative-eigenvalue excursion
+EFFECT_CEILING_TOL = 1e-9    # allowed effect eigenvalue excess above 1
+UNIT_NORM_TOL = 1e-10        # state-vector norm deviation
+POVM_SUM_TOL = 1e-8          # max |sum(effects) - identity| entry
+PROBABILITY_TOL = 1e-9       # table entry out-of-range allowance
+ROW_SUM_TOL = 1e-8           # table normalization deviation
 
 
 class EigenDecomposition(NamedTuple):
@@ -61,7 +51,7 @@ def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndar
     one pass. ``what`` names the input in errors; for a stack it may be a
     function naming member k of the flattened stack. Raises ``BadArgument``
     on NaN or infinite entries and ``NotHermitian`` reporting the offending
-    deviation when the entrywise asymmetry exceeds ``DEFAULT_TOLS.hermitian``.
+    deviation when the entrywise asymmetry exceeds ``HERMITIAN_TOL``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
@@ -74,7 +64,7 @@ def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndar
     dev = np.abs(a - adjoint).max(axis=(-2, -1))
     # a NaN or infinite entry makes its member's deviation NaN or infinite,
     # so finiteness costs nothing to check on valid input
-    ok = dev <= DEFAULT_TOLS.hermitian
+    ok = dev <= HERMITIAN_TOL
     if not ok.all():
         dev = dev.reshape(-1)
         k = int(np.argmin(ok.reshape(-1)))
@@ -106,13 +96,13 @@ def trace_norm(a) -> float:
 def positive_part_projector(a) -> np.ndarray:
     """Projector onto the strictly positive eigenspace of a Hermitian matrix.
 
-    Eigenvalues with magnitude at or below ``DEFAULT_TOLS.zero_eigenvalue``
+    Eigenvalues with magnitude at or below ``ZERO_EIGENVALUE_TOL``
     are treated as zero and excluded, so a (numerically) vanishing input maps
     to the zero matrix rather than to noise.
     """
     h = require_hermitian(a)
     values, vectors = np.linalg.eigh(h)
-    return projector_from_eigh(values, vectors, DEFAULT_TOLS.zero_eigenvalue)
+    return projector_from_eigh(values, vectors, ZERO_EIGENVALUE_TOL)
 
 
 def projector_from_eigh(values: np.ndarray, vectors: np.ndarray, cutoff: float) -> np.ndarray:

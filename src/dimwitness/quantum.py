@@ -19,10 +19,10 @@ from typing import Mapping
 
 import numpy as np
 
-from . import kernels
+from . import kernels, linalg
 from .errors import BadArgument, DimensionMismatch, NotPure, require_int
 from .kernels import pair_labels
-from .linalg import DEFAULT_TOLS, require_hermitian, trace_norm
+from .linalg import require_hermitian, trace_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +36,7 @@ class StateVector:
         if amps.ndim != 1 or amps.shape[0] < 1:
             raise BadArgument(f"amplitudes must be a nonempty 1-D array, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= DEFAULT_TOLS.unit_norm:
+        if not abs(norm - 1.0) <= linalg.UNIT_NORM_TOL:
             if not math.isfinite(norm):
                 raise BadArgument("state vector has non-finite amplitudes")
             raise BadArgument(f"state vector norm deviates from 1 by {abs(norm - 1.0):.3e}")
@@ -61,19 +61,18 @@ class DensityMatrix:
     vector: StateVector | None = None
 
     def __post_init__(self) -> None:
-        tols = DEFAULT_TOLS
         mat = require_hermitian(self.matrix, what="density matrix")
         eigenvalues = np.linalg.eigvalsh(mat)
-        if float(eigenvalues.min()) < -tols.positivity:
+        if float(eigenvalues.min()) < -linalg.POSITIVITY_TOL:
             raise BadArgument(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
         trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > tols.trace_one:
+        if abs(trace - 1.0) > linalg.TRACE_ONE_TOL:
             raise BadArgument(f"density matrix trace deviates from 1 by {abs(trace - 1.0):.3e}")
         if self.vector is not None:
             if self.vector.dim != mat.shape[0]:
                 raise DimensionMismatch("vector witness dimension does not match the matrix")
             outer = np.outer(self.vector.amplitudes, self.vector.amplitudes.conj())
-            if float(np.max(np.abs(mat - outer))) > tols.residual:
+            if float(np.max(np.abs(mat - outer))) > linalg.RESIDUAL_TOL:
                 raise BadArgument("density matrix does not match its pure-vector witness")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -104,11 +103,10 @@ def _checked_effects(stack, what) -> np.ndarray:
     tolerance; ``what`` names the input or member k as in
     ``require_hermitian``.
     """
-    tols = DEFAULT_TOLS
     mat = require_hermitian(stack, what)
     eigenvalues = np.linalg.eigvalsh(mat).reshape(-1, mat.shape[-1])
     lo, hi = eigenvalues[:, 0], eigenvalues[:, -1]
-    bad = np.flatnonzero((lo < -tols.positivity) | (hi > 1 + tols.effect_ceiling))
+    bad = np.flatnonzero((lo < -linalg.POSITIVITY_TOL) | (hi > 1 + linalg.EFFECT_CEILING_TOL))
     if bad.size:
         k = bad[0]
         name = what if isinstance(what, str) else what(k)
@@ -157,9 +155,10 @@ class PairMeasurementSet:
     """Binary measurements indexed by preparation pairs (x, x'), x > x'.
 
     Only the b = 1 effect is stored per pair, as one read-only (P, d, d)
-    ``stack`` in ``pair_labels`` order, P = N(N-1)/2. Build it from a
-    mapping with exactly one ``Effect`` for every pair 1 <= x' < x <= N, or
-    from a raw stack with ``from_stack``; ``effects`` gives the mapping back.
+    ``stack`` in ``pair_labels`` order, P = N(N-1)/2; N comes from the pair
+    count P, never from a label. Build it from a mapping with exactly one
+    ``Effect`` for every pair 1 <= x' < x <= N, or from a raw stack with
+    ``from_stack``; ``effects`` gives the mapping back.
     """
 
     stack: np.ndarray
@@ -167,16 +166,13 @@ class PairMeasurementSet:
 
     def __init__(self, effects: Mapping[tuple[int, int], Effect]) -> None:
         effects = dict(effects)
-        if not effects:
-            raise BadArgument("measurement set needs at least one pair")
-        n = max(x for x, _ in effects)
-        labels = pair_labels(n)
-        if set(effects) != set(labels):
-            raise BadArgument(f"pair keys must be exactly all (x, x') with {n} >= x > x' >= 1")
+        n = kernels.preparation_count(len(effects))
+        if n is None or set(effects) != set(pair_labels(n)):
+            raise BadArgument("pair keys must be exactly all (x, x') with N >= x > x' >= 1")
         dims = {e.dim for e in effects.values()}
         if len(dims) != 1:
             raise DimensionMismatch(f"pair effects live in different dimensions: {sorted(dims)}")
-        stack = np.stack([effects[pair].matrix for pair in labels])
+        stack = np.stack([effects[pair].matrix for pair in pair_labels(n)])
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "N", n)
@@ -189,9 +185,8 @@ class PairMeasurementSet:
         error names the first offending pair.
         """
         stack = np.asarray(stack, dtype=complex)
-        p = stack.shape[0] if stack.ndim == 3 else 0
-        n = (1 + math.isqrt(1 + 8 * p)) // 2
-        if p < 1 or n * (n - 1) // 2 != p:
+        n = kernels.preparation_count(stack.shape[0] if stack.ndim == 3 else 0)
+        if n is None:
             raise BadArgument(f"need a (P, d, d) stack with P = N(N-1)/2 >= 1, got shape {stack.shape}")
         labels = pair_labels(n)
         self = cls.__new__(cls)

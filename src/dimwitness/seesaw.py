@@ -80,8 +80,8 @@ class SeesawConfig:
         if self.max_iters < 1:
             raise BadArgument("max_iters must be at least 1")
         tol = self.improvement_tol
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
-            raise BadArgument("improvement_tol must be positive")
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
+            raise BadArgument(f"improvement_tol must be finite and positive, got {tol!r}")
         object.__setattr__(self, "seed", require_seed(self.seed))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadArgument, DimensionMismatch, NotAPovm, ShapeMismatch, require_int, require_seed
-from .linalg import DEFAULT_TOLS
+from .linalg import POVM_SUM_TOL
 from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet
 from .witnesses import ProbabilityTable
 
@@ -129,7 +129,7 @@ def guessing_table(ensemble: Ensemble, effects: Sequence[Effect]) -> Probability
         raise DimensionMismatch("effect dimension does not match the ensemble")
     total = sum(e.matrix for e in effects)
     deviation = float(np.max(np.abs(total - np.eye(ensemble.dim))))
-    if deviation > DEFAULT_TOLS.povm_sum:
+    if deviation > POVM_SUM_TOL:
         raise NotAPovm(f"effects sum to identity only within {deviation:.3e}")
     p = kernels.born(ensemble.matrices(), np.stack([e.matrix for e in effects]))
     return ProbabilityTable(p[:, None, :])

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .errors import BadArgument, OutOfRange, ShapeMismatch, TooLarge, require_int
 from .kernels import pair_labels
-from .linalg import DEFAULT_TOLS
+from .linalg import PROBABILITY_TOL, ROW_SUM_TOL
 
 #: Comparison slack against closed-form bounds.
 ANALYTIC_SLACK = 1e-9
@@ -69,14 +69,13 @@ class ProbabilityTable:
         arr = np.asarray(self.p, dtype=float)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ShapeMismatch(f"table must have shape (N, m, k), got {arr.shape}")
-        tols = DEFAULT_TOLS
         # NaN fails both comparisons, so the range check also catches it
-        if not (arr.min() >= -tols.probability and arr.max() <= 1 + tols.probability):
+        if not (arr.min() >= -PROBABILITY_TOL and arr.max() <= 1 + PROBABILITY_TOL):
             if not np.isfinite(arr).all():
                 raise ShapeMismatch("table entries must be finite")
             raise ShapeMismatch("table entries must lie in [0, 1] within tolerance")
         worst = float(np.max(np.abs(arr.sum(axis=2) - 1.0)))
-        if worst > tols.row_sum:
+        if worst > ROW_SUM_TOL:
             raise ShapeMismatch(f"conditional distributions must sum to 1; worst deviation {worst:.3e}")
         arr = arr.copy()
         arr.setflags(write=False)

@@ -6,8 +6,10 @@ Everything is driven by explicitly seeded generators so failures reproduce.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from dimwitness import DensityMatrix, Effect, Ensemble, pure_state
+from dimwitness import classical, files, kernels, quantum, witnesses
 
 
 def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -49,3 +51,21 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarra
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2
+
+
+@pytest.fixture
+def small_pair_labels(monkeypatch):
+    """Make ``pair_labels`` refuse N > 100 in every module that calls it.
+
+    An input that sizes N from a label rather than from its pair count then
+    fails the test at once instead of exhausting memory.
+    """
+    original = kernels.pair_labels
+
+    def guarded(n):
+        if n > 100:
+            pytest.fail(f"pair_labels({n}) was sized from a label, not from the pair count")
+        return original(n)
+
+    for module in (classical, files, kernels, quantum, witnesses):
+        monkeypatch.setattr(module, "pair_labels", guarded)

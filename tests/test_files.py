@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,21 @@ class TestSeesawDump:
         path.write_text('{"dim": 1, "states": [[[1.0, 0.0]]], "effects": {"2,1": [[1.0, 0.0]]}}')
         with pytest.raises(FileFormatError, match=r"pairs of 2 preparations, ensemble has 1"):
             load_seesaw_dump(path)
+
+    def test_pair_count_sets_n_not_the_key(self, tmp_path, small_pair_labels):
+        path = tmp_path / "model.json"
+        path.write_text('{"dim": 1, "states": [[[1.0, 0.0]], [[1.0, 0.0]]], "effects": {"1000000000,1": [[1.0, 0.0]]}}')
+        with pytest.raises(FileFormatError, match="effect keys"):
+            load_seesaw_dump(path)
+
+    def test_effect_key_order_does_not_matter(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_seesaw_dump(optimize(SeesawConfig(WitnessKind.LINEAR, 4, 2, restarts=2)), path)
+        _, measurements = load_seesaw_dump(path)
+        data = json.loads(path.read_text())
+        data["effects"] = {key: data["effects"][key] for key in reversed(list(data["effects"]))}
+        path.write_text(json.dumps(data))
+        assert load_seesaw_dump(path)[1].stack.tobytes() == measurements.stack.tobytes()
 
 
 def compact_text(path) -> str:

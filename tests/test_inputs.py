@@ -98,6 +98,13 @@ def test_tightness_grid_rejects_bad_tol(capsys, tol):
     assert out == "" and "tol" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_seesaw_rejects_bad_tol(capsys, tol):
+    code, out, err = run(capsys, "seesaw", "--witness", "linear", "--N", "4", "--d", "2", "--tol", tol)
+    assert code == 2
+    assert out == "" and "improvement_tol" in err
+
+
 class TestEmpiricalFlag:
     def test_noisy_table_round_trip_through_cli(self, capsys, tmp_path):
         path = tmp_path / "noisy.json"

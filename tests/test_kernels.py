@@ -17,7 +17,7 @@ from dimwitness import (
     pair_labels,
     positive_part_projector,
 )
-from dimwitness.kernels import pair_index, positive_projectors, rank_one_projectors
+from dimwitness.kernels import pair_index, positive_projectors, preparation_count, rank_one_projectors
 
 
 def oracle(ensemble: Ensemble):
@@ -131,7 +131,20 @@ class TestBatchedEffectCheck:
         with pytest.raises(BadArgument):
             PairMeasurementSet.from_stack(np.zeros((2, 2)))
 
+    def test_pair_count_sets_n_not_the_key(self, small_pair_labels):
+        effect = Effect(np.eye(2) / 2)
+        assert PairMeasurementSet({(2, 1): effect}).N == 2
+        for effects in ({(10**9, 1): effect}, {(2, 1): effect, (3, 1): effect}, {}):
+            with pytest.raises(BadArgument):
+                PairMeasurementSet(effects)
+
     def test_stack_is_read_only(self):
         ms = helstrom_measurements(fourier_ensemble(3, 2))
         with pytest.raises(ValueError):
             ms.stack[0, 0, 0] = 1.0
+
+
+def test_preparation_count_inverts_the_pair_count():
+    counts = {n * (n - 1) // 2: n for n in range(2, 60)}
+    for p in range(0, max(counts) + 2):
+        assert preparation_count(p) == counts.get(p)

@@ -39,8 +39,9 @@ class TestConfigValidation:
     def test_positive_knobs(self):
         with pytest.raises(BadArgument):
             SeesawConfig(L, 3, 2, restarts=0)
-        with pytest.raises(BadArgument):
-            SeesawConfig(L, 3, 2, improvement_tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(BadArgument):
+                SeesawConfig(L, 3, 2, improvement_tol=tol)
         with pytest.raises(BadArgument):
             SeesawConfig(L, 3, 2, seed=-1)
 
