@@ -28,9 +28,9 @@ import json
 
 import numpy as np
 
-from .errors import DimWitnessError, FileFormatError, NotPure
+from .errors import DimWitnessError, FileFormatError
 from .kernels import pair_labels, preparation_count
-from .quantum import DensityMatrix, Ensemble, PairMeasurementSet, pure_state
+from .quantum import Ensemble, PairMeasurementSet
 from .seesaw import SeesawResult
 from .simulate import require_compatible
 from .witnesses import ProbabilityTable, WitnessKind
@@ -50,9 +50,28 @@ def _json_to_complex_array(data, count: int, where: str) -> np.ndarray:
             raise FileFormatError(f"{where}[{i}]: expected an [re, im] pair")
         try:
             out[i] = complex(float(entry[0]), float(entry[1]))
-        except (TypeError, ValueError):
-            raise FileFormatError(f"{where}[{i}]: [re, im] must be numbers, got {entry}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise FileFormatError(
+                f"{where}[{i}]: [re, im] must be numbers in the float range, got {entry}"
+            ) from None
     return out
+
+
+def _json_to_complex_stack(entries: list, count: int, where) -> np.ndarray:
+    """Each entry a list of ``count`` [re, im] pairs, as one (len(entries), count) array.
+
+    One ``np.asarray`` parses well-formed input; the per-entry parser runs
+    only when that fails or yields NaN, which a JSON null turns into, and
+    names the malformed entry ``where(i)``.
+    """
+    try:
+        pairs = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.shape != (len(entries), count, 2) or np.isnan(pairs).any():
+        return np.stack([_json_to_complex_array(e, count, where(i)) for i, e in enumerate(entries)])
+    # reinterpreting the (re, im) doubles keeps every bit, signed zeros too
+    return np.ascontiguousarray(pairs).view(complex)[..., 0]
 
 
 def _read_json(path) -> dict:
@@ -76,12 +95,10 @@ def _write_json(path, payload: dict) -> None:
 def save_ensemble(ensemble: Ensemble, path) -> None:
     """Write an ensemble; pure ensembles keep their amplitude representation."""
     payload: dict = {"dim": ensemble.dim}
-    try:
-        vectors = ensemble.vectors()
-    except NotPure:
-        payload["density_matrices"] = [_complex_to_json(s.matrix) for s in ensemble.states]
+    if ensemble.pure:
+        payload["states"] = [_complex_to_json(v) for v in ensemble.vectors()]
     else:
-        payload["states"] = [_complex_to_json(v) for v in vectors]
+        payload["density_matrices"] = [_complex_to_json(m) for m in ensemble.matrices()]
     _write_json(path, payload)
 
 
@@ -100,15 +117,12 @@ def _read_states(path, data: dict, key: str) -> Ensemble:
     if not isinstance(entries, list) or not entries:
         raise FileFormatError(f"{path}: '{key}' must be a nonempty list")
     pure = key == "states"
-    states: list[DensityMatrix] = []
-    for i, entry in enumerate(entries):
-        where = f"{key}[{i}]"
-        flat = _json_to_complex_array(entry, dim if pure else dim * dim, where)
-        try:
-            states.append(pure_state(flat) if pure else DensityMatrix(flat.reshape(dim, dim)))
-        except DimWitnessError as exc:
-            raise FileFormatError(f"{where}: {exc}") from exc
-    return Ensemble(tuple(states))
+    flat = _json_to_complex_stack(entries, dim if pure else dim * dim, lambda i: f"{key}[{i}]")
+    try:
+        return Ensemble.from_vectors(flat) if pure else Ensemble.from_matrices(flat.reshape(-1, dim, dim))
+    except DimWitnessError as exc:
+        # the batched checks already name the state as key[i]
+        raise FileFormatError(str(exc)) from exc
 
 
 def load_ensemble(path) -> Ensemble:
@@ -190,9 +204,10 @@ def load_seesaw_dump(path) -> tuple[Ensemble, PairMeasurementSet]:
     keys = [f"{x},{xp}" for x, xp in pair_labels(n)] if n else []
     if set(effects_json) != set(keys):
         raise FileFormatError(f"{path}: effect keys must be exactly all 'x,x'' with N >= x > x' >= 1")
-    flat = [_json_to_complex_array(effects_json[key], dim * dim, f"effects[{key}]") for key in keys]
+    entries = [effects_json[key] for key in keys]
+    flat = _json_to_complex_stack(entries, dim * dim, lambda i: f"effects[{keys[i]}]")
     try:
-        measurements = PairMeasurementSet.from_stack(np.reshape(flat, (-1, dim, dim)))
+        measurements = PairMeasurementSet.from_stack(flat.reshape(-1, dim, dim))
         require_compatible(ensemble, measurements)
     except DimWitnessError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

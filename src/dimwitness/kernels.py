@@ -92,3 +92,8 @@ def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     norms = np.einsum("...i,...i->...", u.conj(), u).real
     np.divide(1.0, norms, out=scale, where=s > ZERO_EIGENVALUE_TOL)
     return u, scale
+
+
+def rank_one_effects(u: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The effect stack scale |u><u| of ``rank_one_projectors``, shape (..., d, d)."""
+    return scale[..., None, None] * np.einsum("...i,...j->...ij", u, u.conj())

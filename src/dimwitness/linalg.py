@@ -44,6 +44,11 @@ def hermitian_deviation(a) -> float:
     return float(np.max(np.abs(a - a.conj().swapaxes(-2, -1))))
 
 
+def member_name(what: str | Callable[[int], str], k: int) -> str:
+    """The name of member k in an error: ``what`` itself, or ``what(k)`` for a stack."""
+    return what if isinstance(what, str) else what(k)
+
+
 def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndarray:
     """Validate ``a`` as finite and Hermitian; return it symmetrized, as complex.
 
@@ -55,10 +60,8 @@ def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndar
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise NotHermitian(f"{what} must be square, got shape {a.shape}")
-
-    def name(k: int) -> str:
-        return what if isinstance(what, str) else what(k)
+        name = what if isinstance(what, str) else "every member of the stack"
+        raise NotHermitian(f"{name} must be square, got shape {a.shape}")
 
     adjoint = a.conj().swapaxes(-2, -1)
     dev = np.abs(a - adjoint).max(axis=(-2, -1))
@@ -69,8 +72,8 @@ def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndar
         dev = dev.reshape(-1)
         k = int(np.argmin(ok.reshape(-1)))
         if not np.isfinite(a.reshape(dev.size, -1)[k]).all():
-            raise BadArgument(f"{name(k)} has non-finite entries")
-        raise NotHermitian(f"{name(k)} is not Hermitian: max |A - A^dag| = {dev[k]:.3e}")
+            raise BadArgument(f"{member_name(what, k)} has non-finite entries")
+        raise NotHermitian(f"{member_name(what, k)} is not Hermitian: max |A - A^dag| = {dev[k]:.3e}")
     symmetrized = a + adjoint
     symmetrized /= 2.0
     return symmetrized

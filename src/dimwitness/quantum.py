@@ -12,17 +12,16 @@ by ordered pairs (x, x') with x > x'.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import kernels, linalg
 from .errors import BadArgument, DimensionMismatch, NotPure, require_int
 from .kernels import pair_labels
-from .linalg import require_hermitian, trace_norm
+from .linalg import member_name, require_hermitian, trace_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,14 +34,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.shape[0] < 1:
             raise BadArgument(f"amplitudes must be a nonempty 1-D array, got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= linalg.UNIT_NORM_TOL:
-            if not math.isfinite(norm):
-                raise BadArgument("state vector has non-finite amplitudes")
-            raise BadArgument(f"state vector norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _checked_vectors(amps, "state vector"))
 
     @property
     def dim(self) -> int:
@@ -61,20 +53,13 @@ class DensityMatrix:
     vector: StateVector | None = None
 
     def __post_init__(self) -> None:
-        mat = require_hermitian(self.matrix, what="density matrix")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        if float(eigenvalues.min()) < -linalg.POSITIVITY_TOL:
-            raise BadArgument(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
-        trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > linalg.TRACE_ONE_TOL:
-            raise BadArgument(f"density matrix trace deviates from 1 by {abs(trace - 1.0):.3e}")
+        mat = _checked_densities(self.matrix, "density matrix")
         if self.vector is not None:
             if self.vector.dim != mat.shape[0]:
                 raise DimensionMismatch("vector witness dimension does not match the matrix")
             outer = np.outer(self.vector.amplitudes, self.vector.amplitudes.conj())
             if float(np.max(np.abs(mat - outer))) > linalg.RESIDUAL_TOL:
                 raise BadArgument("density matrix does not match its pure-vector witness")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -96,6 +81,49 @@ class Effect:
         return self.matrix.shape[0]
 
 
+def _checked_vectors(stack: np.ndarray, what) -> np.ndarray:
+    """Validate one amplitude vector, or a stack of them in one pass; return a read-only copy.
+
+    Every member must have unit norm within tolerance, which refuses
+    non-finite amplitudes too; ``what`` names the input or member k as in
+    ``require_hermitian``.
+    """
+    # a non-finite amplitude, or a norm past the float range, fails the check
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviations = np.abs(np.linalg.norm(stack, axis=-1).reshape(-1) - 1.0)
+    bad = np.flatnonzero(~(deviations <= linalg.UNIT_NORM_TOL))
+    if bad.size:
+        k = bad[0]
+        if not np.isfinite(stack.reshape(deviations.size, -1)[k]).all():
+            raise BadArgument(f"{member_name(what, k)} has non-finite amplitudes")
+        raise BadArgument(f"{member_name(what, k)} norm deviates from 1 by {deviations[k]:.3e}")
+    stack = stack.copy()
+    stack.setflags(write=False)
+    return stack
+
+
+def _checked_densities(stack, what) -> np.ndarray:
+    """Validate one density matrix, or a stack of them in one pass; return it read-only.
+
+    Every member must be finite, Hermitian, positive semidefinite and of unit
+    trace within tolerance; ``what`` names the input or member k as in
+    ``require_hermitian``.
+    """
+    mat = require_hermitian(stack, what)
+    lowest = np.linalg.eigvalsh(mat).reshape(-1, mat.shape[-1])[:, 0]
+    bad = np.flatnonzero(lowest < -linalg.POSITIVITY_TOL)
+    if bad.size:
+        k = bad[0]
+        raise BadArgument(f"{member_name(what, k)} has negative eigenvalue {lowest[k]:.3e}")
+    deviations = np.abs(np.trace(mat, axis1=-2, axis2=-1).real.reshape(-1) - 1.0)
+    bad = np.flatnonzero(deviations > linalg.TRACE_ONE_TOL)
+    if bad.size:
+        k = bad[0]
+        raise BadArgument(f"{member_name(what, k)} trace deviates from 1 by {deviations[k]:.3e}")
+    mat.setflags(write=False)
+    return mat
+
+
 def _checked_effects(stack, what) -> np.ndarray:
     """Validate one effect, or a stack of them in one pass; return it read-only.
 
@@ -109,45 +137,108 @@ def _checked_effects(stack, what) -> np.ndarray:
     bad = np.flatnonzero((lo < -linalg.POSITIVITY_TOL) | (hi > 1 + linalg.EFFECT_CEILING_TOL))
     if bad.size:
         k = bad[0]
-        name = what if isinstance(what, str) else what(k)
-        raise BadArgument(f"{name} spectrum [{lo[k]:.3e}, {hi[k]:.3e}] leaves [0, 1]")
+        raise BadArgument(f"{member_name(what, k)} spectrum [{lo[k]:.3e}, {hi[k]:.3e}] leaves [0, 1]")
     mat.setflags(write=False)
     return mat
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
-    """N preparations on a common Hilbert space."""
+    """N preparations on a common Hilbert space.
 
-    states: tuple[DensityMatrix, ...]
+    The states are held as one validated, read-only (N, d, d) stack of
+    density matrices and, when every state carries a pure-vector witness, the
+    read-only (N, d) stack of those vectors. Build it from ``DensityMatrix``
+    objects, or check raw stacks in one pass with ``from_vectors`` or
+    ``from_matrices``; ``states`` gives the objects back.
+    """
 
-    def __post_init__(self) -> None:
-        states = tuple(self.states)
+    _matrices: np.ndarray
+    _vectors: np.ndarray | None
+
+    def __init__(self, states: Sequence[DensityMatrix]) -> None:
+        states = tuple(states)
         if not states:
             raise BadArgument("ensemble needs at least one state")
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise DimensionMismatch(f"ensemble states live in different dimensions: {sorted(dims)}")
-        object.__setattr__(self, "states", states)
+        matrices = np.stack([s.matrix for s in states])
+        matrices.setflags(write=False)
+        vectors = None
+        if all(s.vector is not None for s in states):
+            vectors = np.stack([s.vector.amplitudes for s in states])
+            vectors.setflags(write=False)
+        object.__setattr__(self, "_matrices", matrices)
+        object.__setattr__(self, "_vectors", vectors)
+        # seeds the cached ``states`` property with the objects as given
+        self.__dict__["states"] = states
+
+    @classmethod
+    def _of_checked(cls, matrices: np.ndarray, vectors: np.ndarray | None) -> Ensemble:
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_matrices", matrices)
+        object.__setattr__(self, "_vectors", vectors)
+        return self
+
+    @classmethod
+    def from_vectors(cls, vectors) -> Ensemble:
+        """Pure ensemble from an (N, d) stack of unit amplitude vectors.
+
+        One batched pass applies the ``StateVector`` and ``DensityMatrix``
+        checks to every member; the error names the first offending state as
+        ``states[i]``, 0-based.
+        """
+        vecs = np.asarray(vectors, dtype=complex)
+        if vecs.ndim != 2 or 0 in vecs.shape:
+            raise BadArgument(f"need a nonempty (N, d) stack of amplitude vectors, got shape {vecs.shape}")
+        vecs = _checked_vectors(vecs, lambda i: f"states[{i}]: state vector")
+        outer = vecs[:, :, None] * vecs[:, None, :].conj()
+        return cls._of_checked(_checked_densities(outer, lambda i: f"states[{i}]: density matrix"), vecs)
+
+    @classmethod
+    def from_matrices(cls, matrices) -> Ensemble:
+        """Ensemble from an (N, d, d) stack of density matrices, without pure witnesses.
+
+        One batched pass applies the ``DensityMatrix`` checks to every member;
+        the error names the first offending state as ``density_matrices[i]``,
+        0-based.
+        """
+        mats = np.asarray(matrices, dtype=complex)
+        if mats.ndim != 3 or mats.shape[0] < 1:
+            raise BadArgument(f"need a nonempty (N, d, d) stack of density matrices, got shape {mats.shape}")
+        mats = _checked_densities(mats, lambda i: f"density_matrices[{i}]: density matrix")
+        return cls._of_checked(mats, None)
 
     @property
     def N(self) -> int:
-        return len(self.states)
+        return self._matrices.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self._matrices.shape[-1]
+
+    @property
+    def pure(self) -> bool:
+        """Whether every state carries a pure-vector witness, so ``vectors()`` succeeds."""
+        return self._vectors is not None
+
+    @cached_property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        """The states as ``DensityMatrix`` objects with their pure-vector witnesses, built on first use."""
+        if self._vectors is None:
+            return tuple(map(DensityMatrix, self._matrices))
+        return tuple(DensityMatrix(m, StateVector(v)) for m, v in zip(self._matrices, self._vectors))
 
     def matrices(self) -> np.ndarray:
-        """Stacked density matrices, shape (N, d, d)."""
-        return np.stack([s.matrix for s in self.states])
+        """Stacked density matrices, shape (N, d, d), read-only."""
+        return self._matrices
 
     def vectors(self) -> np.ndarray:
-        """Stacked pure-state amplitudes, shape (N, d); requires pure witnesses."""
-        missing = [i + 1 for i, s in enumerate(self.states) if s.vector is None]
-        if missing:
-            raise NotPure(f"states {missing} carry no pure-vector representation")
-        return np.stack([s.vector.amplitudes for s in self.states])
+        """Stacked pure-state amplitudes, shape (N, d), read-only; requires pure witnesses."""
+        if self._vectors is None:
+            raise NotPure("not every state of the ensemble carries a pure-vector representation")
+        return self._vectors
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -240,12 +331,24 @@ def helstrom_effect(rho: DensityMatrix, sigma: DensityMatrix) -> Effect:
 
 
 def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
-    """Optimal discrimination effect for every preparation pair of the ensemble."""
+    """Optimal discrimination effect for every preparation pair of the ensemble.
+
+    For a pure ensemble the effects are the closed-form rank-one projectors
+    of ``kernels.rank_one_projectors``; otherwise one stacked eigensolve gives
+    them. ``PairMeasurementSet.from_stack`` checks them either way.
+    """
     if ensemble.N < 2:
         raise BadArgument("pair measurements need at least two preparations")
-    rhos = ensemble.matrices()
     ix, ixp = kernels.pair_index(ensemble.N)
-    return PairMeasurementSet.from_stack(kernels.positive_projectors(rhos[ix] - rhos[ixp]))
+    if ensemble.pure:
+        # the closed form wants unit vectors; a witness is unit only within tolerance
+        vecs = ensemble.vectors()
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        effects = kernels.rank_one_effects(*kernels.rank_one_projectors(vecs[ix], vecs[ixp]))
+    else:
+        rhos = ensemble.matrices()
+        effects = kernels.positive_projectors(rhos[ix] - rhos[ixp])
+    return PairMeasurementSet.from_stack(effects)
 
 
 def fourier_ensemble(n_states: int, dim: int) -> Ensemble:
@@ -262,11 +365,8 @@ def fourier_ensemble(n_states: int, dim: int) -> Ensemble:
     if dim < 1 or dim > n_states:
         raise BadArgument(f"dimension must satisfy 1 <= d <= N, got d={dim}, N={n_states}")
     k = np.arange(dim)
-    states = []
-    for x in range(1, n_states + 1):
-        amps = np.exp(2j * np.pi * k * x / n_states) / np.sqrt(dim)
-        states.append(pure_state(amps))
-    return Ensemble(tuple(states))
+    x = np.arange(1, n_states + 1)[:, None]
+    return Ensemble.from_vectors(np.exp(2j * np.pi * k * x / n_states) / np.sqrt(dim))
 
 
 def average_state(ensemble: Ensemble) -> DensityMatrix:

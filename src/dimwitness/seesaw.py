@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadArgument, DimWitnessError, NonMonotonic, require_int, require_seed
-from .quantum import Ensemble, PairMeasurementSet, pure_state
+from .quantum import Ensemble, PairMeasurementSet
 from .witnesses import WitnessKind, quantum_bound
 
 #: Objective decrease beyond this from the ascent to its final model signals a bug.
@@ -289,11 +289,10 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             "this indicates a numerical inconsistency"
         )
 
-    effects = scale[best, :, None, None] * np.einsum("pi,pj->pij", u[best], u[best].conj())
     return SeesawResult(
         best_value=best_value,
-        ensemble=Ensemble(tuple(map(pure_state, vecs[best]))),
-        measurements=PairMeasurementSet.from_stack(effects),
+        ensemble=Ensemble.from_vectors(vecs[best]),
+        measurements=PairMeasurementSet.from_stack(kernels.rank_one_effects(u[best], scale[best])),
         iterations_used=int(iterations.sum()),
         restart_values=tuple(float(v) for v in final),
         restart_sweeps=tuple(int(k) for k in iterations),

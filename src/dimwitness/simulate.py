@@ -49,12 +49,16 @@ def _require_eta(eta, name: str) -> None:
         raise BadArgument(f"{name} must lie in [0, 1], got {eta!r}")
 
 
+def _depolarized(rhos: np.ndarray, eta: float) -> np.ndarray:
+    """(1 - eta) rho + eta I/d for one (d, d) matrix or a stack of them."""
+    d = rhos.shape[-1]
+    return (1.0 - eta) * rhos + eta * np.eye(d) / d
+
+
 def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Mix a state with the maximally mixed one: (1 - eta) rho + eta I/d."""
     _require_eta(eta, "eta")
-    d = rho.dim
-    mixed = (1.0 - eta) * rho.matrix + eta * np.eye(d) / d
-    return DensityMatrix(mixed)
+    return DensityMatrix(_depolarized(rho.matrix, eta))
 
 
 def require_compatible(ensemble: Ensemble, measurements: PairMeasurementSet) -> None:
@@ -95,7 +99,7 @@ def noisy_table(
     ``empirical``.
     """
     seed = require_seed(seed)
-    noisy = Ensemble(tuple(depolarize(s, noise.depolarizing_eta) for s in ensemble.states))
+    noisy = Ensemble.from_matrices(_depolarized(ensemble.matrices(), noise.depolarizing_eta))
     exact = born_table(noisy, measurements)
     shots = noise.shots
     if shots is None:

@@ -72,6 +72,12 @@ class TestEnsembleLoadErrors:
             load_ensemble(path)
         assert "density_matrices[1]" in str(err.value)
 
+    def test_null_amplitude_names_the_entry(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [null, 1.0]]]}')
+        with pytest.raises(FileFormatError, match=r"states\[1\]\[1\]"):
+            load_ensemble(path)
+
     def test_both_representations_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 1, "states": [[[1.0, 0.0]]], "density_matrices": [[[1.0, 0.0]]]}')
@@ -87,6 +93,23 @@ class TestEnsembleLoadErrors:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load_ensemble(tmp_path / "absent.json")
+
+
+def test_pure_file_and_helstrom_make_two_batched_eigensolves(tmp_path, monkeypatch):
+    path = tmp_path / "haar.json"
+    save_ensemble(random_pure_ensemble(np.random.default_rng(6), 30, 4), path)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    helstrom_measurements(load_ensemble(path))
+    # one check of the 30 states, one of the 435 pair effects
+    assert calls == [("eigvalsh", (30, 4, 4)), ("eigvalsh", (435, 4, 4))]
 
 
 class TestTableRoundTrip:

@@ -76,6 +76,13 @@ class TestNonFiniteFiles:
         assert code == 2
         assert "states[0][1]" in err
 
+    def test_amplitude_past_the_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text('{"dim": 1, "states": [[[1%s, 0.0]], [[1.0, 0.0]]]}' % ("0" * 400))
+        code, _, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom")
+        assert code == 2
+        assert "states[0][0]" in err and "float range" in err
+
     def test_nan_amplitude_exits_2(self, capsys, tmp_path):
         path = tmp_path / "e.json"
         path.write_text('{"dim": 2, "states": [[[NaN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}')

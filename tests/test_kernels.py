@@ -16,6 +16,7 @@ from dimwitness import (
     pair_differences,
     pair_labels,
     positive_part_projector,
+    pure_state,
 )
 from dimwitness.kernels import pair_index, positive_projectors, preparation_count, rank_one_projectors
 
@@ -59,6 +60,26 @@ def test_identical_states_give_zero_projectors():
     state = random_pure(rng, 3)
     ms = helstrom_measurements(Ensemble((state, state, state)))
     assert np.max(np.abs(ms.stack)) <= 1e-12
+
+
+def closed_form_cases():
+    rng = np.random.default_rng(22)
+    cases = [random_pure_ensemble(rng, n, d) for n, d in ((2, 2), (6, 3), (10, 5))]
+    # orthonormal basis states: every pair orthogonal
+    cases.append(Ensemble(tuple(pure_state(v) for v in np.eye(4))))
+    repeated = random_pure(rng, 3)
+    cases.append(Ensemble((repeated, random_pure(rng, 3), repeated, repeated)))
+    cases.append(fourier_ensemble(5, 1))
+    return cases
+
+
+@pytest.mark.parametrize("ensemble", closed_form_cases(), ids=lambda e: f"N{e.N}d{e.dim}")
+def test_pure_helstrom_closed_form_matches_eigensolve(ensemble):
+    assert ensemble.pure
+    closed = helstrom_measurements(ensemble).stack
+    # the same states without their pure witnesses take the stacked eigh
+    eigensolved = helstrom_measurements(Ensemble.from_matrices(ensemble.matrices())).stack
+    assert np.max(np.abs(closed - eigensolved)) <= 1e-12
 
 
 def test_index_follows_pair_labels():
@@ -130,6 +151,10 @@ class TestBatchedEffectCheck:
             PairMeasurementSet.from_stack(np.zeros((2, 2, 2)))
         with pytest.raises(BadArgument):
             PairMeasurementSet.from_stack(np.zeros((2, 2)))
+
+    def test_non_square_members_are_named_in_words(self):
+        with pytest.raises(NotHermitian, match="^every member of the stack must be square"):
+            PairMeasurementSet.from_stack(np.zeros((1, 2, 3)))
 
     def test_pair_count_sets_n_not_the_key(self, small_pair_labels):
         effect = Effect(np.eye(2) / 2)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_pure, random_pure_ensemble, random_state_vector
+from conftest import random_density, random_pure, random_pure_ensemble, random_state_vector
 from dimwitness import (
     BadArgument,
     DensityMatrix,
     DimensionMismatch,
+    DimWitnessError,
     Ensemble,
     NotPure,
     StateVector,
@@ -56,6 +57,94 @@ class TestValidation:
     def test_ensemble_needs_common_dimension(self):
         with pytest.raises(DimensionMismatch):
             Ensemble((basis_state(2, 0), basis_state(3, 0)))
+
+
+class TestBatchedEnsemble:
+    """``from_vectors``/``from_matrices`` against the per-state objects they replace."""
+
+    def vectors(self):
+        rng = np.random.default_rng(31)
+        return np.stack([random_state_vector(rng, 3) for _ in range(4)])
+
+    def matrices(self):
+        rng = np.random.default_rng(32)
+        return np.stack([random_density(rng, 3).matrix for _ in range(4)])
+
+    def test_batched_stacks_equal_per_state_ones(self):
+        vecs, mats = self.vectors(), self.matrices()
+        pure = Ensemble.from_vectors(vecs)
+        assert pure.vectors().tobytes() == Ensemble(tuple(map(pure_state, vecs))).vectors().tobytes()
+        assert pure.matrices().tobytes() == Ensemble(tuple(map(pure_state, vecs))).matrices().tobytes()
+        mixed = Ensemble.from_matrices(mats)
+        assert mixed.matrices().tobytes() == Ensemble(tuple(map(DensityMatrix, mats))).matrices().tobytes()
+
+    def test_states_are_built_from_the_stacks(self):
+        pure = Ensemble.from_vectors(self.vectors())
+        assert all(np.array_equal(s.matrix, m) for s, m in zip(pure.states, pure.matrices()))
+        assert all(np.array_equal(s.vector.amplitudes, v) for s, v in zip(pure.states, pure.vectors()))
+        mixed = Ensemble.from_matrices(self.matrices())
+        assert not mixed.pure and all(s.vector is None for s in mixed.states)
+        with pytest.raises(NotPure):
+            mixed.vectors()
+
+    @pytest.mark.parametrize("build", ["tuple", "vectors", "matrices"])
+    def test_stacks_are_read_only(self, build):
+        vecs = self.vectors()
+        ensemble = {
+            "tuple": lambda: Ensemble(tuple(map(pure_state, vecs))),
+            "vectors": lambda: Ensemble.from_vectors(vecs),
+            "matrices": lambda: Ensemble.from_matrices(self.matrices()),
+        }[build]()
+        stacks = [ensemble.matrices()] + ([ensemble.vectors()] if ensemble.pure else [])
+        for stack in stacks:
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0] = 0.0
+
+    def test_from_vectors_copies_its_input(self):
+        vecs = self.vectors()
+        ensemble = Ensemble.from_vectors(vecs)
+        vecs[0] = 0.0
+        assert np.linalg.norm(ensemble.vectors()[0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", ["non-unit", "nan", "inf", "overflow"])
+    def test_from_vectors_names_the_bad_state(self, bad):
+        vecs = self.vectors()
+        vecs[2] = {"non-unit": 1.1 * vecs[2], "nan": [np.nan, 0, 0], "inf": [np.inf, 0, 0],
+                   "overflow": [1e200, 0, 0]}[bad]
+        with pytest.raises(BadArgument) as single:
+            pure_state(vecs[2])
+        with pytest.raises(BadArgument) as batched:
+            Ensemble.from_vectors(vecs)
+        assert str(batched.value) == f"states[2]: {single.value}"
+
+    @pytest.mark.parametrize("bad", ["nan", "non-hermitian", "negative", "trace"])
+    def test_from_matrices_names_the_bad_state(self, bad):
+        mats = self.matrices()
+        if bad == "nan":
+            mats[1, 0, 0] = np.nan
+        elif bad == "non-hermitian":
+            mats[1, 0, 1] += 1e-3
+        elif bad == "negative":
+            mats[1] = np.diag([1.5, -0.5, 0.0])
+        else:
+            mats[1] *= 1.01
+        with pytest.raises(DimWitnessError) as single:
+            DensityMatrix(mats[1])
+        with pytest.raises(type(single.value)) as batched:
+            Ensemble.from_matrices(mats)
+        assert str(batched.value) == f"density_matrices[1]: {single.value}"
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3,), (2, 2, 2)])
+    def test_from_vectors_needs_an_n_by_d_stack(self, shape):
+        with pytest.raises(BadArgument):
+            Ensemble.from_vectors(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2), (2, 2, 3)])
+    def test_from_matrices_needs_an_n_by_d_by_d_stack(self, shape):
+        with pytest.raises(DimWitnessError) as err:
+            Ensemble.from_matrices(np.ones(shape))
+        assert "<function" not in str(err.value)
 
 
 class TestTraceDistance:
