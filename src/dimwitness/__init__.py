@@ -26,12 +26,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .linalg import (
-    EigenDecomposition,
-    eig_hermitian,
-    positive_part_projector,
-    trace_norm,
-)
+from .linalg import trace_norm
 from .quantum import (
     DensityMatrix,
     Effect,

@@ -34,11 +34,16 @@ SEARCH_GUARD = 10**7
 
 
 def _canonical_count(n: int, d: int) -> int:
-    """Number of canonical encodings: set partitions of n items into <= d blocks."""
+    """Set partitions of n items into <= d blocks, or the first count past ``SEARCH_GUARD``.
+
+    The count grows with n; at a large n it has thousands of digits.
+    """
     # Stirling-number recurrence S(i, j) = j S(i-1, j) + S(i-1, j-1)
     row = [1] + [0] * d
     for _ in range(n):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, d + 1)]
+        if sum(row) > SEARCH_GUARD:
+            break
     return sum(row)
 
 
@@ -134,36 +139,35 @@ def enumerate_max(
     first preparation's message, contributing 1 per distinctly-encoded pair;
     guessing: map each message to a preparation that sends it). Ties between
     maximizing encodings resolve to the lexicographically smallest canonical
-    one. Raises ``TooLarge`` when the number of canonical encodings exceeds
-    the search guard.
+    one. The decoding covers the messages 1..min(d, N), the only ones an
+    encoding of N preparations sends. Raises ``TooLarge`` when the number of
+    canonical encodings exceeds the search guard.
     """
     n, dim = require_bound_args(n_preparations, dim)
-    work = _canonical_count(n, min(dim, n))
-    if work > SEARCH_GUARD:
-        raise TooLarge(
-            f"{work} canonical encodings for N={n}, d={dim} exceed the guard {SEARCH_GUARD}"
-        )
+    symbols = min(dim, n)
+    if _canonical_count(n, symbols) > SEARCH_GUARD:
+        raise TooLarge(f"N={n}, d={dim} has more than 10^7 canonical encodings, the search guard")
 
     if kind is WitnessKind.GUESSING:
         best_used = -1
         best_enc: tuple[int, ...] | None = None
-        for enc in _canonical_encodings(n, dim):
+        for enc in _canonical_encodings(n, symbols):
             used = len(set(enc))
             if used > best_used:
                 best_used, best_enc = used, enc
         assert best_enc is not None
-        strategy = DeterministicStrategy(n, dim, best_enc, _guessing_decoding(best_enc, n, dim))
+        strategy = DeterministicStrategy(n, dim, best_enc, _guessing_decoding(best_enc, n, symbols))
         return best_used / n, strategy
 
     labels = pair_labels(n)
     best_value = -1
     best_enc = None
-    for enc in _canonical_encodings(n, dim):
+    for enc in _canonical_encodings(n, symbols):
         value = _pair_value(enc, labels)
         if value > best_value:
             best_value, best_enc = value, enc
     assert best_enc is not None
-    strategy = DeterministicStrategy(n, dim, best_enc, _pair_decoding(best_enc, labels, dim))
+    strategy = DeterministicStrategy(n, dim, best_enc, _pair_decoding(best_enc, labels, symbols))
     return float(best_value), strategy
 
 

@@ -41,6 +41,14 @@ def _complex_to_json(a: np.ndarray) -> list[list[float]]:
     return np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
 
 
+def _only_numbers(nest: list) -> bool:
+    """Whether every leaf of a depth-3 list nest is a JSON number: an ``int`` or a ``float``.
+
+    ``np.asarray(..., dtype=float)`` takes "0.5" and true as numbers too.
+    """
+    return {type(v) for outer in nest for inner in outer for v in inner} <= {int, float}
+
+
 def _json_to_complex_array(data, count: int, where: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != count:
         raise FileFormatError(f"{where}: expected {count} [re, im] pairs")
@@ -49,6 +57,8 @@ def _json_to_complex_array(data, count: int, where: str) -> np.ndarray:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FileFormatError(f"{where}[{i}]: expected an [re, im] pair")
         try:
+            if not _only_numbers([[entry]]):  # the one pair as a nest of depth 3
+                raise TypeError
             out[i] = complex(float(entry[0]), float(entry[1]))
         except (TypeError, ValueError, OverflowError):
             raise FileFormatError(
@@ -61,14 +71,14 @@ def _json_to_complex_stack(entries: list, count: int, where) -> np.ndarray:
     """Each entry a list of ``count`` [re, im] pairs, as one (len(entries), count) array.
 
     One ``np.asarray`` parses well-formed input; the per-entry parser runs
-    only when that fails or yields NaN, which a JSON null turns into, and
-    names the malformed entry ``where(i)``.
+    only when that fails or some value is no JSON number (a string, true or
+    null), and names the malformed entry ``where(i)``.
     """
     try:
         pairs = np.asarray(entries, dtype=float)
     except (TypeError, ValueError, OverflowError):
         pairs = None
-    if pairs is None or pairs.shape != (len(entries), count, 2) or np.isnan(pairs).any():
+    if pairs is None or pairs.shape != (len(entries), count, 2) or not _only_numbers(entries):
         return np.stack([_json_to_complex_array(e, count, where(i)) for i, e in enumerate(entries)])
     # reinterpreting the (re, im) doubles keeps every bit, signed zeros too
     return np.ascontiguousarray(pairs).view(complex)[..., 0]
@@ -163,10 +173,12 @@ def load_table(path) -> tuple[ProbabilityTable, WitnessKind]:
         )
     try:
         p = np.asarray(data.get("p"), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: 'p' must be a numeric array") from exc
     if p.shape != (n, m, k):
         raise FileFormatError(f"{path}: 'p' has shape {p.shape}, declared ({n}, {m}, {k})")
+    if not _only_numbers(data["p"]):
+        raise FileFormatError(f"{path}: 'p' must hold numbers only, not strings, true/false or null")
     empirical = data.get("empirical", False)
     if not isinstance(empirical, bool):
         raise FileFormatError(f"{path}: 'empirical' must be true or false")
@@ -207,7 +219,7 @@ def load_seesaw_dump(path) -> tuple[Ensemble, PairMeasurementSet]:
     entries = [effects_json[key] for key in keys]
     flat = _json_to_complex_stack(entries, dim * dim, lambda i: f"effects[{keys[i]}]")
     try:
-        measurements = PairMeasurementSet.from_stack(flat.reshape(-1, dim, dim))
+        measurements = PairMeasurementSet(flat.reshape(-1, dim, dim))
         require_compatible(ensemble, measurements)
     except DimWitnessError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

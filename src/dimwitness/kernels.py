@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ZERO_EIGENVALUE_TOL, projector_from_eigh
+from .linalg import ZERO_EIGENVALUE_TOL
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -55,7 +55,9 @@ def positive_projectors(deltas: np.ndarray) -> np.ndarray:
     maps to the zero matrix.
     """
     values, vectors = np.linalg.eigh(deltas)
-    return projector_from_eigh(values, vectors, ZERO_EIGENVALUE_TOL)
+    keep = (values > ZERO_EIGENVALUE_TOL).astype(float)
+    # the sum of v v^dag over the kept eigenpairs, columns as eigh returns them
+    return np.einsum("...ik,...k,...jk->...ij", vectors, keep, vectors.conj())
 
 
 def born(rhos: np.ndarray, effects: np.ndarray) -> np.ndarray:

@@ -1,14 +1,13 @@
-"""Dense Hermitian linear algebra: eigendecomposition, trace norm, projectors.
+"""Dense Hermitian linear algebra: the package tolerances, the Hermitian check, trace norm.
 
-All functions take square complex arrays (anything ``np.asarray`` coerces).
-Eigensolves are delegated to LAPACK through ``numpy.linalg.eigh``; the
-wrappers here add the symmetry validation, the descending eigenvalue order,
-and the zero-eigenvalue cutoff that downstream modules rely on.
+Functions take square complex arrays (anything ``np.asarray`` coerces).
+``require_hermitian`` validates one matrix or a whole stack in one pass;
+the stacked eigensolves of the pair computations live in ``kernels``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -27,21 +26,6 @@ UNIT_NORM_TOL = 1e-10        # state-vector norm deviation
 POVM_SUM_TOL = 1e-8          # max |sum(effects) - identity| entry
 PROBABILITY_TOL = 1e-9       # table entry out-of-range allowance
 ROW_SUM_TOL = 1e-8           # table normalization deviation
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues in descending order; column ``vectors[:, i]`` pairs with ``values[i]``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_deviation(a) -> float:
-    """Largest entrywise deviation of ``a`` from its conjugate transpose."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().swapaxes(-2, -1))))
 
 
 def member_name(what: str | Callable[[int], str], k: int) -> str:
@@ -79,40 +63,7 @@ def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndar
     return symmetrized
 
 
-def eig_hermitian(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
-
-    The input is validated by ``require_hermitian`` first. Eigenvectors are
-    orthonormal columns.
-    """
-    h = require_hermitian(a)
-    values, vectors = np.linalg.eigh(h)
-    return EigenDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
-
-
 def trace_norm(a) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix (Schatten 1-norm)."""
     h = require_hermitian(a)
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
-
-
-def positive_part_projector(a) -> np.ndarray:
-    """Projector onto the strictly positive eigenspace of a Hermitian matrix.
-
-    Eigenvalues with magnitude at or below ``ZERO_EIGENVALUE_TOL``
-    are treated as zero and excluded, so a (numerically) vanishing input maps
-    to the zero matrix rather than to noise.
-    """
-    h = require_hermitian(a)
-    values, vectors = np.linalg.eigh(h)
-    return projector_from_eigh(values, vectors, ZERO_EIGENVALUE_TOL)
-
-
-def projector_from_eigh(values: np.ndarray, vectors: np.ndarray, cutoff: float) -> np.ndarray:
-    """Sum of v v^dag over eigenpairs with eigenvalue > cutoff.
-
-    Works on stacked decompositions: ``values`` of shape (..., n) with
-    ``vectors`` of shape (..., n, n), columns matching ``numpy.linalg.eigh``.
-    """
-    keep = (values > cutoff).astype(float)
-    return np.einsum("...ik,...k,...jk->...ij", vectors, keep, vectors.conj())

@@ -1,10 +1,11 @@
 """Quantum objects: states, effects, ensembles, and discrimination tools.
 
-States are kept as density matrices with an optional pure-vector witness
-attached; operations that only make sense for pure states (overlap fidelity,
-the pairwise-overlap identity) require that witness and raise ``NotPure``
-otherwise. Binary pair measurements store only the b = 1 effect -- the
-complement is implicit as identity minus it.
+A single state is a density matrix with an optional pure-vector witness
+attached; an ensemble holds its states as one stack of matrices, plus one of
+vectors when it is pure. Operations that only make sense for pure states
+(overlap fidelity, the pairwise-overlap identity) require the vectors and
+raise ``NotPure`` otherwise. Binary pair measurements store only the b = 1
+effect -- the complement is implicit as identity minus it.
 
 Preparations are indexed 1-based, x in {1..N}; pair measurements are labelled
 by ordered pairs (x, x') with x > x'.
@@ -13,8 +14,6 @@ by ordered pairs (x, x') with x > x'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -147,32 +146,16 @@ class Ensemble:
     """N preparations on a common Hilbert space.
 
     The states are held as one validated, read-only (N, d, d) stack of
-    density matrices and, when every state carries a pure-vector witness, the
-    read-only (N, d) stack of those vectors. Build it from ``DensityMatrix``
-    objects, or check raw stacks in one pass with ``from_vectors`` or
-    ``from_matrices``; ``states`` gives the objects back.
+    density matrices and, for a pure ensemble, the read-only (N, d) stack of
+    its amplitude vectors. ``from_vectors`` and ``from_matrices`` are the
+    constructors: each checks a whole stack in one pass.
     """
 
     _matrices: np.ndarray
     _vectors: np.ndarray | None
 
-    def __init__(self, states: Sequence[DensityMatrix]) -> None:
-        states = tuple(states)
-        if not states:
-            raise BadArgument("ensemble needs at least one state")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"ensemble states live in different dimensions: {sorted(dims)}")
-        matrices = np.stack([s.matrix for s in states])
-        matrices.setflags(write=False)
-        vectors = None
-        if all(s.vector is not None for s in states):
-            vectors = np.stack([s.vector.amplitudes for s in states])
-            vectors.setflags(write=False)
-        object.__setattr__(self, "_matrices", matrices)
-        object.__setattr__(self, "_vectors", vectors)
-        # seeds the cached ``states`` property with the objects as given
-        self.__dict__["states"] = states
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("build an Ensemble with Ensemble.from_vectors or Ensemble.from_matrices")
 
     @classmethod
     def _of_checked(cls, matrices: np.ndarray, vectors: np.ndarray | None) -> Ensemble:
@@ -220,22 +203,15 @@ class Ensemble:
 
     @property
     def pure(self) -> bool:
-        """Whether every state carries a pure-vector witness, so ``vectors()`` succeeds."""
+        """Whether the ensemble was built from amplitude vectors, so ``vectors()`` succeeds."""
         return self._vectors is not None
-
-    @cached_property
-    def states(self) -> tuple[DensityMatrix, ...]:
-        """The states as ``DensityMatrix`` objects with their pure-vector witnesses, built on first use."""
-        if self._vectors is None:
-            return tuple(map(DensityMatrix, self._matrices))
-        return tuple(DensityMatrix(m, StateVector(v)) for m, v in zip(self._matrices, self._vectors))
 
     def matrices(self) -> np.ndarray:
         """Stacked density matrices, shape (N, d, d), read-only."""
         return self._matrices
 
     def vectors(self) -> np.ndarray:
-        """Stacked pure-state amplitudes, shape (N, d), read-only; requires pure witnesses."""
+        """Stacked pure-state amplitudes, shape (N, d), read-only; requires a pure ensemble."""
         if self._vectors is None:
             raise NotPure("not every state of the ensemble carries a pure-vector representation")
         return self._vectors
@@ -247,52 +223,26 @@ class PairMeasurementSet:
 
     Only the b = 1 effect is stored per pair, as one read-only (P, d, d)
     ``stack`` in ``pair_labels`` order, P = N(N-1)/2; N comes from the pair
-    count P, never from a label. Build it from a mapping with exactly one
-    ``Effect`` for every pair 1 <= x' < x <= N, or from a raw stack with
-    ``from_stack``; ``effects`` gives the mapping back.
+    count P, never from a label. Building it from such a stack applies the
+    ``Effect`` checks to every member in one batched pass; the error names
+    the first offending pair.
     """
 
     stack: np.ndarray
     N: int
 
-    def __init__(self, effects: Mapping[tuple[int, int], Effect]) -> None:
-        effects = dict(effects)
-        n = kernels.preparation_count(len(effects))
-        if n is None or set(effects) != set(pair_labels(n)):
-            raise BadArgument("pair keys must be exactly all (x, x') with N >= x > x' >= 1")
-        dims = {e.dim for e in effects.values()}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"pair effects live in different dimensions: {sorted(dims)}")
-        stack = np.stack([effects[pair].matrix for pair in pair_labels(n)])
-        stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "N", n)
-
-    @classmethod
-    def from_stack(cls, stack) -> PairMeasurementSet:
-        """Validate a (P, d, d) stack of b = 1 effects in ``pair_labels`` order.
-
-        One batched pass applies the ``Effect`` checks to every member; the
-        error names the first offending pair.
-        """
+    def __init__(self, stack) -> None:
         stack = np.asarray(stack, dtype=complex)
         n = kernels.preparation_count(stack.shape[0] if stack.ndim == 3 else 0)
         if n is None:
             raise BadArgument(f"need a (P, d, d) stack with P = N(N-1)/2 >= 1, got shape {stack.shape}")
         labels = pair_labels(n)
-        self = cls.__new__(cls)
         object.__setattr__(self, "stack", _checked_effects(stack, lambda k: f"effect {labels[k]}"))
         object.__setattr__(self, "N", n)
-        return self
 
     @property
     def dim(self) -> int:
         return self.stack.shape[-1]
-
-    @cached_property
-    def effects(self) -> dict[tuple[int, int], Effect]:
-        """The b = 1 effect of every pair, keyed (x, x')."""
-        return {pair: Effect(m) for pair, m in zip(pair_labels(self.N), self.stack)}
 
 
 def pure_state(amplitudes) -> DensityMatrix:
@@ -335,7 +285,7 @@ def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
 
     For a pure ensemble the effects are the closed-form rank-one projectors
     of ``kernels.rank_one_projectors``; otherwise one stacked eigensolve gives
-    them. ``PairMeasurementSet.from_stack`` checks them either way.
+    them. ``PairMeasurementSet`` checks them either way.
     """
     if ensemble.N < 2:
         raise BadArgument("pair measurements need at least two preparations")
@@ -348,7 +298,7 @@ def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
     else:
         rhos = ensemble.matrices()
         effects = kernels.positive_projectors(rhos[ix] - rhos[ixp])
-    return PairMeasurementSet.from_stack(effects)
+    return PairMeasurementSet(effects)
 
 
 def fourier_ensemble(n_states: int, dim: int) -> Ensemble:

@@ -292,7 +292,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     return SeesawResult(
         best_value=best_value,
         ensemble=Ensemble.from_vectors(vecs[best]),
-        measurements=PairMeasurementSet.from_stack(kernels.rank_one_effects(u[best], scale[best])),
+        measurements=PairMeasurementSet(kernels.rank_one_effects(u[best], scale[best])),
         iterations_used=int(iterations.sum()),
         restart_values=tuple(float(v) for v in final),
         restart_sweeps=tuple(int(k) for k in iterations),

@@ -139,10 +139,12 @@ def evaluate(kind: WitnessKind, table: ProbabilityTable) -> float:
 
 
 def require_bound_args(n_preparations: int, dim: int) -> tuple[int, int]:
-    """(N, d) of a ceiling or an enumeration as ``int``s: integers with N >= 2, d >= 1."""
+    """(N, d) of a ceiling or an enumeration as ``int``s: integers with 2 <= N <= 10^150, d >= 1."""
     n, dim = require_int(n_preparations, "n_preparations"), require_int(dim, "dim")
     if n < 2:
         raise BadArgument(f"need at least 2 preparations, got {n}")
+    if n > 10**150:
+        raise BadArgument("need at most 10^150 preparations: the ceilings of more overflow a float")
     if dim < 1:
         raise BadArgument(f"dimension must be positive, got {dim}")
     return n, dim

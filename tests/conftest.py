@@ -28,7 +28,7 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
 
 
 def random_pure_ensemble(rng: np.random.Generator, n: int, dim: int) -> Ensemble:
-    return Ensemble(tuple(random_pure(rng, dim) for _ in range(n)))
+    return Ensemble.from_vectors(np.stack([random_state_vector(rng, dim) for _ in range(n)]))
 
 
 def random_povm(rng: np.random.Generator, dim: int, outcomes: int) -> list[Effect]:

@@ -34,7 +34,6 @@ from dimwitness import (
     optimize,
     overlap_sum_identity_check,
     pair_differences,
-    pure_state,
     purity,
     quantum_bound,
     trace_distance,
@@ -121,13 +120,13 @@ def test_criterion_7_guessing_ceiling():
     for _ in range(50):
         n = int(rng.integers(3, 7))
         d = int(rng.integers(2, n))
-        ensemble = Ensemble(tuple(random_density(rng, d) for _ in range(n)))
+        ensemble = Ensemble.from_matrices(np.stack([random_density(rng, d).matrix for _ in range(n)]))
         effects = random_povm(rng, d, n)
         value = eval_guessing(guessing_table(ensemble, effects))
         assert value <= d / n + 1e-8, (n, d, value)
     # equality through the orthonormal construction at d = N
     for n in (2, 4, 6):
-        ensemble = Ensemble(tuple(pure_state(np.eye(n)[i]) for i in range(n)))
+        ensemble = Ensemble.from_vectors(np.eye(n))
         effects = [Effect(np.outer(np.eye(n)[i], np.eye(n)[i])) for i in range(n)]
         assert eval_guessing(guessing_table(ensemble, effects)) == pytest.approx(1.0, abs=1e-12)
     report(7, "guessing value never exceeds d/N over 50 random models; equality at d=N")

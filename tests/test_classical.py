@@ -71,6 +71,15 @@ class TestEnumerateMax:
         with pytest.raises(TooLarge):
             enumerate_max(Q, 30, 3)
 
+    @pytest.mark.parametrize("kind", [Q, L, G])
+    def test_decoding_size_does_not_grow_with_dimension(self, kind):
+        # only the messages 1..min(d, N) can be sent, so only they are decoded
+        small = enumerate_max(kind, 3, 3)[1]
+        for d in (4, 10**6, 10**18):
+            value, strategy = enumerate_max(kind, 3, d)
+            assert strategy.decoding == small.decoding and strategy.d == d
+            assert value == evaluate(kind, strategy_table(strategy, kind))
+
     def test_canonical_balanced_maximizer(self):
         value, strategy = enumerate_max(Q, 7, 3)
         assert value == 16.0

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_density, random_pure_ensemble
 from dimwitness import (
+    DensityMatrix,
     Ensemble,
     FileFormatError,
     NoiseModel,
@@ -46,11 +47,11 @@ class TestEnsembleRoundTrip:
     def test_mixed_ensemble_uses_density_matrices(self, tmp_path):
         path = tmp_path / "mixed.json"
         rng = np.random.default_rng(2)
-        original = Ensemble(tuple(random_density(rng, 3) for _ in range(3)))
+        original = Ensemble.from_matrices(np.stack([random_density(rng, 3).matrix for _ in range(3)]))
         save_ensemble(original, path)
         loaded = load_ensemble(path)
         assert np.array_equal(loaded.matrices(), original.matrices())
-        assert all(s.vector is None for s in loaded.states)
+        assert not loaded.pure
 
 
 class TestEnsembleLoadErrors:
@@ -148,8 +149,7 @@ class TestSeesawDump:
         save_seesaw_dump(result, path)
         ensemble, measurements = load_seesaw_dump(path)
         assert np.array_equal(ensemble.vectors(), result.ensemble.vectors())
-        for pair, effect in result.measurements.effects.items():
-            assert np.array_equal(measurements.effects[pair].matrix, effect.matrix)
+        assert np.array_equal(measurements.stack, result.measurements.stack)
 
     def test_bad_pair_key(self, tmp_path):
         path = tmp_path / "model.json"
@@ -226,7 +226,9 @@ class TestCompactWriterRoundTrip:
 
     def test_mixed_ensemble_entries_are_bitwise(self, tmp_path):
         path = tmp_path / "mixed.json"
-        original = Ensemble(tuple(depolarize(s, 0.3) for s in fourier_ensemble(4, 3).states))
+        original = Ensemble.from_matrices(
+            np.stack([depolarize(DensityMatrix(m), 0.3).matrix for m in fourier_ensemble(4, 3).matrices()])
+        )
         save_ensemble(original, path)
         compact_text(path)
         assert load_ensemble(path).matrices().tobytes() == original.matrices().tobytes()

@@ -30,7 +30,7 @@ from dimwitness import (
     verify_table2,
 )
 from dimwitness.cli import main
-from dimwitness.files import load_seesaw_dump, load_table, save_table
+from dimwitness.files import load_ensemble, load_seesaw_dump, load_table, save_table
 from dimwitness.simulate import NoiseModel, noisy_table
 
 
@@ -265,3 +265,71 @@ class TestBooleanCounts:
         path.write_text('{"dim": true, "states": [[[1.0, 0.0]], [[1.0, 0.0]]], "effects": {"2,1": [[1.0, 0.0]]}}')
         with pytest.raises(FileFormatError, match="'dim'"):
             load_seesaw_dump(path)
+
+
+class TestNonNumberValues:
+    """Strings and JSON true/false are not numbers in any file, even mixed in among numbers."""
+
+    GOOD_STATES = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+    @pytest.mark.parametrize("p", [
+        [[["0.5", "0.5"]], [[True, False]]],
+        [[[0.5, 0.5]], [[True, 0.0]]],
+        [[[0.5, 0.5]], [[1, "0"]]],
+    ])
+    def test_table_values_exit_2(self, capsys, tmp_path, p):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"witness": "quadratic", "N": 2, "m": 1, "k": 2, "p": p}))
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--table", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'p'" in err
+
+    def test_json_integers_are_numbers(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"witness": "quadratic", "N": 2, "m": 1, "k": 2, "p": [[[1, 0]], [[0, 1]]]}')
+        assert load_table(path)[0].p.tolist() == [[[1.0, 0.0]], [[0.0, 1.0]]]
+
+    @pytest.mark.parametrize("bad", [["1", "0"], [True, False], [True, 0.0], [1.0, "0"]])
+    def test_state_amplitudes_exit_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "e.json"
+        states = [[bad, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        path.write_text(json.dumps({"dim": 2, "states": states}))
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom")
+        assert code == 2 and out == ""
+        assert "states[0][0]" in err
+
+    @pytest.mark.parametrize("bad", [["0.5", 0.0], [False, 0.0]])
+    def test_density_matrix_entries_rejected(self, tmp_path, bad):
+        path = tmp_path / "e.json"
+        flat = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+        path.write_text(json.dumps({"dim": 2, "density_matrices": [flat, flat[:3] + [bad]]}))
+        with pytest.raises(FileFormatError, match=r"density_matrices\[1\]\[3\]"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("bad", [["1", 0.0], [True, 0.0]])
+    def test_dump_effect_entries_rejected(self, tmp_path, bad):
+        path = tmp_path / "model.json"
+        effect = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], bad]
+        path.write_text(json.dumps({"dim": 2, "states": self.GOOD_STATES, "effects": {"2,1": effect}}))
+        with pytest.raises(FileFormatError, match=r"effects\[2,1\]\[3\]"):
+            load_seesaw_dump(path)
+
+
+class TestHugeCounts:
+    """Counts whose digits or squares are too large end in one error line, exit 2."""
+
+    def test_enumeration_guard_message_stays_short(self, capsys):
+        code, out, err = run(capsys, "classical", "--witness", "linear", "--N", "10000", "--d", "3")
+        assert code == 2 and out == ""
+        assert err == "error: N=10000, d=3 has more than 10^7 canonical encodings, the search guard\n"
+
+    def test_preparations_whose_square_overflows(self, capsys):
+        code, out, err = run(capsys, "bounds", "--witness", "quadratic", "--N", str(10**160), "--d", "2")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "10^150" in err
+
+    def test_largest_accepted_count_gives_finite_ceilings(self):
+        for kind in WitnessKind:
+            report = bound_report(kind, 10**150, 2)
+            assert math.isfinite(report.quantum_bound)
+            assert report.classical_bound is None or math.isfinite(report.classical_bound)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from dimwitness import NotHermitian, eig_hermitian, positive_part_projector, trace_norm
-from dimwitness.linalg import hermitian_deviation, projector_from_eigh
+from dimwitness import trace_norm
+from dimwitness.kernels import positive_projectors
 
 
 def overlap_half_pair():
@@ -15,51 +15,9 @@ def overlap_half_pair():
     return rho, sigma
 
 
-class TestEigHermitian:
-    def test_identity(self):
-        dec = eig_hermitian(np.eye(3))
-        assert np.allclose(dec.values, [1, 1, 1])
-
-    def test_diagonal(self):
-        dec = eig_hermitian(np.diag([2.0, -1.0]))
-        assert np.allclose(dec.values, [2, -1])
-        # eigenvectors are the standard basis up to phase
-        assert abs(abs(dec.vectors[0, 0]) - 1) < 1e-12
-        assert abs(abs(dec.vectors[1, 1]) - 1) < 1e-12
-
-    def test_pauli_x_like(self):
-        # characteristic polynomial l^2 - 1 = 0 gives eigenvalues +-1
-        dec = eig_hermitian(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(dec.values, [1, -1], atol=1e-12)
-
-    def test_values_descending(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            dec = eig_hermitian(random_hermitian(rng, 5))
-            assert np.all(np.diff(dec.values) <= 1e-14)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian) as err:
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert "1.0" in str(err.value) or "e" in str(err.value)  # reports deviation
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NotHermitian):
-            eig_hermitian(np.zeros((2, 3)))
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = random_hermitian(rng, int(rng.integers(1, 7)))
-            values, vectors = eig_hermitian(a)
-            recon = (vectors * values) @ vectors.conj().T
-            assert np.max(np.abs(a - recon)) <= 1e-8
-            gram = vectors.conj().T @ vectors
-            assert np.max(np.abs(gram - np.eye(a.shape[0]))) <= 1e-8
-            residual = a @ vectors - vectors * values
-            for i in range(a.shape[0]):
-                bound = 1e-8 * (1 + abs(values[i]))
-                assert np.linalg.norm(residual[:, i]) <= bound
+def positive_part_projector(a) -> np.ndarray:
+    """``kernels.positive_projectors`` on a stack of one matrix."""
+    return positive_projectors(np.asarray(a, dtype=complex)[None])[0]
 
 
 class TestTraceNorm:
@@ -103,13 +61,12 @@ class TestPositivePartProjector:
         for _ in range(200):
             p = positive_part_projector(random_hermitian(rng, int(rng.integers(1, 7))))
             assert np.max(np.abs(p @ p - p)) <= 1e-8
-            assert hermitian_deviation(p) <= 1e-8
+            assert np.max(np.abs(p - p.conj().T)) <= 1e-8
 
 
-def test_projector_from_eigh_matches_single_path():
+def test_positive_projectors_of_a_stack_match_each_member_alone():
     rng = np.random.default_rng(9)
     stack = np.stack([random_hermitian(rng, 4) for _ in range(6)])
-    values, vectors = np.linalg.eigh(stack)
-    batched = projector_from_eigh(values, vectors, 1e-10)
+    batched = positive_projectors(stack)
     for i in range(6):
         assert np.allclose(batched[i], positive_part_projector(stack[i]), atol=1e-12)

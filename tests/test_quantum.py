@@ -31,6 +31,11 @@ def basis_state(dim: int, level: int) -> DensityMatrix:
     return pure_state(amps)
 
 
+def witness(ensemble: Ensemble, x: int) -> StateVector:
+    """The amplitude vector of state x (0-based) of a pure ensemble."""
+    return StateVector(ensemble.vectors()[x])
+
+
 def overlap_half_pair():
     rho = basis_state(2, 0)
     sigma = pure_state([0.5, SQRT3_HALF])
@@ -54,13 +59,9 @@ class TestValidation:
         with pytest.raises(BadArgument):
             DensityMatrix(np.eye(2) / 2, vector=StateVector(np.array([1.0, 0.0])))
 
-    def test_ensemble_needs_common_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            Ensemble((basis_state(2, 0), basis_state(3, 0)))
-
 
 class TestBatchedEnsemble:
-    """``from_vectors``/``from_matrices`` against the per-state objects they replace."""
+    """``from_vectors``/``from_matrices`` against the per-state objects and their checks."""
 
     def vectors(self):
         rng = np.random.default_rng(31)
@@ -73,25 +74,29 @@ class TestBatchedEnsemble:
     def test_batched_stacks_equal_per_state_ones(self):
         vecs, mats = self.vectors(), self.matrices()
         pure = Ensemble.from_vectors(vecs)
-        assert pure.vectors().tobytes() == Ensemble(tuple(map(pure_state, vecs))).vectors().tobytes()
-        assert pure.matrices().tobytes() == Ensemble(tuple(map(pure_state, vecs))).matrices().tobytes()
+        assert pure.vectors().tobytes() == np.stack([StateVector(v).amplitudes for v in vecs]).tobytes()
+        assert pure.matrices().tobytes() == np.stack([pure_state(v).matrix for v in vecs]).tobytes()
         mixed = Ensemble.from_matrices(mats)
-        assert mixed.matrices().tobytes() == Ensemble(tuple(map(DensityMatrix, mats))).matrices().tobytes()
+        assert mixed.matrices().tobytes() == np.stack([DensityMatrix(m).matrix for m in mats]).tobytes()
 
     def test_states_are_built_from_the_stacks(self):
         pure = Ensemble.from_vectors(self.vectors())
-        assert all(np.array_equal(s.matrix, m) for s, m in zip(pure.states, pure.matrices()))
-        assert all(np.array_equal(s.vector.amplitudes, v) for s, v in zip(pure.states, pure.vectors()))
+        for m, v in zip(pure.matrices(), pure.vectors()):
+            # the matrix passes as the state of its vector witness
+            assert np.array_equal(DensityMatrix(m, StateVector(v)).matrix, m)
         mixed = Ensemble.from_matrices(self.matrices())
-        assert not mixed.pure and all(s.vector is None for s in mixed.states)
+        assert not mixed.pure
         with pytest.raises(NotPure):
             mixed.vectors()
 
-    @pytest.mark.parametrize("build", ["tuple", "vectors", "matrices"])
+    def test_constructors_are_the_only_way_in(self):
+        with pytest.raises(TypeError, match="from_vectors or Ensemble.from_matrices"):
+            Ensemble([pure_state([1.0, 0.0])])
+
+    @pytest.mark.parametrize("build", ["vectors", "matrices"])
     def test_stacks_are_read_only(self, build):
         vecs = self.vectors()
         ensemble = {
-            "tuple": lambda: Ensemble(tuple(map(pure_state, vecs))),
             "vectors": lambda: Ensemble.from_vectors(vecs),
             "matrices": lambda: Ensemble.from_matrices(self.matrices()),
         }[build]()
@@ -178,7 +183,7 @@ class TestFidelityPure:
             ensemble = fourier_ensemble(d + 1, d)
             for x in range(ensemble.N):
                 for xp in range(x):
-                    f = fidelity_pure(ensemble.states[x].vector, ensemble.states[xp].vector)
+                    f = fidelity_pure(witness(ensemble, x), witness(ensemble, xp))
                     assert f == pytest.approx(1.0 / d, abs=1e-10)
 
 
@@ -204,7 +209,7 @@ class TestHelstrom:
     def test_measurement_set_covers_all_pairs(self):
         ensemble = fourier_ensemble(5, 3)
         ms = helstrom_measurements(ensemble)
-        assert ms.N == 5 and len(ms.effects) == 10
+        assert ms.N == 5 and ms.stack.shape == (10, 3, 3)
 
 
 class TestFourierEnsemble:
@@ -221,7 +226,7 @@ class TestFourierEnsemble:
         ensemble = fourier_ensemble(3, 2)
         for x in range(3):
             for xp in range(x):
-                f = fidelity_pure(ensemble.states[x].vector, ensemble.states[xp].vector)
+                f = fidelity_pure(witness(ensemble, x), witness(ensemble, xp))
                 assert f == pytest.approx(0.5, abs=1e-10)
 
     def test_uniform_mixture_is_maximally_mixed(self):
@@ -237,19 +242,19 @@ class TestFourierEnsemble:
 
 class TestAverageAndPurity:
     def test_single_state(self):
-        rho = random_pure(np.random.default_rng(3), 3)
-        assert np.allclose(average_state(Ensemble((rho,))).matrix, rho.matrix)
+        vec = random_state_vector(np.random.default_rng(3), 3)
+        assert np.allclose(average_state(Ensemble.from_vectors(vec[None])).matrix, pure_state(vec).matrix)
 
     def test_two_orthogonal_states(self):
-        omega = average_state(Ensemble((basis_state(2, 0), basis_state(2, 1))))
+        omega = average_state(Ensemble.from_vectors(np.eye(2)))
         assert np.allclose(omega.matrix, np.eye(2) / 2)
 
     def test_fourier_average_is_identity_over_d(self):
         omega = average_state(fourier_ensemble(5, 3))
         # independent accumulation
         direct = np.zeros((3, 3), dtype=complex)
-        for s in fourier_ensemble(5, 3).states:
-            direct += np.outer(s.vector.amplitudes, s.vector.amplitudes.conj()) / 5
+        for v in fourier_ensemble(5, 3).vectors():
+            direct += np.outer(v, v.conj()) / 5
         assert np.max(np.abs(omega.matrix - direct)) <= 1e-12
         assert np.max(np.abs(omega.matrix - np.eye(3) / 3)) <= 1e-10
 
@@ -271,14 +276,14 @@ class TestAverageAndPurity:
 
 class TestOverlapSumIdentity:
     def test_orthonormal_basis(self):
-        ensemble = Ensemble(tuple(basis_state(4, i) for i in range(4)))
+        ensemble = Ensemble.from_vectors(np.eye(4))
         lhs, rhs = overlap_sum_identity_check(ensemble)
         assert lhs == pytest.approx(0.0, abs=1e-10)
         assert rhs == pytest.approx(0.0, abs=1e-10)
 
     def test_identical_states(self):
         n = 5
-        ensemble = Ensemble(tuple(basis_state(3, 0) for _ in range(n)))
+        ensemble = Ensemble.from_vectors(np.tile(np.eye(3)[0], (n, 1)))
         lhs, rhs = overlap_sum_identity_check(ensemble)
         assert lhs == pytest.approx(n * (n - 1) / 2, abs=1e-10)
         assert rhs == pytest.approx(n * n / 2 - n / 2, abs=1e-10)
@@ -288,9 +293,9 @@ class TestOverlapSumIdentity:
         assert abs(lhs - rhs) <= 1e-8
 
     def test_requires_pure_states(self):
-        mixed = DensityMatrix(np.eye(2) / 2)
+        mixed = Ensemble.from_matrices([np.eye(2) / 2, np.diag([1.0, 0.0])])
         with pytest.raises(NotPure):
-            overlap_sum_identity_check(Ensemble((mixed, basis_state(2, 0))))
+            overlap_sum_identity_check(mixed)
 
 
 def test_pure_overlaps_matches_fidelity():
@@ -298,5 +303,5 @@ def test_pure_overlaps_matches_fidelity():
     overlaps = pure_overlaps(ensemble)
     for x in range(4):
         for xp in range(4):
-            f = fidelity_pure(ensemble.states[x].vector, ensemble.states[xp].vector)
+            f = fidelity_pure(witness(ensemble, x), witness(ensemble, xp))
             assert overlaps[x, xp] == pytest.approx(f * f, abs=1e-12)

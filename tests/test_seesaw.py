@@ -16,7 +16,6 @@ from dimwitness import (
     helstrom_measurements,
     optimize,
     pure_overlaps,
-    pure_state,
     quantum_bound,
     verify_table2,
 )
@@ -158,7 +157,7 @@ class TestResultStructure:
 
     def test_states_carry_pure_witnesses(self):
         result = optimize(SeesawConfig(L, 4, 2, restarts=3))
-        assert all(s.vector is not None for s in result.ensemble.states)
+        assert result.ensemble.pure
 
 
 @pytest.mark.parametrize("kind", [L, Q])
@@ -181,7 +180,7 @@ def test_gradient_matches_central_differences(kind):
     # the values are the witness of the states under optimal measurements
     states = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
     for r in range(3):
-        ensemble = Ensemble(tuple(map(pure_state, states[r])))
+        ensemble = Ensemble.from_vectors(states[r])
         table = born_table(ensemble, helstrom_measurements(ensemble))
         assert values[r] == pytest.approx(evaluate(kind, table), abs=1e-12)
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_pure_ensemble
 from dimwitness import (
     BadArgument,
+    DensityMatrix,
     DimensionMismatch,
     Effect,
     Ensemble,
@@ -31,9 +32,12 @@ from dimwitness import (
 
 
 def basis_pair():
-    zero = pure_state([1.0, 0.0])
-    one = pure_state([0.0, 1.0])
-    return Ensemble((zero, one))
+    return Ensemble.from_vectors(np.eye(2))
+
+
+def one_pair(effect) -> PairMeasurementSet:
+    """The measurement set of N = 2: one b = 1 effect for the pair (2, 1)."""
+    return PairMeasurementSet(np.asarray(effect)[None])
 
 
 class TestNoiseModel:
@@ -61,14 +65,13 @@ class TestNoiseModel:
 class TestBornTable:
     def test_projective_discrimination_of_basis_states(self):
         ensemble = basis_pair()
-        effect = Effect(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        table = born_table(ensemble, PairMeasurementSet({(2, 1): effect}))
+        table = born_table(ensemble, one_pair(np.diag([1.0, 0.0])))
         assert table.p[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert table.p[1, 0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_trivial_effect_gives_half(self):
         ensemble = basis_pair()
-        table = born_table(ensemble, PairMeasurementSet({(2, 1): Effect(np.eye(2) / 2)}))
+        table = born_table(ensemble, one_pair(np.eye(2) / 2))
         assert np.allclose(table.p[:, 0, 0], 0.5)
 
     def test_fourier_helstrom_reference_value(self):
@@ -78,15 +81,13 @@ class TestBornTable:
 
     def test_dimension_mismatch(self):
         ensemble = basis_pair()
-        effect = Effect(np.eye(3) / 3)
         with pytest.raises(DimensionMismatch):
-            born_table(ensemble, PairMeasurementSet({(2, 1): effect}))
+            born_table(ensemble, one_pair(np.eye(3) / 3))
 
     def test_pair_count_mismatch(self):
         ensemble = fourier_ensemble(3, 2)
-        effect = Effect(np.eye(2) / 2)
         with pytest.raises(DimensionMismatch):
-            born_table(ensemble, PairMeasurementSet({(2, 1): effect}))
+            born_table(ensemble, one_pair(np.eye(2) / 2))
 
 
 class TestNoisyTable:
@@ -146,7 +147,7 @@ class TestNoisyTable:
 
 def per_cell_frequencies(ensemble, measurements, eta, shots, seed):
     """Reference sampler: a new Philox generator keyed [seed, (x << 32) | y] per cell."""
-    noisy = Ensemble(tuple(depolarize(s, eta) for s in ensemble.states))
+    noisy = Ensemble.from_matrices(np.stack([depolarize(DensityMatrix(m), eta).matrix for m in ensemble.matrices()]))
     exact = born_table(noisy, measurements).p[:, :, 0]
     freq = np.empty(exact.shape)
     for x in range(1, exact.shape[0] + 1):
@@ -185,8 +186,7 @@ class TestSamplerKeying:
 
     def test_certain_outcomes_on_orthogonal_states(self):
         ensemble = basis_pair()
-        effect = Effect(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        table = noisy_table(ensemble, PairMeasurementSet({(2, 1): effect}), NoiseModel(shots=50), seed=4)
+        table = noisy_table(ensemble, one_pair(np.diag([1.0, 0.0])), NoiseModel(shots=50), seed=4)
         assert table.p[:, 0, 0].tolist() == [1.0, 0.0]
 
     def test_interleaved_calls_with_different_seeds_do_not_disturb_each_other(self):
@@ -210,7 +210,7 @@ class TestSamplerKeying:
 class TestGuessingTable:
     def test_orthonormal_states_and_projectors(self):
         n = 4
-        ensemble = Ensemble(tuple(pure_state(np.eye(n)[i]) for i in range(n)))
+        ensemble = Ensemble.from_vectors(np.eye(n))
         effects = [Effect(np.outer(np.eye(n)[i], np.eye(n)[i])) for i in range(n)]
         table = guessing_table(ensemble, effects)
         assert eval_guessing(table) == 1.0
@@ -228,7 +228,7 @@ class TestGuessingTable:
         omega = average_state(ensemble)
         w, v = np.linalg.eigh(omega.matrix)
         inv_sqrt = (v * (1 / np.sqrt(w))) @ v.conj().T
-        effects = [Effect(inv_sqrt @ (s.matrix / 4) @ inv_sqrt) for s in ensemble.states]
+        effects = [Effect(inv_sqrt @ (m / 4) @ inv_sqrt) for m in ensemble.matrices()]
         value = eval_guessing(guessing_table(ensemble, effects))
         assert value <= 0.5 + 1e-9
         assert value == pytest.approx(0.5, abs=1e-9)
