@@ -31,6 +31,10 @@ from .witnesses import (
 
 #: Enumeration refuses to visit more canonical encodings than this.
 SEARCH_GUARD = 10**7
+#: Enumeration refuses more preparations than this. It bounds N where the
+#: guard cannot: at d = 1 there is one encoding for every N, but the pair
+#: witnesses still build N(N-1)/2 labels and decoding entries.
+ENUMERATION_MAX_N = 1000
 
 
 def _canonical_count(n: int, d: int) -> int:
@@ -92,16 +96,18 @@ def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> Probab
 def _canonical_encodings(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """Restricted growth strings over at most d symbols, lexicographic order."""
     enc = [1] * n
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(enc)
+    top = [1] * n  # top[i] = max(enc[:i + 1]), the symbols used up to position i
+    while True:
+        yield tuple(enc)
+        # the last position that can still grow: past neither d nor 1 + the max before it
+        i = n - 1
+        while i and (enc[i] > top[i - 1] or enc[i] == d):
+            i -= 1
+        if not i:
             return
-        for s in range(1, min(used + 1, d) + 1):
-            enc[i] = s
-            yield from rec(i + 1, max(used, s))
-
-    yield from rec(0, 0)
+        enc[i] += 1
+        enc[i + 1 :] = [1] * (n - 1 - i)
+        top[i:] = [max(top[i - 1], enc[i])] * (n - i)
 
 
 def _pair_value(encoding: tuple[int, ...], labels) -> int:
@@ -140,13 +146,18 @@ def enumerate_max(
     guessing: map each message to a preparation that sends it). Ties between
     maximizing encodings resolve to the lexicographically smallest canonical
     one. The decoding covers the messages 1..min(d, N), the only ones an
-    encoding of N preparations sends. Raises ``TooLarge`` when the number of
-    canonical encodings exceeds the search guard.
+    encoding of N preparations sends. Raises ``TooLarge`` when N exceeds
+    ``ENUMERATION_MAX_N`` or the number of canonical encodings exceeds the
+    search guard.
     """
     n, dim = require_bound_args(n_preparations, dim)
     symbols = min(dim, n)
-    if _canonical_count(n, symbols) > SEARCH_GUARD:
+    # the count grows with N, so counting at most one item past the N bound
+    # decides the guard for every d >= 2 and never loops N times at d = 1
+    if _canonical_count(min(n, ENUMERATION_MAX_N + 1), symbols) > SEARCH_GUARD:
         raise TooLarge(f"N={n}, d={dim} has more than 10^7 canonical encodings, the search guard")
+    if n > ENUMERATION_MAX_N:
+        raise TooLarge(f"N={n} exceeds {ENUMERATION_MAX_N}, the largest N the enumeration takes")
 
     if kind is WitnessKind.GUESSING:
         best_used = -1

@@ -80,6 +80,18 @@ class Effect:
         return self.matrix.shape[0]
 
 
+def _complex_array(data, need: str) -> np.ndarray:
+    """``data`` as a complex array; ``BadArgument`` opening with ``need`` when it is ragged or not numeric."""
+    try:
+        return np.asarray(data, dtype=complex)
+    except (TypeError, ValueError):
+        try:
+            np.asarray(data)
+        except ValueError:
+            raise BadArgument(f"{need}, got a ragged input whose members differ in shape") from None
+        raise BadArgument(f"{need}, got entries that are not numbers") from None
+
+
 def _checked_vectors(stack: np.ndarray, what) -> np.ndarray:
     """Validate one amplitude vector, or a stack of them in one pass; return a read-only copy.
 
@@ -101,6 +113,28 @@ def _checked_vectors(stack: np.ndarray, what) -> np.ndarray:
     return stack
 
 
+def _uncertified_spectra(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The members of a Hermitian stack that need an eigensolve, and their ascending eigenvalues.
+
+    Every eigenvalue l of a Hermitian E obeys |l^2 - l| <= r = ||E^2 - E||_F,
+    so l < 0 gives |l| <= |l|(1 + |l|) <= r and l > 1 gives l - 1 <= l(l - 1)
+    <= r. A member with r <= min(POSITIVITY_TOL, EFFECT_CEILING_TOL) thus has
+    its spectrum inside [-POSITIVITY_TOL, 1 + EFFECT_CEILING_TOL], and both
+    the density and the effect check would accept it: a projector, up to
+    rounding, needs no solve. Returns the flat indices of the other members,
+    ascending, and one stacked ``eigvalsh`` of them, shape (len, d).
+    """
+    flat = mat.reshape(-1, mat.shape[-1], mat.shape[-1])
+    # entries near the float limit overflow to an infinite or NaN residual,
+    # which certifies nothing and sends the member to the solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.linalg.norm(flat @ flat - flat, axis=(1, 2))
+    solved = np.flatnonzero(~(residuals <= min(linalg.POSITIVITY_TOL, linalg.EFFECT_CEILING_TOL)))
+    if not solved.size:
+        return solved, np.empty((0, flat.shape[-1]))
+    return solved, np.linalg.eigvalsh(flat[solved])
+
+
 def _checked_densities(stack, what) -> np.ndarray:
     """Validate one density matrix, or a stack of them in one pass; return it read-only.
 
@@ -109,11 +143,12 @@ def _checked_densities(stack, what) -> np.ndarray:
     ``require_hermitian``.
     """
     mat = require_hermitian(stack, what)
-    lowest = np.linalg.eigvalsh(mat).reshape(-1, mat.shape[-1])[:, 0]
+    solved, eigenvalues = _uncertified_spectra(mat)
+    lowest = eigenvalues[:, 0]
     bad = np.flatnonzero(lowest < -linalg.POSITIVITY_TOL)
     if bad.size:
-        k = bad[0]
-        raise BadArgument(f"{member_name(what, k)} has negative eigenvalue {lowest[k]:.3e}")
+        j = bad[0]
+        raise BadArgument(f"{member_name(what, solved[j])} has negative eigenvalue {lowest[j]:.3e}")
     deviations = np.abs(np.trace(mat, axis1=-2, axis2=-1).real.reshape(-1) - 1.0)
     bad = np.flatnonzero(deviations > linalg.TRACE_ONE_TOL)
     if bad.size:
@@ -131,12 +166,12 @@ def _checked_effects(stack, what) -> np.ndarray:
     ``require_hermitian``.
     """
     mat = require_hermitian(stack, what)
-    eigenvalues = np.linalg.eigvalsh(mat).reshape(-1, mat.shape[-1])
+    solved, eigenvalues = _uncertified_spectra(mat)
     lo, hi = eigenvalues[:, 0], eigenvalues[:, -1]
     bad = np.flatnonzero((lo < -linalg.POSITIVITY_TOL) | (hi > 1 + linalg.EFFECT_CEILING_TOL))
     if bad.size:
-        k = bad[0]
-        raise BadArgument(f"{member_name(what, k)} spectrum [{lo[k]:.3e}, {hi[k]:.3e}] leaves [0, 1]")
+        j = bad[0]
+        raise BadArgument(f"{member_name(what, solved[j])} spectrum [{lo[j]:.3e}, {hi[j]:.3e}] leaves [0, 1]")
     mat.setflags(write=False)
     return mat
 
@@ -172,9 +207,10 @@ class Ensemble:
         checks to every member; the error names the first offending state as
         ``states[i]``, 0-based.
         """
-        vecs = np.asarray(vectors, dtype=complex)
+        need = "need a nonempty (N, d) stack of amplitude vectors"
+        vecs = _complex_array(vectors, need)
         if vecs.ndim != 2 or 0 in vecs.shape:
-            raise BadArgument(f"need a nonempty (N, d) stack of amplitude vectors, got shape {vecs.shape}")
+            raise BadArgument(f"{need}, got shape {vecs.shape}")
         vecs = _checked_vectors(vecs, lambda i: f"states[{i}]: state vector")
         outer = vecs[:, :, None] * vecs[:, None, :].conj()
         return cls._of_checked(_checked_densities(outer, lambda i: f"states[{i}]: density matrix"), vecs)
@@ -187,9 +223,10 @@ class Ensemble:
         the error names the first offending state as ``density_matrices[i]``,
         0-based.
         """
-        mats = np.asarray(matrices, dtype=complex)
+        need = "need a nonempty (N, d, d) stack of density matrices"
+        mats = _complex_array(matrices, need)
         if mats.ndim != 3 or mats.shape[0] < 1:
-            raise BadArgument(f"need a nonempty (N, d, d) stack of density matrices, got shape {mats.shape}")
+            raise BadArgument(f"{need}, got shape {mats.shape}")
         mats = _checked_densities(mats, lambda i: f"density_matrices[{i}]: density matrix")
         return cls._of_checked(mats, None)
 
@@ -232,10 +269,11 @@ class PairMeasurementSet:
     N: int
 
     def __init__(self, stack) -> None:
-        stack = np.asarray(stack, dtype=complex)
+        need = "need a (P, d, d) stack with P = N(N-1)/2 >= 1"
+        stack = _complex_array(stack, need)
         n = kernels.preparation_count(stack.shape[0] if stack.ndim == 3 else 0)
         if n is None:
-            raise BadArgument(f"need a (P, d, d) stack with P = N(N-1)/2 >= 1, got shape {stack.shape}")
+            raise BadArgument(f"{need}, got shape {stack.shape}")
         labels = pair_labels(n)
         object.__setattr__(self, "stack", _checked_effects(stack, lambda k: f"effect {labels[k]}"))
         object.__setattr__(self, "N", n)

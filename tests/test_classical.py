@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from dimwitness import (
     evaluate,
     strategy_table,
 )
+from dimwitness.classical import ENUMERATION_MAX_N, _canonical_encodings
 
 Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
 
@@ -70,6 +72,22 @@ class TestEnumerateMax:
     def test_guard(self):
         with pytest.raises(TooLarge):
             enumerate_max(Q, 30, 3)
+
+    def test_preparation_bound(self):
+        # the enumeration runs at the bound, deeper than the interpreter's recursion limit
+        assert enumerate_max(G, ENUMERATION_MAX_N, 1)[0] == 1 / ENUMERATION_MAX_N
+        with pytest.raises(TooLarge, match="exceeds 1000"):
+            enumerate_max(G, ENUMERATION_MAX_N + 1, 1)
+
+    def test_canonical_encodings_are_the_restricted_growth_strings_in_order(self):
+        for n in range(1, 8):
+            for d in range(1, n + 2):
+                # each symbol is at most one above every symbol before it
+                oracle = [
+                    enc for enc in itertools.product(range(1, d + 1), repeat=n)
+                    if all(s <= max(enc[:i], default=0) + 1 for i, s in enumerate(enc))
+                ]
+                assert list(_canonical_encodings(n, d)) == oracle, (n, d)
 
     @pytest.mark.parametrize("kind", [Q, L, G])
     def test_decoding_size_does_not_grow_with_dimension(self, kind):

@@ -96,9 +96,7 @@ class TestEnsembleLoadErrors:
             load_ensemble(tmp_path / "absent.json")
 
 
-def test_pure_file_and_helstrom_make_two_batched_eigensolves(tmp_path, monkeypatch):
-    path = tmp_path / "haar.json"
-    save_ensemble(random_pure_ensemble(np.random.default_rng(6), 30, 4), path)
+def _count_eigensolves(monkeypatch) -> list:
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -108,9 +106,28 @@ def test_pure_file_and_helstrom_make_two_batched_eigensolves(tmp_path, monkeypat
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_pure_file_and_helstrom_run_no_eigensolve(tmp_path, monkeypatch):
+    path = tmp_path / "haar.json"
+    save_ensemble(random_pure_ensemble(np.random.default_rng(6), 30, 4), path)
+    calls = _count_eigensolves(monkeypatch)
     helstrom_measurements(load_ensemble(path))
-    # one check of the 30 states, one of the 435 pair effects
-    assert calls == [("eigvalsh", (30, 4, 4)), ("eigvalsh", (435, 4, 4))]
+    # the pure states and their closed-form effects are projectors: the
+    # idempotency certificate checks both without a solve
+    assert calls == []
+
+
+def test_mixed_file_and_helstrom_solve_states_and_pair_differences(tmp_path, monkeypatch):
+    path = tmp_path / "mixed.json"
+    pure = random_pure_ensemble(np.random.default_rng(6), 30, 4)
+    save_ensemble(Ensemble.from_matrices(0.9 * pure.matrices() + 0.1 * np.eye(4) / 4), path)
+    calls = _count_eigensolves(monkeypatch)
+    helstrom_measurements(load_ensemble(path))
+    # the 30 mixed states need the positivity solve; the pair differences
+    # need one eigh for their projectors, which then pass by certificate
+    assert calls == [("eigvalsh", (30, 4, 4)), ("eigh", (435, 4, 4))]
 
 
 class TestTableRoundTrip:

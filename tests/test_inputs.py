@@ -323,6 +323,17 @@ class TestHugeCounts:
         assert code == 2 and out == ""
         assert err == "error: N=10000, d=3 has more than 10^7 canonical encodings, the search guard\n"
 
+    def test_single_message_enumeration_is_bounded_in_n(self, capsys):
+        # d = 1 has one encoding for every N, so the search guard alone never refuses it
+        code, out, err = run(capsys, "classical", "--witness", "linear", "--N", "1500", "--d", "1")
+        assert code == 2 and out == ""
+        assert err == "error: N=1500 exceeds 1000, the largest N the enumeration takes\n"
+
+    def test_single_message_count_check_does_not_loop_over_n(self, capsys):
+        code, out, err = run(capsys, "classical", "--witness", "guessing", "--N", str(10**150), "--d", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.endswith("exceeds 1000, the largest N the enumeration takes\n")
+
     def test_preparations_whose_square_overflows(self, capsys):
         code, out, err = run(capsys, "bounds", "--witness", "quadratic", "--N", str(10**160), "--d", "2")
         assert code == 2 and out == ""

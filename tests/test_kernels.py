@@ -163,6 +163,10 @@ class TestBatchedEffectCheck:
             with pytest.raises(BadArgument):
                 PairMeasurementSet(np.zeros((size, 2, 2)))
 
+    def test_ragged_stack(self):
+        with pytest.raises(BadArgument, match="ragged input whose members differ in shape$"):
+            PairMeasurementSet([np.eye(2) / 2, np.eye(3) / 3, np.eye(2) / 2])
+
     def test_stack_is_read_only(self):
         ms = helstrom_measurements(fourier_ensemble(3, 2))
         with pytest.raises(ValueError):

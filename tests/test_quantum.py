@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure, random_pure_ensemble, random_state_vector
+from conftest import (
+    random_density,
+    random_hermitian,
+    random_projector,
+    random_pure,
+    random_pure_ensemble,
+    random_state_vector,
+)
 from dimwitness import (
     BadArgument,
     DensityMatrix,
     DimensionMismatch,
     DimWitnessError,
+    Effect,
     Ensemble,
     NotPure,
+    PairMeasurementSet,
     StateVector,
     average_state,
     fidelity_pure,
@@ -16,11 +25,13 @@ from dimwitness import (
     helstrom_effect,
     helstrom_measurements,
     overlap_sum_identity_check,
+    pair_labels,
     pure_overlaps,
     pure_state,
     purity,
     trace_distance,
 )
+from dimwitness.quantum import _uncertified_spectra
 
 SQRT3_HALF = np.sqrt(3) / 2
 
@@ -150,6 +161,20 @@ class TestBatchedEnsemble:
         with pytest.raises(DimWitnessError) as err:
             Ensemble.from_matrices(np.ones(shape))
         assert "<function" not in str(err.value)
+
+    def test_from_vectors_refuses_ragged_input(self):
+        with pytest.raises(BadArgument, match="ragged input whose members differ in shape$"):
+            Ensemble.from_vectors([[1, 0], [1, 0, 0]])
+
+    def test_from_matrices_refuses_ragged_input(self):
+        with pytest.raises(BadArgument, match="ragged input whose members differ in shape$"):
+            Ensemble.from_matrices([np.eye(2) / 2, np.eye(3) / 3])
+
+    def test_constructors_refuse_entries_that_are_not_numbers(self):
+        with pytest.raises(BadArgument, match="not numbers$"):
+            Ensemble.from_vectors([["up", 0]])
+        with pytest.raises(BadArgument, match="not numbers$"):
+            Ensemble.from_matrices([[[{}, 0], [0, 1]]])
 
 
 class TestTraceDistance:
@@ -305,3 +330,103 @@ def test_pure_overlaps_matches_fidelity():
         for xp in range(4):
             f = fidelity_pure(witness(ensemble, x), witness(ensemble, xp))
             assert overlaps[x, xp] == pytest.approx(f * f, abs=1e-12)
+
+
+class TestSpectrumCertificate:
+    """The idempotency certificate decides every effect and state as a plain ``eigvalsh`` would."""
+
+    TOL = 1e-9
+
+    @staticmethod
+    def hermitian_noise(rng, dim, norm):
+        h = random_hermitian(rng, dim)
+        return norm * h / np.linalg.norm(h)
+
+    def effect_cases(self, rng, dim):
+        cases = []
+        for _ in range(8):
+            p = random_projector(rng, dim, int(rng.integers(0, dim + 1)))
+            cases += [p + self.hermitian_noise(rng, dim, eps) for eps in np.logspace(-11, -7, 9)]
+        for _ in range(6):
+            p = random_projector(rng, dim, int(rng.integers(1, dim + 1)))
+            cases += [(1 + 2e-9) * p, (1 - 2e-9) * p]
+        for _ in range(6):
+            # spectrum strictly inside (0, 1) in a random eigenbasis
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            cases.append((q * rng.uniform(0.05, 0.95, dim)) @ q.conj().T)
+        return cases
+
+    def state_cases(self, rng, dim):
+        cases = []
+        for _ in range(6):
+            rho = random_pure(rng, dim).matrix
+            cases += [rho + self.hermitian_noise(rng, dim, eps) for eps in np.logspace(-11, -7, 9)]
+            cases += [(1 + 2e-9) * rho, (1 - 2e-9) * rho]
+        cases += [random_density(rng, dim).matrix for _ in range(6)]
+        return cases
+
+    def plain_effect_error(self, m):
+        values = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if values[0] < -self.TOL or values[-1] > 1 + self.TOL:
+            return f"effect spectrum [{values[0]:.3e}, {values[-1]:.3e}] leaves [0, 1]"
+        return None
+
+    def plain_state_error(self, m):
+        h = (m + m.conj().T) / 2
+        lowest = np.linalg.eigvalsh(h)[0]
+        if lowest < -self.TOL:
+            return f"density matrix has negative eigenvalue {lowest:.3e}"
+        deviation = abs(np.trace(h).real - 1.0)
+        if deviation > self.TOL:
+            return f"density matrix trace deviates from 1 by {deviation:.3e}"
+        return None
+
+    @staticmethod
+    def error(build, arg):
+        try:
+            build(arg)
+        except BadArgument as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_effects_agree_with_eigvalsh(self, dim):
+        cases = self.effect_cases(np.random.default_rng(100 + dim), dim)
+        expected = [self.plain_effect_error(m) for m in cases]
+        assert [self.error(Effect, m) for m in cases] == expected
+        # both outcomes occur, and the (1 + 2e-9)-scaled projectors are refused
+        assert None in expected and any(expected)
+        scaled_up = slice(8 * 9, 8 * 9 + 12, 2)  # after the 8 x 9 noisy projectors
+        assert all(expected[scaled_up])
+        labels = pair_labels(4)
+        for start in range(0, len(cases), 6):
+            refused = [k for k in range(6) if expected[start + k]]
+            got = self.error(PairMeasurementSet, np.stack(cases[start : start + 6]))
+            if not refused:
+                assert got is None
+            else:
+                k = refused[0]
+                assert got == expected[start + k].replace("effect", f"effect {labels[k]}", 1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_states_agree_with_eigvalsh(self, dim):
+        cases = self.state_cases(np.random.default_rng(200 + dim), dim)
+        expected = [self.plain_state_error(m) for m in cases]
+        assert [self.error(DensityMatrix, m) for m in cases] == expected
+        assert None in expected and any(expected)
+        for start in range(0, len(cases), 6):
+            chunk = expected[start : start + 6]
+            # a stack is checked for positivity in full before its traces
+            refused = [k for k, e in enumerate(chunk) if e and "negative" in e] or [k for k, e in enumerate(chunk) if e]
+            got = self.error(Ensemble.from_matrices, np.stack(cases[start : start + 6]))
+            assert got == (f"density_matrices[{refused[0]}]: {chunk[refused[0]]}" if refused else None)
+
+    def test_only_members_off_the_certificate_are_solved(self):
+        rng = np.random.default_rng(7)
+        near = random_projector(rng, 3, 2) + self.hermitian_noise(rng, 3, 1e-10)
+        far = random_projector(rng, 3, 1) + self.hermitian_noise(rng, 3, 1e-8)
+        stack = np.stack([near, random_density(rng, 3).matrix, np.zeros((3, 3)), far])
+        stack = (stack + stack.conj().swapaxes(1, 2)) / 2
+        solved, eigenvalues = _uncertified_spectra(stack)
+        assert solved.tolist() == [1, 3]
+        assert np.array_equal(eigenvalues, np.linalg.eigvalsh(stack[[1, 3]]))
