@@ -8,7 +8,6 @@ attainability searches, and Born-rule simulation with optional noise.
 
 from .classical import (
     DeterministicStrategy,
-    balanced_partition_value,
     enumerate_max,
     strategy_table,
 )
@@ -54,11 +53,9 @@ from .seesaw import (
 )
 from .simulate import NoiseModel, born_table, depolarize, guessing_table, noisy_table
 from .witnesses import (
-    BoundReport,
     CertifiedDimensions,
     ProbabilityTable,
     WitnessKind,
-    bound_report,
     certify_dimension,
     classical_bound,
     eval_guessing,

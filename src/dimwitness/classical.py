@@ -15,6 +15,7 @@ relabelling; the reported maximizer is the lexicographically smallest one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -24,7 +25,6 @@ from .errors import BadArgument, IncompleteDecoding, TooLarge
 from .witnesses import (
     ProbabilityTable,
     WitnessKind,
-    classical_bound,
     pair_labels,
     require_bound_args,
 )
@@ -110,7 +110,8 @@ def _canonical_encodings(n: int, d: int) -> Iterator[tuple[int, ...]]:
         top[i:] = [max(top[i - 1], enc[i])] * (n - i)
 
 
-def _pair_value(encoding: tuple[int, ...], labels) -> int:
+def _pair_value(labels, encoding: tuple[int, ...]) -> int:
+    # labels first, so the argmax key is the positional partial(_pair_value, labels)
     return sum(1 for x, xp in labels if encoding[x - 1] != encoding[xp - 1])
 
 
@@ -160,32 +161,12 @@ def enumerate_max(
         raise TooLarge(f"N={n} exceeds {ENUMERATION_MAX_N}, the largest N the enumeration takes")
 
     if kind is WitnessKind.GUESSING:
-        best_used = -1
-        best_enc: tuple[int, ...] | None = None
-        for enc in _canonical_encodings(n, symbols):
-            used = len(set(enc))
-            if used > best_used:
-                best_used, best_enc = used, enc
-        assert best_enc is not None
-        strategy = DeterministicStrategy(n, dim, best_enc, _guessing_decoding(best_enc, n, symbols))
-        return best_used / n, strategy
-
-    labels = pair_labels(n)
-    best_value = -1
-    best_enc = None
-    for enc in _canonical_encodings(n, symbols):
-        value = _pair_value(enc, labels)
-        if value > best_value:
-            best_value, best_enc = value, enc
-    assert best_enc is not None
-    strategy = DeterministicStrategy(n, dim, best_enc, _pair_decoding(best_enc, labels, symbols))
-    return float(best_value), strategy
-
-
-def balanced_partition_value(n_preparations: int, dim: int) -> float:
-    """Distinctly-encoded pair count of the most balanced message assignment.
-
-    This closed form equals the deterministic maximum of both pair witnesses
-    and is what ``enumerate_max`` must reproduce.
-    """
-    return classical_bound(WitnessKind.QUADRATIC, n_preparations, dim)
+        score = max  # a canonical encoding uses exactly the messages 1..max
+    else:
+        labels = pair_labels(n)
+        score = functools.partial(_pair_value, labels)
+    # max keeps the first maximizer, the lexicographically smallest in canonical order
+    best = max(_canonical_encodings(n, symbols), key=score)
+    if kind is WitnessKind.GUESSING:
+        return score(best) / n, DeterministicStrategy(n, dim, best, _guessing_decoding(best, n, symbols))
+    return float(score(best)), DeterministicStrategy(n, dim, best, _pair_decoding(best, labels, symbols))

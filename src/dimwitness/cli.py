@@ -27,7 +27,6 @@ from .errors import DimWitnessError
 from .quantum import fourier_ensemble, helstrom_measurements
 from .witnesses import (
     WitnessKind,
-    bound_report,
     certify_dimension,
     classical_bound,
     evaluate,
@@ -53,17 +52,18 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_bounds(args) -> int:
     kind = WitnessKind(args.witness)
-    report = bound_report(kind, args.N, args.d)
-    if report.classical_bound is None:
+    quantum = quantum_bound(kind, args.N, args.d)
+    classical = classical_bound(kind, args.N, args.d)
+    if classical is None:
         classical_text = "requires enumeration (no closed form at this N, d)"
     else:
-        classical_text = _fmt(report.classical_bound)
+        classical_text = _fmt(classical)
     text = "\n".join(
         [
             f"witness: {kind.value}",
             f"N: {args.N}",
             f"d: {args.d}",
-            f"Q_d: {_fmt(report.quantum_bound)}",
+            f"Q_d: {_fmt(quantum)}",
             f"C_d: {classical_text}",
         ]
     )
@@ -71,9 +71,9 @@ def _cmd_bounds(args) -> int:
         "witness": kind.value,
         "N": args.N,
         "d": args.d,
-        "quantum_bound": report.quantum_bound,
-        "classical_bound": report.classical_bound,
-        "classical_bound_exact": report.classical_bound_exact,
+        "quantum_bound": quantum,
+        "classical_bound": classical,
+        "classical_bound_exact": classical is not None,
     }
     _emit(args, payload, text)
     return 0

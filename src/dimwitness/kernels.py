@@ -23,7 +23,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
 def pair_labels(n_preparations: int) -> tuple[tuple[int, int], ...]:
     """Measurement labels (x, x') with x > x', in lexicographic order.
 
@@ -39,9 +38,9 @@ def preparation_count(n_pairs: int) -> int | None:
     return n if n_pairs >= 1 and n * (n - 1) // 2 == n_pairs else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (x, x') of every pair, in ``pair_labels`` order."""
+    """0-based (x, x') of every pair, in ``pair_labels`` order; the see-saw asks at every step."""
     # the strict lower triangle in row-major order is exactly that order
     ix, ixp = np.tril_indices(n, k=-1)
     return _frozen(ix), _frozen(ixp)

@@ -33,18 +33,30 @@ def member_name(what: str | Callable[[int], str], k: int) -> str:
     return what if isinstance(what, str) else what(k)
 
 
+def complex_array(data, need: str) -> np.ndarray:
+    """``data`` as a complex array; ``BadArgument`` opening with ``need`` when it is ragged or not numeric."""
+    try:
+        return np.asarray(data, dtype=complex)
+    except (TypeError, ValueError):
+        try:
+            np.asarray(data)
+        except ValueError:
+            raise BadArgument(f"{need}, got a ragged input whose members differ in shape") from None
+        raise BadArgument(f"{need}, got entries that are not numbers") from None
+
+
 def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndarray:
     """Validate ``a`` as finite and Hermitian; return it symmetrized, as complex.
 
     ``a`` is one square matrix or a stack of shape (..., n, n), checked in
     one pass. ``what`` names the input in errors; for a stack it may be a
-    function naming member k of the flattened stack. Raises ``BadArgument``
-    on NaN or infinite entries and ``NotHermitian`` reporting the offending
-    deviation when the entrywise asymmetry exceeds ``HERMITIAN_TOL``.
+    function naming member k of the flattened stack. Raises ``BadArgument`` on
+    ragged, non-numeric, NaN or infinite entries and ``NotHermitian`` reporting
+    the offending deviation when the entrywise asymmetry exceeds ``HERMITIAN_TOL``.
     """
-    a = np.asarray(a, dtype=complex)
+    name = what if isinstance(what, str) else "every member of the stack"
+    a = complex_array(a, f"{name} must be a square matrix of numbers")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        name = what if isinstance(what, str) else "every member of the stack"
         raise NotHermitian(f"{name} must be square, got shape {a.shape}")
 
     adjoint = a.conj().swapaxes(-2, -1)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import kernels, linalg
 from .errors import BadArgument, DimensionMismatch, NotPure, require_int
-from .kernels import pair_labels
-from .linalg import member_name, require_hermitian, trace_norm
+from .linalg import complex_array, member_name, require_hermitian, trace_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,9 +29,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        need = "amplitudes must be a nonempty 1-D array"
+        amps = complex_array(self.amplitudes, need)
         if amps.ndim != 1 or amps.shape[0] < 1:
-            raise BadArgument(f"amplitudes must be a nonempty 1-D array, got shape {amps.shape}")
+            raise BadArgument(f"{need}, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", _checked_vectors(amps, "state vector"))
 
     @property
@@ -78,18 +78,6 @@ class Effect:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def _complex_array(data, need: str) -> np.ndarray:
-    """``data`` as a complex array; ``BadArgument`` opening with ``need`` when it is ragged or not numeric."""
-    try:
-        return np.asarray(data, dtype=complex)
-    except (TypeError, ValueError):
-        try:
-            np.asarray(data)
-        except ValueError:
-            raise BadArgument(f"{need}, got a ragged input whose members differ in shape") from None
-        raise BadArgument(f"{need}, got entries that are not numbers") from None
 
 
 def _checked_vectors(stack: np.ndarray, what) -> np.ndarray:
@@ -208,7 +196,7 @@ class Ensemble:
         ``states[i]``, 0-based.
         """
         need = "need a nonempty (N, d) stack of amplitude vectors"
-        vecs = _complex_array(vectors, need)
+        vecs = complex_array(vectors, need)
         if vecs.ndim != 2 or 0 in vecs.shape:
             raise BadArgument(f"{need}, got shape {vecs.shape}")
         vecs = _checked_vectors(vecs, lambda i: f"states[{i}]: state vector")
@@ -224,7 +212,7 @@ class Ensemble:
         0-based.
         """
         need = "need a nonempty (N, d, d) stack of density matrices"
-        mats = _complex_array(matrices, need)
+        mats = complex_array(matrices, need)
         if mats.ndim != 3 or mats.shape[0] < 1:
             raise BadArgument(f"{need}, got shape {mats.shape}")
         mats = _checked_densities(mats, lambda i: f"density_matrices[{i}]: density matrix")
@@ -270,12 +258,13 @@ class PairMeasurementSet:
 
     def __init__(self, stack) -> None:
         need = "need a (P, d, d) stack with P = N(N-1)/2 >= 1"
-        stack = _complex_array(stack, need)
+        stack = complex_array(stack, need)
         n = kernels.preparation_count(stack.shape[0] if stack.ndim == 3 else 0)
         if n is None:
             raise BadArgument(f"{need}, got shape {stack.shape}")
-        labels = pair_labels(n)
-        object.__setattr__(self, "stack", _checked_effects(stack, lambda k: f"effect {labels[k]}"))
+        # a refused effect names its pair from the index arrays; valid input builds no labels
+        object.__setattr__(self, "stack", _checked_effects(
+            stack, lambda k: f"effect {tuple(int(i[k]) + 1 for i in kernels.pair_index(n))}"))
         object.__setattr__(self, "N", n)
 
     @property
@@ -285,7 +274,7 @@ class PairMeasurementSet:
 
 def pure_state(amplitudes) -> DensityMatrix:
     """Density matrix of a unit vector, keeping the vector witness attached."""
-    vec = StateVector(np.asarray(amplitudes, dtype=complex))
+    vec = StateVector(amplitudes)
     return DensityMatrix(np.outer(vec.amplitudes, vec.amplitudes.conj()), vector=vec)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, DimWitnessError, NonMonotonic, require_int, require_seed
+from .errors import BadArgument, DimWitnessError, NonMonotonic, TooLarge, require_int, require_seed
 from .quantum import Ensemble, PairMeasurementSet
 from .witnesses import WitnessKind, quantum_bound
 
@@ -40,6 +40,8 @@ HISTORY = 8
 ARMIJO = 1e-4
 #: Step halvings before an iteration gives up; the restart then has stalled.
 MAX_HALVINGS = 40
+#: The search refuses restarts * N^2 past this, the entries of its (R, N, N) Gram stack.
+MAX_GRAM_ENTRIES = 10**7
 
 #: Dimensions d at which the linear-witness ceiling is numerically attainable
 #: for a given number of preparations N (the reference tightness table; see
@@ -79,6 +81,9 @@ class SeesawConfig:
             raise BadArgument("restarts must be at least 1")
         if self.max_iters < 1:
             raise BadArgument("max_iters must be at least 1")
+        if self.restarts * self.N**2 > MAX_GRAM_ENTRIES:
+            raise TooLarge(f"restarts={self.restarts} at N={self.N} needs more than 10^7 Gram entries "
+                           "(restarts * N^2), the see-saw's size bound")
         tol = self.improvement_tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
             raise BadArgument(f"improvement_tol must be finite and positive, got {tol!r}")

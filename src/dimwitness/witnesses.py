@@ -197,37 +197,6 @@ def _classical_ceiling(kind: WitnessKind, n: int, dim: int) -> float | None:
     return None
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Both ceilings of one witness at fixed (N, d).
-
-    ``classical_bound_exact`` is True when the classical value comes from a
-    closed form; False means it is absent here and requires the enumeration
-    oracle.
-    """
-
-    kind: WitnessKind
-    N: int
-    d: int
-    quantum_bound: float
-    classical_bound: float | None
-    classical_bound_exact: bool
-
-    def __post_init__(self) -> None:
-        if self.classical_bound is not None and self.classical_bound > self.quantum_bound + ANALYTIC_SLACK:
-            raise BadArgument(
-                f"classical bound {self.classical_bound} exceeds quantum bound {self.quantum_bound}"
-            )
-
-
-def bound_report(kind: WitnessKind, n_preparations: int, dim: int) -> BoundReport:
-    """Assemble quantum and (when closed-form) classical bounds."""
-    n, dim = require_bound_args(n_preparations, dim)
-    q = _quantum_ceiling(kind, n, dim)
-    c = _classical_ceiling(kind, n, dim)
-    return BoundReport(kind, n, dim, q, c, c is not None)
-
-
 class CertifiedDimensions(NamedTuple):
     min_quantum_d: int
     min_classical_d: int | None

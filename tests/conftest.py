@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dimwitness import DensityMatrix, Effect, Ensemble, pure_state
-from dimwitness import classical, files, kernels, quantum, witnesses
+from dimwitness import classical, files, kernels, witnesses
 
 
 def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -55,17 +55,21 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 @pytest.fixture
 def small_pair_labels(monkeypatch):
-    """Make ``pair_labels`` refuse N > 100 in every module that calls it.
+    """Make ``pair_labels`` and ``pair_index`` refuse N > 100 in every module that calls them.
 
     An input that sizes N from a label rather than from its pair count then
     fails the test at once instead of exhausting memory.
     """
-    original = kernels.pair_labels
 
-    def guarded(n):
-        if n > 100:
-            pytest.fail(f"pair_labels({n}) was sized from a label, not from the pair count")
-        return original(n)
+    def guard(original):
+        def guarded(n):
+            if n > 100:
+                pytest.fail(f"{original.__name__}({n}) was sized from a label, not from the pair count")
+            return original(n)
 
-    for module in (classical, files, kernels, quantum, witnesses):
-        monkeypatch.setattr(module, "pair_labels", guarded)
+        return guarded
+
+    for module in (classical, files, kernels, witnesses):
+        monkeypatch.setattr(module, "pair_labels", guard(kernels.pair_labels))
+    # quantum and seesaw reach the index arrays through the kernels module
+    monkeypatch.setattr(kernels, "pair_index", guard(kernels.pair_index))

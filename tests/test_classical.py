@@ -9,7 +9,7 @@ from dimwitness import (
     IncompleteDecoding,
     TooLarge,
     WitnessKind,
-    balanced_partition_value,
+    classical_bound,
     enumerate_max,
     eval_linear,
     eval_quadratic,
@@ -119,26 +119,26 @@ class TestEnumerateMax:
 
 class TestBalancedPartitionValue:
     def test_reference_values(self):
-        assert balanced_partition_value(7, 3) == 16.0
-        assert balanced_partition_value(6, 3) == 12.0
+        assert classical_bound(Q, 7, 3) == 16.0
+        assert classical_bound(Q, 6, 3) == 12.0
 
     def test_single_group(self):
         for n in range(2, 8):
-            assert balanced_partition_value(n, 1) == 0.0
+            assert classical_bound(Q, n, 1) == 0.0
 
     def test_agrees_with_enumeration_on_grid(self):
         for n in range(2, 9):
             for d in range(2, n + 1):
                 enum_value, _ = enumerate_max(Q, n, d)
-                assert enum_value == balanced_partition_value(n, d), (n, d)
+                assert enum_value == classical_bound(Q, n, d), (n, d)
                 linear_value, _ = enumerate_max(L, n, d)
                 assert linear_value == enum_value, (n, d)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(BadArgument):
-            balanced_partition_value(1, 2)
+            classical_bound(Q, 1, 2)
         with pytest.raises(BadArgument):
-            balanced_partition_value(4, 0)
+            classical_bound(Q, 4, 0)
 
 
 def test_linear_strategy_value_matches_table_evaluation():

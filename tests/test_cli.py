@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dimwitness import WitnessKind, classical_bound, quantum_bound
 from dimwitness.cli import main
 from dimwitness.files import load_ensemble
 
@@ -42,6 +43,35 @@ class TestBounds:
         payload = json.loads(out)
         assert abs(payload["quantum_bound"] - 49 / 3) <= 1e-12
         assert payload["classical_bound"] == 16
+
+    @pytest.mark.parametrize("kind", list(WitnessKind))
+    def test_json_and_text_report_the_closed_forms(self, capsys, kind):
+        # the grid holds linear entries away from d = N - 1, where there is no classical closed form
+        for n in (2, 3, 5, 7):
+            for d in (1, 2, 3, 6, 9):
+                argv = ("bounds", "--witness", kind.value, "--N", str(n), "--d", str(d))
+                classical = classical_bound(kind, n, d)
+                code, out, _ = run(capsys, *argv, "--json")
+                assert code == 0
+                assert json.loads(out) == {
+                    "witness": kind.value,
+                    "N": n,
+                    "d": d,
+                    "quantum_bound": quantum_bound(kind, n, d),
+                    "classical_bound": classical,
+                    "classical_bound_exact": classical is not None,
+                }
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                assert ("requires enumeration" in out) == (classical is None), (n, d)
+
+    def test_ceilings_that_round_past_each_other_are_reported(self, capsys):
+        # at N = 10^11 the float C_d rounds one ulp above the float Q_d, though exactly C_d < Q_d
+        code, out, err = run(capsys, "bounds", "--witness", "quadratic", "--N", str(10**11), "--d", "3", "--json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["classical_bound"] == classical_bound(WitnessKind.QUADRATIC, 10**11, 3)
+        assert payload["quantum_bound"] == quantum_bound(WitnessKind.QUADRATIC, 10**11, 3)
 
     def test_bad_flags_exit_2(self, capsys):
         assert run(capsys, "bounds", "--witness", "quadratic", "--N", "1", "--d", "2")[0] == 2

@@ -17,8 +17,6 @@ from dimwitness import (
     ShapeMismatch,
     StateVector,
     WitnessKind,
-    balanced_partition_value,
-    bound_report,
     certify_dimension,
     classical_bound,
     depolarize,
@@ -32,6 +30,7 @@ from dimwitness import (
 from dimwitness.cli import main
 from dimwitness.files import load_ensemble, load_seesaw_dump, load_table, save_table
 from dimwitness.simulate import NoiseModel, noisy_table
+from dimwitness.witnesses import require_bound_args
 
 
 def run(capsys, *argv):
@@ -180,20 +179,9 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize("kind", list(WitnessKind))
     @pytest.mark.parametrize("n, d", NON_INTEGER_SIZES)
-    def test_bound_report(self, kind, n, d):
-        with pytest.raises(BadArgument):
-            bound_report(kind, n, d)
-
-    @pytest.mark.parametrize("kind", list(WitnessKind))
-    @pytest.mark.parametrize("n, d", NON_INTEGER_SIZES)
     def test_enumerate_max(self, kind, n, d):
         with pytest.raises(BadArgument):
             enumerate_max(kind, n, d)
-
-    @pytest.mark.parametrize("n, d", NON_INTEGER_SIZES)
-    def test_balanced_partition_value(self, n, d):
-        with pytest.raises(BadArgument):
-            balanced_partition_value(n, d)
 
     @pytest.mark.parametrize("kind", list(WitnessKind))
     @pytest.mark.parametrize("n", [5.0, np.float64(4.0), 3.5, "5"])
@@ -217,8 +205,9 @@ class TestIntegerArguments:
             depolarize(pure_state([1.0, 0.0]), eta)
 
     def test_integral_values_are_kept_as_int(self):
-        report = bound_report(WitnessKind.QUADRATIC, np.int64(7), np.int32(3))
-        assert (report.N, report.d) == (7, 3) and type(report.d) is int
+        n, d = require_bound_args(np.int64(7), np.int32(3))
+        assert (n, d) == (7, 3) and type(n) is int and type(d) is int
+        assert classical_bound(WitnessKind.QUADRATIC, np.int64(7), np.int32(3)) == 16
         assert quantum_bound(WitnessKind.LINEAR, np.int64(5), np.int64(2)) == quantum_bound(WitnessKind.LINEAR, 5, 2)
         assert type(SeesawConfig(WitnessKind.LINEAR, np.int64(3), 2).N) is int
         assert NoiseModel(np.float64(0.25)).depolarizing_eta == 0.25
@@ -341,6 +330,16 @@ class TestHugeCounts:
 
     def test_largest_accepted_count_gives_finite_ceilings(self):
         for kind in WitnessKind:
-            report = bound_report(kind, 10**150, 2)
-            assert math.isfinite(report.quantum_bound)
-            assert report.classical_bound is None or math.isfinite(report.classical_bound)
+            assert math.isfinite(quantum_bound(kind, 10**150, 2))
+            classical = classical_bound(kind, 10**150, 2)
+            assert classical is None or math.isfinite(classical)
+
+    @pytest.mark.parametrize("argv", [
+        ("--N", "3", "--d", "2", "--restarts", str(10**20)),
+        ("--N", "5000", "--d", "2"),
+    ])
+    def test_seesaw_size_is_bounded(self, capsys, argv):
+        # restarts * N^2 sizes the stacked Gram matrices: 10^20 restarts, or 20 at N = 5000 (8 GB)
+        code, out, err = run(capsys, "seesaw", "--witness", "linear", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("the see-saw's size bound\n")

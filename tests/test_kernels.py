@@ -1,5 +1,7 @@
 """Stacked pair kernels against a per-pair oracle, and the batched effect check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from dimwitness import (
     Ensemble,
     NotHermitian,
     PairMeasurementSet,
+    WitnessKind,
     born_table,
+    enumerate_max,
     fourier_ensemble,
     helstrom_measurements,
     pair_differences,
@@ -91,6 +95,31 @@ def test_index_follows_pair_labels():
     n = 6
     ix, ixp = pair_index(n)
     assert [(x + 1, xp + 1) for x, xp in zip(ix, ixp)] == list(pair_labels(n))
+
+
+def retained_bytes(call) -> int:
+    """Memory that ``call()`` leaves allocated once it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_keeps_no_pair_labels():
+    # the 79,800 label tuples of N = 400 take ~8 MB; what stays is the
+    # interpreter's free list of small tuples, ~0.1 MB
+    enumerate_max(WitnessKind.LINEAR, 100, 1)
+    assert retained_bytes(lambda: enumerate_max(WitnessKind.LINEAR, 400, 1)) < 10**6
+
+
+def test_pair_index_cache_is_bounded():
+    # the index arrays of N = 300..319 take 14 MB together; the cache keeps only its last few N
+    retained = retained_bytes(lambda: [pair_index(n) for n in range(300, 320)])
+    kept = pair_index.cache_info().maxsize
+    assert kept is not None and retained < (kept + 1) * 2 * pair_index(320)[0].nbytes
 
 
 def unit_vectors(rng, shape):

@@ -30,6 +30,7 @@ from dimwitness import (
     pure_state,
     purity,
     trace_distance,
+    trace_norm,
 )
 from dimwitness.quantum import _uncertified_spectra
 
@@ -175,6 +176,27 @@ class TestBatchedEnsemble:
             Ensemble.from_vectors([["up", 0]])
         with pytest.raises(BadArgument, match="not numbers$"):
             Ensemble.from_matrices([[[{}, 0], [0, 1]]])
+
+    @pytest.mark.parametrize(
+        "build, data, message",
+        [
+            (Effect, [[1, 0], [0]], "effect must be a square matrix of numbers"),
+            (DensityMatrix, [[1, 0], [0]], "density matrix must be a square matrix of numbers"),
+            (trace_norm, [[1, 0], [0]], "matrix must be a square matrix of numbers"),
+            (StateVector, [1, [0]], "amplitudes must be a nonempty 1-D array"),
+            (pure_state, [1, [0]], "amplitudes must be a nonempty 1-D array"),
+        ],
+        ids=["Effect", "DensityMatrix", "trace_norm", "StateVector", "pure_state"],
+    )
+    def test_single_objects_refuse_ragged_input(self, build, data, message):
+        with pytest.raises(BadArgument) as err:
+            build(data)
+        assert str(err.value) == f"{message}, got a ragged input whose members differ in shape"
+
+    @pytest.mark.parametrize("build, data", [(Effect, [[{}, 0], [0, 1]]), (StateVector, ["up", 0])], ids=["Effect", "StateVector"])
+    def test_single_objects_refuse_entries_that_are_not_numbers(self, build, data):
+        with pytest.raises(BadArgument, match="not numbers$"):
+            build(data)
 
 
 class TestTraceDistance:

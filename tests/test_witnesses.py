@@ -10,7 +10,6 @@ from dimwitness import (
     ShapeMismatch,
     WitnessKind,
     born_table,
-    bound_report,
     certify_dimension,
     classical_bound,
     eval_guessing,
@@ -170,12 +169,6 @@ class TestBoundStructure:
                     assert abs(c - q) <= 1e-9, (n, d)
                 else:
                     assert c < q - 1e-9, (n, d)
-
-    def test_bound_report_flags(self):
-        report = bound_report(L, 5, 2)
-        assert report.classical_bound is None and not report.classical_bound_exact
-        report = bound_report(Q, 7, 3)
-        assert report.classical_bound == 16 and report.classical_bound_exact
 
 
 def test_linearization_consistency_on_nonnegative_tables():
