@@ -88,7 +88,8 @@ def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # also bytes that are not UTF-8, ints past Python's digit limit and too deep a nest
+        except (ValueError, RecursionError) as exc:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")

@@ -11,16 +11,13 @@ inputs at the edges and hand their arrays in here.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .linalg import ZERO_EIGENVALUE_TOL
 
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+#: The Helstrom effects and the see-saw refuse to build pair stacks with more entries than this.
+MAX_PAIR_ENTRIES = 10**7
 
 
 def pair_labels(n_preparations: int) -> tuple[tuple[int, int], ...]:
@@ -38,12 +35,10 @@ def preparation_count(n_pairs: int) -> int | None:
     return n if n_pairs >= 1 and n * (n - 1) // 2 == n_pairs else None
 
 
-@lru_cache(maxsize=4)
 def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (x, x') of every pair, in ``pair_labels`` order; the see-saw asks at every step."""
+    """0-based (x, x') of every pair, in ``pair_labels`` order; a caller that reuses them keeps them."""
     # the strict lower triangle in row-major order is exactly that order
-    ix, ixp = np.tril_indices(n, k=-1)
-    return _frozen(ix), _frozen(ixp)
+    return np.tril_indices(n, k=-1)
 
 
 def positive_projectors(deltas: np.ndarray) -> np.ndarray:

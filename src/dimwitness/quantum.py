@@ -1,8 +1,8 @@
 """Quantum objects: states, effects, ensembles, and discrimination tools.
 
 A single state is a density matrix with an optional pure-vector witness
-attached; an ensemble holds its states as one stack of matrices, plus one of
-vectors when it is pure. Operations that only make sense for pure states
+attached; an ensemble holds its states as one stack: of vectors when it is
+pure, of matrices otherwise. Operations that only make sense for pure states
 (overlap fidelity, the pairwise-overlap identity) require the vectors and
 raise ``NotPure`` otherwise. Binary pair measurements store only the b = 1
 effect -- the complement is implicit as identity minus it.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, linalg
-from .errors import BadArgument, DimensionMismatch, NotPure, require_int
+from .errors import BadArgument, DimensionMismatch, NotPure, TooLarge, require_int
 from .linalg import complex_array, member_name, require_hermitian, trace_norm
 
 
@@ -168,40 +168,39 @@ def _checked_effects(stack, what) -> np.ndarray:
 class Ensemble:
     """N preparations on a common Hilbert space.
 
-    The states are held as one validated, read-only (N, d, d) stack of
-    density matrices and, for a pure ensemble, the read-only (N, d) stack of
-    its amplitude vectors. ``from_vectors`` and ``from_matrices`` are the
-    constructors: each checks a whole stack in one pass.
+    The states are held as the one validated, read-only stack they were
+    built from: the (N, d) amplitude vectors of a pure ensemble or the
+    (N, d, d) density matrices of a mixed one. ``from_vectors`` and
+    ``from_matrices`` are the constructors: each checks a whole stack in one
+    pass.
     """
 
-    _matrices: np.ndarray
-    _vectors: np.ndarray | None
+    _stack: np.ndarray
 
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError("build an Ensemble with Ensemble.from_vectors or Ensemble.from_matrices")
 
     @classmethod
-    def _of_checked(cls, matrices: np.ndarray, vectors: np.ndarray | None) -> Ensemble:
+    def _of_checked(cls, stack: np.ndarray) -> Ensemble:
         self = cls.__new__(cls)
-        object.__setattr__(self, "_matrices", matrices)
-        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "_stack", stack)
         return self
 
     @classmethod
     def from_vectors(cls, vectors) -> Ensemble:
         """Pure ensemble from an (N, d) stack of unit amplitude vectors.
 
-        One batched pass applies the ``StateVector`` and ``DensityMatrix``
-        checks to every member; the error names the first offending state as
-        ``states[i]``, 0-based.
+        One batched pass applies the ``StateVector`` check to every member;
+        the error names the first offending state as ``states[i]``, 0-based.
+        The outer product of a vector that passes is a valid density matrix:
+        its trace is within ~2e-10 of 1 and ||E^2 - E||_F ~ 2e-10, so it
+        passes the ``DensityMatrix`` checks with no eigensolve.
         """
         need = "need a nonempty (N, d) stack of amplitude vectors"
         vecs = complex_array(vectors, need)
         if vecs.ndim != 2 or 0 in vecs.shape:
             raise BadArgument(f"{need}, got shape {vecs.shape}")
-        vecs = _checked_vectors(vecs, lambda i: f"states[{i}]: state vector")
-        outer = vecs[:, :, None] * vecs[:, None, :].conj()
-        return cls._of_checked(_checked_densities(outer, lambda i: f"states[{i}]: density matrix"), vecs)
+        return cls._of_checked(_checked_vectors(vecs, lambda i: f"states[{i}]: state vector"))
 
     @classmethod
     def from_matrices(cls, matrices) -> Ensemble:
@@ -215,31 +214,37 @@ class Ensemble:
         mats = complex_array(matrices, need)
         if mats.ndim != 3 or mats.shape[0] < 1:
             raise BadArgument(f"{need}, got shape {mats.shape}")
-        mats = _checked_densities(mats, lambda i: f"density_matrices[{i}]: density matrix")
-        return cls._of_checked(mats, None)
+        return cls._of_checked(_checked_densities(mats, lambda i: f"density_matrices[{i}]: density matrix"))
 
     @property
     def N(self) -> int:
-        return self._matrices.shape[0]
+        return self._stack.shape[0]
 
     @property
     def dim(self) -> int:
-        return self._matrices.shape[-1]
+        return self._stack.shape[-1]
 
     @property
     def pure(self) -> bool:
         """Whether the ensemble was built from amplitude vectors, so ``vectors()`` succeeds."""
-        return self._vectors is not None
+        return self._stack.ndim == 2
 
     def matrices(self) -> np.ndarray:
-        """Stacked density matrices, shape (N, d, d), read-only."""
-        return self._matrices
+        """Stacked density matrices, shape (N, d, d), read-only; a pure ensemble's are built per call."""
+        if not self.pure:
+            return self._stack
+        outer = self._stack[:, :, None] * self._stack[:, None, :].conj()
+        # symmetrized as require_hermitian does, so every diagonal entry is real
+        mats = outer + outer.conj().swapaxes(-2, -1)
+        mats /= 2.0
+        mats.setflags(write=False)
+        return mats
 
     def vectors(self) -> np.ndarray:
         """Stacked pure-state amplitudes, shape (N, d), read-only; requires a pure ensemble."""
-        if self._vectors is None:
+        if not self.pure:
             raise NotPure("not every state of the ensemble carries a pure-vector representation")
-        return self._vectors
+        return self._stack
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -312,10 +317,14 @@ def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
 
     For a pure ensemble the effects are the closed-form rank-one projectors
     of ``kernels.rank_one_projectors``; otherwise one stacked eigensolve gives
-    them. ``PairMeasurementSet`` checks them either way.
+    them. ``PairMeasurementSet`` checks them either way. A (P, d, d) stack of
+    more than ``kernels.MAX_PAIR_ENTRIES`` entries is refused with ``TooLarge``.
     """
     if ensemble.N < 2:
         raise BadArgument("pair measurements need at least two preparations")
+    if ensemble.N * (ensemble.N - 1) // 2 * ensemble.dim**2 > kernels.MAX_PAIR_ENTRIES:
+        raise TooLarge(f"N={ensemble.N}, d={ensemble.dim} needs more than 10^7 pair-effect entries "
+                       "(N(N-1)/2 * d^2), the Helstrom size bound")
     ix, ixp = kernels.pair_index(ensemble.N)
     if ensemble.pure:
         # the closed form wants unit vectors; a witness is unit only within tolerance

@@ -40,8 +40,6 @@ HISTORY = 8
 ARMIJO = 1e-4
 #: Step halvings before an iteration gives up; the restart then has stalled.
 MAX_HALVINGS = 40
-#: The search refuses restarts * N^2 past this, the entries of its (R, N, N) Gram stack.
-MAX_GRAM_ENTRIES = 10**7
 
 #: Dimensions d at which the linear-witness ceiling is numerically attainable
 #: for a given number of preparations N (the reference tightness table; see
@@ -81,9 +79,10 @@ class SeesawConfig:
             raise BadArgument("restarts must be at least 1")
         if self.max_iters < 1:
             raise BadArgument("max_iters must be at least 1")
-        if self.restarts * self.N**2 > MAX_GRAM_ENTRIES:
-            raise TooLarge(f"restarts={self.restarts} at N={self.N} needs more than 10^7 Gram entries "
-                           "(restarts * N^2), the see-saw's size bound")
+        # the final step's (R, P, d) stacks, for d >= 2 at least half the (R, N, N) Gram one, and the model
+        if self.N * (self.N - 1) // 2 * self.d * max(self.restarts, self.d) > kernels.MAX_PAIR_ENTRIES:
+            raise TooLarge(f"restarts={self.restarts} at N={self.N}, d={self.d} needs more than 10^7 entries "
+                           "(N(N-1)/2 * d * max(restarts, d)), the see-saw's size bound")
         tol = self.improvement_tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
             raise BadArgument(f"improvement_tol must be finite and positive, got {tol!r}")
@@ -132,7 +131,9 @@ def _pair_sum(terms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(terms).sum(axis=-1)
 
 
-def gram_witness(vecs: np.ndarray, quadratic: bool) -> tuple[np.ndarray, np.ndarray]:
+def gram_witness(
+    vecs: np.ndarray, quadratic: bool, pairs: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """Pair-witness value under optimal measurements and its gradient, stacked.
 
     ``vecs`` is an (R, N, d) stack of nonzero vectors standing for the pure
@@ -142,13 +143,14 @@ def gram_witness(vecs: np.ndarray, quadratic: bool) -> tuple[np.ndarray, np.ndar
     gradient is 2 (W o A^T) U with each row projected off u_x (the value
     ignores norms and phases) and divided by |v_x|. A pair of coincident
     states contributes no gradient, where the linear one would be infinite.
+    ``pairs`` is ``kernels.pair_index(N)``, built once by the caller.
     """
     norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
     u = vecs / norms
     gram = u.conj() @ np.swapaxes(u, -1, -2)
     # 1 - |A|^2 is the squared trace distance of each pair of states
     dist2 = np.maximum(1.0 - (gram.real**2 + gram.imag**2), 0.0)
-    ix, ixp = kernels.pair_index(vecs.shape[-2])
+    ix, ixp = pairs
     offdiag = ~np.eye(vecs.shape[-2], dtype=bool)
     if quadratic:
         values = _pair_sum(dist2[:, ix, ixp])
@@ -199,10 +201,11 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     ceiling = quantum_bound(cfg.witness, cfg.N, cfg.d)
     shape = (cfg.N, cfg.d)
     n_restarts = cfg.restarts
+    ix, ixp = kernels.pair_index(cfg.N)
 
     def witness(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the ascent runs on the real (re, im)-interleaved vectors, (R, 2Nd)
-        values, grad = gram_witness(points.view(complex).reshape(len(points), *shape), quadratic)
+        values, grad = gram_witness(points.view(complex).reshape(len(points), *shape), quadratic, (ix, ixp))
         return values, grad.reshape(len(points), -1).view(float)
 
     starts = [_random_pure_states(cfg.seed, r, *shape) for r in range(n_restarts)]
@@ -271,7 +274,6 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         steps, changes, rho, gamma = steps[keep], changes[keep], rho[keep], gamma[keep]
 
     # the reported model: the optimal measurements of the final states
-    ix, ixp = kernels.pair_index(cfg.N)
     vecs = x.view(complex).reshape(n_restarts, *shape)
     vecs = _fix_phase(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
     u, scale = kernels.rank_one_projectors(vecs[:, ix], vecs[:, ixp])

@@ -5,6 +5,8 @@ Everything is driven by explicitly seeded generators so failures reproduce.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,17 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarra
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2
+
+
+def retained_bytes(call) -> int:
+    """Memory that ``call()`` leaves allocated once it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

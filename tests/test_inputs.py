@@ -16,6 +16,7 @@ from dimwitness import (
     SeesawConfig,
     ShapeMismatch,
     StateVector,
+    TooLarge,
     WitnessKind,
     certify_dimension,
     classical_bound,
@@ -27,6 +28,7 @@ from dimwitness import (
     quantum_bound,
     verify_table2,
 )
+from dimwitness import kernels
 from dimwitness.cli import main
 from dimwitness.files import load_ensemble, load_seesaw_dump, load_table, save_table
 from dimwitness.simulate import NoiseModel, noisy_table
@@ -95,6 +97,36 @@ class TestNonFiniteFiles:
         code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--table", str(path))
         assert code == 2
         assert out == "" and "finite" in err
+
+
+class TestUndecodableFiles:
+    """A file that ``json`` cannot decode ends in one error line, exit 2, never a traceback."""
+
+    TABLE = b'{"witness": "quadratic", "N": 2, "m": 1, "k": 2, "p": [[[0.5, 0.5]], [[0.5, 0.5]]], "note": "%s"}'
+
+    @pytest.mark.parametrize("data", [
+        TABLE % b"\xff",
+        TABLE % "\u00e9".encode("latin-1"),
+        b'{"p": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ], ids=["byte-0xff", "latin-1", "nested-arrays"])
+    def test_table_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "t.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--table", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: not valid JSON")
+
+    @pytest.mark.parametrize("data", [
+        b'{"dim": 1, "states": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"dim": 1, "states": [[[1' + b"0" * 5000 + b', 0.0]], [[1.0, 0.0]]]}',
+    ], ids=["nested-arrays", "5001-digit-int"])
+    def test_ensemble_exits_2(self, capsys, tmp_path, data):
+        # a 5001-digit int passes the parser below Python 3.11, then the float-range check
+        path = tmp_path / "e.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -343,3 +375,35 @@ class TestHugeCounts:
         code, out, err = run(capsys, "seesaw", "--witness", "linear", *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("the see-saw's size bound\n")
+
+    @pytest.mark.parametrize("restarts", ["1", "100"])
+    def test_seesaw_pair_effects_are_bounded(self, capsys, restarts):
+        # N = 100 at d = 99 builds 4950 effects of 99 x 99 entries: a 3 GB peak with one restart
+        argv = ("--N", "100", "--d", "99", "--restarts", restarts, "--max-iters", "3")
+        code, out, err = run(capsys, "seesaw", "--witness", "linear", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("the see-saw's size bound\n")
+
+    def test_helstrom_effects_are_bounded(self, capsys, tmp_path):
+        # 100 pure states in d = 99: a 440 KB file whose Helstrom effects peak at 3 GB
+        vecs = np.eye(99)[np.arange(100) % 99]
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"dim": 99, "states": [[[float(a), 0.0] for a in v] for v in vecs]}))
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("the Helstrom size bound\n")
+
+    def test_size_bounds_are_inclusive(self, monkeypatch):
+        # N = 3 at d = 2: 3 pairs of 2 x 2 effects, and 3 * 2 * max(restarts, 2) see-saw entries
+        monkeypatch.setattr(kernels, "MAX_PAIR_ENTRIES", 12)
+        helstrom_measurements(fourier_ensemble(3, 2))
+        SeesawConfig(WitnessKind.LINEAR, 3, 2, restarts=2)
+        with pytest.raises(TooLarge, match="Helstrom size bound"):
+            helstrom_measurements(fourier_ensemble(4, 2))
+        with pytest.raises(TooLarge, match="see-saw's size bound"):
+            SeesawConfig(WitnessKind.LINEAR, 3, 2, restarts=3)
+        monkeypatch.setattr(kernels, "MAX_PAIR_ENTRIES", 11)
+        with pytest.raises(TooLarge, match="Helstrom size bound"):
+            helstrom_measurements(fourier_ensemble(3, 2))
+        with pytest.raises(TooLarge, match="see-saw's size bound"):
+            SeesawConfig(WitnessKind.LINEAR, 3, 2, restarts=1)

@@ -1,11 +1,9 @@
 """Stacked pair kernels against a per-pair oracle, and the batched effect check."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure_ensemble, random_state_vector
+from conftest import random_density, random_pure_ensemble, random_state_vector, retained_bytes
 from dimwitness import (
     BadArgument,
     Effect,
@@ -97,17 +95,6 @@ def test_index_follows_pair_labels():
     assert [(x + 1, xp + 1) for x, xp in zip(ix, ixp)] == list(pair_labels(n))
 
 
-def retained_bytes(call) -> int:
-    """Memory that ``call()`` leaves allocated once it returns."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_enumeration_keeps_no_pair_labels():
     # the 79,800 label tuples of N = 400 take ~8 MB; what stays is the
     # interpreter's free list of small tuples, ~0.1 MB
@@ -115,11 +102,9 @@ def test_enumeration_keeps_no_pair_labels():
     assert retained_bytes(lambda: enumerate_max(WitnessKind.LINEAR, 400, 1)) < 10**6
 
 
-def test_pair_index_cache_is_bounded():
-    # the index arrays of N = 300..319 take 14 MB together; the cache keeps only its last few N
-    retained = retained_bytes(lambda: [pair_index(n) for n in range(300, 320)])
-    kept = pair_index.cache_info().maxsize
-    assert kept is not None and retained < (kept + 1) * 2 * pair_index(320)[0].nbytes
+def test_pair_index_keeps_nothing():
+    # the index arrays of N = 300..319 take 14 MB together; once dropped, none of them stays
+    assert retained_bytes(lambda: [pair_index(n) for n in range(300, 320)]) < 10**5
 
 
 def unit_vectors(rng, shape):

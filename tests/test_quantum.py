@@ -8,6 +8,7 @@ from conftest import (
     random_pure,
     random_pure_ensemble,
     random_state_vector,
+    retained_bytes,
 )
 from dimwitness import (
     BadArgument,
@@ -32,6 +33,7 @@ from dimwitness import (
     trace_distance,
     trace_norm,
 )
+from dimwitness.linalg import UNIT_NORM_TOL
 from dimwitness.quantum import _uncertified_spectra
 
 SQRT3_HALF = np.sqrt(3) / 2
@@ -100,6 +102,20 @@ class TestBatchedEnsemble:
         assert not mixed.pure
         with pytest.raises(NotPure):
             mixed.vectors()
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 30])
+    def test_vectors_at_the_norm_tolerance_give_valid_matrices(self, sign, d):
+        # from_vectors runs no density check: a norm within UNIT_NORM_TOL implies it passes
+        rng = np.random.default_rng(d)
+        vecs = np.stack([random_state_vector(rng, d) for _ in range(6)]) * (1 + sign * 0.99 * UNIT_NORM_TOL)
+        pure = Ensemble.from_vectors(vecs)
+        assert Ensemble.from_matrices(pure.matrices()).matrices().tobytes() == pure.matrices().tobytes()
+
+    def test_a_pure_ensemble_keeps_only_its_vectors(self):
+        # the (1000, 100) vectors take 1.6 MB; their matrices would take 160 MB
+        kept = []
+        assert retained_bytes(lambda: kept.append(fourier_ensemble(1000, 100))) <= 2 * 10**6
 
     def test_constructors_are_the_only_way_in(self):
         with pytest.raises(TypeError, match="from_vectors or Ensemble.from_matrices"):

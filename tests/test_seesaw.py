@@ -150,7 +150,7 @@ class TestResultStructure:
         monkeypatch.setattr(seesaw, "_two_loop", lambda *args: -two_loop(*args))
         cfg = SeesawConfig(L, 3, 2, restarts=4, seed=2)
         starts = np.stack([seesaw._random_pure_states(2, r, 3, 2) for r in range(4)])
-        start_values, _ = seesaw.gram_witness(starts, quadratic=False)
+        start_values, _ = seesaw.gram_witness(starts, False, kernels.pair_index(3))
         result = optimize(cfg)
         assert all(v > s for v, s in zip(result.restart_values, start_values))
         assert quantum_bound(L, 3, 2) - result.best_value <= 1e-6
@@ -165,15 +165,16 @@ def test_gradient_matches_central_differences(kind):
     rng = np.random.default_rng(31)
     # unnormalized vectors: the value reads only the states they stand for
     vecs = rng.standard_normal((3, 5, 3)) + 1j * rng.standard_normal((3, 5, 3))
-    values, grad = seesaw.gram_witness(vecs, kind is Q)
+    pairs = kernels.pair_index(5)
+    values, grad = seesaw.gram_witness(vecs, kind is Q, pairs)
     h = 1e-6
     for unit in (1.0, 1j):
         numeric = np.zeros(vecs.shape)
         for idx in np.ndindex(vecs.shape[1:]):
             bump = np.zeros(vecs.shape, dtype=complex)
             bump[(slice(None),) + idx] = h * unit
-            up, _ = seesaw.gram_witness(vecs + bump, kind is Q)
-            down, _ = seesaw.gram_witness(vecs - bump, kind is Q)
+            up, _ = seesaw.gram_witness(vecs + bump, kind is Q, pairs)
+            down, _ = seesaw.gram_witness(vecs - bump, kind is Q, pairs)
             numeric[(slice(None),) + idx] = (up - down) / (2 * h)
         analytic = grad.real if unit == 1.0 else grad.imag
         assert np.max(np.abs(analytic - numeric)) <= 1e-8
