@@ -35,6 +35,7 @@ from .quantum import (
     average_state,
     fidelity_pure,
     fourier_ensemble,
+    helstrom_differences,
     helstrom_effect,
     helstrom_measurements,
     overlap_sum_identity_check,
@@ -64,6 +65,7 @@ from .witnesses import (
     evaluate,
     pair_differences,
     pair_labels,
+    pair_value,
     quantum_bound,
 )
 

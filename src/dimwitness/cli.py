@@ -9,6 +9,10 @@ Subcommands::
     reproduce  print the reference bound table (1) or tightness grid (2)
     classical  brute-force deterministic maximum vs the closed form
 
+``evaluate --ensemble F --helstrom`` reads a pair witness off the Helstrom
+pair differences, which are the pair trace distances
+(``quantum.helstrom_differences``): it builds no effects and no Born table.
+
 Exit codes: 0 on success, 2 for usage or validation problems, 3 for I/O
 problems. ``--json`` switches every subcommand to machine-readable output.
 """
@@ -22,14 +26,16 @@ import json
 import sys
 
 from . import classical as classical_mod
-from . import files, seesaw, simulate
+from . import files, seesaw
 from .errors import DimWitnessError
-from .quantum import fourier_ensemble, helstrom_measurements
+from .quantum import fourier_ensemble, helstrom_differences
+from .quantum import helstrom_measurements  # noqa: F401  bench/tracing.py wraps it as a cli attribute
 from .witnesses import (
     WitnessKind,
     certify_dimension,
     classical_bound,
     evaluate,
+    pair_value,
     quantum_bound,
 )
 
@@ -102,6 +108,7 @@ def _cmd_evaluate(args) -> int:
             raise DimWitnessError(
                 f"table declares witness '{declared.value}' but --witness is '{kind.value}'"
             )
+        n, value, empirical = table.N, evaluate(kind, table), table.empirical
     else:
         if kind is WitnessKind.GUESSING:
             raise DimWitnessError("--ensemble evaluation supports the pair witnesses; "
@@ -109,10 +116,9 @@ def _cmd_evaluate(args) -> int:
         if not args.helstrom:
             raise DimWitnessError("--ensemble needs --helstrom to derive the pair measurements")
         ensemble = files.load_ensemble(args.ensemble)
-        table = simulate.born_table(ensemble, helstrom_measurements(ensemble))
+        n, value, empirical = ensemble.N, pair_value(kind, helstrom_differences(ensemble)), False
 
-    value = evaluate(kind, table)
-    certified = certify_dimension(kind, table.N, value)
+    certified = certify_dimension(kind, n, value)
     classical_text = (
         "unknown (enumeration guard exceeded)"
         if certified.min_classical_d is None
@@ -120,20 +126,20 @@ def _cmd_evaluate(args) -> int:
     )
     lines = [
         f"witness: {kind.value}",
-        f"N: {table.N}",
+        f"N: {n}",
         f"value: {value:.6f}",
         f"min quantum dimension: {certified.min_quantum_d}",
         f"min classical dimension: {classical_text}",
     ]
-    if table.empirical:
+    if empirical:
         lines.append("note: table holds empirical frequencies")
     payload = {
         "witness": kind.value,
-        "N": table.N,
+        "N": n,
         "value": value,
         "min_quantum_d": certified.min_quantum_d,
         "min_classical_d": certified.min_classical_d,
-        "empirical": table.empirical,
+        "empirical": empirical,
     }
     _emit(args, payload, "\n".join(lines))
     return 0

@@ -25,6 +25,7 @@ with P = N(N-1)/2, so their keys are exactly the pairs of that N.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -88,9 +89,14 @@ def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        # also bytes that are not UTF-8, ints past Python's digit limit and too deep a nest
-        except (ValueError, RecursionError) as exc:
+        # also bytes that are not UTF-8 and too deep a nest
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+        # the one other ValueError: an int literal past Python's digit limit (3.11+), in valid JSON
+        except ValueError as exc:
+            raise FileFormatError(
+                f"{path}: holds an integer of more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     return data

@@ -72,21 +72,30 @@ def pair_differences(p1: np.ndarray) -> np.ndarray:
     return p1[ix, cols] - p1[ixp, cols]
 
 
-def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-part projectors scale |u><u| of |a><a| - |b><b| for stacked unit vectors (..., d).
+def pure_pair_gaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c = <a|b> and the positive eigenvalue s of |a><a| - |b><b| for stacked unit vectors (..., d).
 
-    With c = <a|b> and s = sqrt(1-|c|^2) the positive eigenvalue,
-    u = a - (conj(c)/(1+s)) b and scale = 1/<u|u> = (1+s)/(2 s^2); scale is 0
-    when s <= ``ZERO_EIGENVALUE_TOL``, as in ``positive_projectors``.
+    s = sqrt(1-|c|^2) is the trace distance of the two states; it is 0 when
+    s <= ``ZERO_EIGENVALUE_TOL``, as in ``positive_projectors``.
     """
     c = np.einsum("...i,...i->...", a.conj(), b)
     # s as the norm of b's component orthogonal to a vanishes with it, where
     # sqrt(1-|c|^2) keeps rounding noise of order 1e-8 for identical states
     s = np.linalg.norm(b - c[..., None] * a, axis=-1)
+    return c, np.where(s > ZERO_EIGENVALUE_TOL, s, 0.0)
+
+
+def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-part projectors scale |u><u| of |a><a| - |b><b| for stacked unit vectors (..., d).
+
+    With (c, s) from ``pure_pair_gaps``, u = a - (conj(c)/(1+s)) b and
+    scale = 1/<u|u> = (1+s)/(2 s^2); scale is 0 where s is.
+    """
+    c, s = pure_pair_gaps(a, b)
     u = a - (c.conj() / (1.0 + s))[..., None] * b
     scale = np.zeros_like(s)
     norms = np.einsum("...i,...i->...", u.conj(), u).real
-    np.divide(1.0, norms, out=scale, where=s > ZERO_EIGENVALUE_TOL)
+    np.divide(1.0, norms, out=scale, where=s > 0.0)
     return u, scale
 
 

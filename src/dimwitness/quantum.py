@@ -312,6 +312,22 @@ def helstrom_effect(rho: DensityMatrix, sigma: DensityMatrix) -> Effect:
     return Effect(kernels.positive_projectors((rho.matrix - sigma.matrix)[None])[0])
 
 
+def _bounded_pair_index(ensemble: Ensemble, per_pair: int, counted: str) -> tuple[np.ndarray, np.ndarray]:
+    """``kernels.pair_index`` of the ensemble, once P * ``per_pair`` entries pass the size bound."""
+    if ensemble.N < 2:
+        raise BadArgument("pair measurements need at least two preparations")
+    if ensemble.N * (ensemble.N - 1) // 2 * per_pair > kernels.MAX_PAIR_ENTRIES:
+        raise TooLarge(f"N={ensemble.N}, d={ensemble.dim} needs more than 10^7 {counted}, "
+                       "the Helstrom size bound")
+    return kernels.pair_index(ensemble.N)
+
+
+def _unit_vectors(ensemble: Ensemble) -> np.ndarray:
+    # the closed forms want unit vectors; a witness is unit only within tolerance
+    vecs = ensemble.vectors()
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
 def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
     """Optimal discrimination effect for every preparation pair of the ensemble.
 
@@ -319,22 +335,41 @@ def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
     of ``kernels.rank_one_projectors``; otherwise one stacked eigensolve gives
     them. ``PairMeasurementSet`` checks them either way. A (P, d, d) stack of
     more than ``kernels.MAX_PAIR_ENTRIES`` entries is refused with ``TooLarge``.
+    A pair witness needs only the differences these effects give, which
+    ``helstrom_differences`` returns without building them.
     """
-    if ensemble.N < 2:
-        raise BadArgument("pair measurements need at least two preparations")
-    if ensemble.N * (ensemble.N - 1) // 2 * ensemble.dim**2 > kernels.MAX_PAIR_ENTRIES:
-        raise TooLarge(f"N={ensemble.N}, d={ensemble.dim} needs more than 10^7 pair-effect entries "
-                       "(N(N-1)/2 * d^2), the Helstrom size bound")
-    ix, ixp = kernels.pair_index(ensemble.N)
+    ix, ixp = _bounded_pair_index(ensemble, ensemble.dim**2, "pair-effect entries (N(N-1)/2 * d^2)")
     if ensemble.pure:
-        # the closed form wants unit vectors; a witness is unit only within tolerance
-        vecs = ensemble.vectors()
-        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs = _unit_vectors(ensemble)
         effects = kernels.rank_one_effects(*kernels.rank_one_projectors(vecs[ix], vecs[ixp]))
     else:
         rhos = ensemble.matrices()
         effects = kernels.positive_projectors(rhos[ix] - rhos[ixp])
     return PairMeasurementSet(effects)
+
+
+def helstrom_differences(ensemble: Ensemble) -> np.ndarray:
+    """Helstrom pair differences P(1|x,(x,x')) - P(1|x',(x,x')), shape (P,), in ``pair_labels`` order.
+
+    Under the effects of ``helstrom_measurements`` each difference is the
+    trace distance D(rho_x, rho_x'): the sum of the eigenvalues of
+    rho_x - rho_x' above ``ZERO_EIGENVALUE_TOL``. This computes it without
+    the effects or a Born table: as the s of ``kernels.pure_pair_gaps`` on
+    the renormalized vectors of a pure ensemble, with no eigensolve, or from
+    one stacked ``eigvalsh`` for a mixed one. Pair arrays of more than
+    ``kernels.MAX_PAIR_ENTRIES`` entries (P * d pure, P * d^2 mixed) are
+    refused with ``TooLarge``.
+    """
+    if ensemble.pure:
+        ix, ixp = _bounded_pair_index(ensemble, ensemble.dim, "pair entries (N(N-1)/2 * d)")
+        vecs = _unit_vectors(ensemble)
+        return kernels.pure_pair_gaps(vecs[ix], vecs[ixp])[1]
+    ix, ixp = _bounded_pair_index(ensemble, ensemble.dim**2, "pair-difference entries (N(N-1)/2 * d^2)")
+    rhos = ensemble.matrices()
+    deltas = rhos[ix]
+    deltas -= rhos[ixp]  # in place: one (P, d, d) array fewer at the size bound
+    values = np.linalg.eigvalsh(deltas)
+    return np.sum(values, axis=-1, where=values > linalg.ZERO_EIGENVALUE_TOL)
 
 
 def fourier_ensemble(n_states: int, dim: int) -> Ensemble:

@@ -116,17 +116,25 @@ def eval_guessing(table: ProbabilityTable) -> float:
     return float(np.mean(np.diagonal(table.p[:, 0, :])))
 
 
+def pair_value(kind: WitnessKind, differences: np.ndarray) -> float:
+    """A pair witness from its pair differences: their sum (linear) or their sum of squares (quadratic)."""
+    if kind is WitnessKind.QUADRATIC:
+        return float(np.dot(differences, differences))
+    if kind is WitnessKind.LINEAR:
+        return float(np.sum(differences))
+    raise BadArgument(f"the {kind.value} witness is not a pair witness")
+
+
 def eval_quadratic(table: ProbabilityTable) -> float:
     """Sum of squared pair differences; ranges over [0, N(N-1)/2]."""
     require_kind_shape(table, WitnessKind.QUADRATIC)
-    d = pair_differences(table)
-    return float(np.dot(d, d))
+    return pair_value(WitnessKind.QUADRATIC, pair_differences(table))
 
 
 def eval_linear(table: ProbabilityTable) -> float:
     """Sum of signed pair differences; ranges over [-N(N-1)/2, N(N-1)/2]."""
     require_kind_shape(table, WitnessKind.LINEAR)
-    return float(np.sum(pair_differences(table)))
+    return pair_value(WitnessKind.LINEAR, pair_differences(table))
 
 
 def evaluate(kind: WitnessKind, table: ProbabilityTable) -> float:

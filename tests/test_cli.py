@@ -4,9 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from dimwitness import WitnessKind, classical_bound, quantum_bound
+from dimwitness import (
+    Ensemble,
+    WitnessKind,
+    born_table,
+    certify_dimension,
+    classical_bound,
+    evaluate,
+    fourier_ensemble,
+    helstrom_measurements,
+    quantum_bound,
+)
 from dimwitness.cli import main
-from dimwitness.files import load_ensemble
+from dimwitness.files import load_ensemble, save_ensemble
 
 
 def run(capsys, *argv):
@@ -191,6 +201,33 @@ class TestEvaluate:
             run(capsys, "evaluate", "--witness", "guessing", "--ensemble", path, "--helstrom")[0]
             == 2
         )
+
+
+def _n30_ensembles():
+    rng = np.random.default_rng(30)
+    for d in range(2, 7):
+        yield f"fourier-d{d}", fourier_ensemble(30, d)
+        vecs = rng.standard_normal((30, d)) + 1j * rng.standard_normal((30, d))
+        haar = Ensemble.from_vectors(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+        yield f"haar-d{d}", haar
+        eta = rng.uniform(0.05, 0.3)
+        yield f"depolarized-d{d}", Ensemble.from_matrices((1 - eta) * haar.matrices() + eta * np.eye(d) / d)
+
+
+@pytest.mark.parametrize("kind", [WitnessKind.QUADRATIC, WitnessKind.LINEAR])
+def test_evaluate_helstrom_matches_the_effect_route(capsys, tmp_path, kind):
+    for name, ensemble in _n30_ensembles():
+        path = tmp_path / f"{name}.json"
+        save_ensemble(ensemble, path)
+        code, out, _ = run(capsys, "evaluate", "--witness", kind.value, "--ensemble", str(path), "--helstrom",
+                           "--json")
+        assert code == 0, name
+        payload = json.loads(out)
+        loaded = load_ensemble(path)
+        expected = evaluate(kind, born_table(loaded, helstrom_measurements(loaded)))
+        certified = certify_dimension(kind, 30, expected)
+        assert abs(payload["value"] - expected) <= 1e-12 * abs(expected), name
+        assert (payload["min_quantum_d"], payload["min_classical_d"]) == tuple(certified), name
 
 
 class TestSeesaw:

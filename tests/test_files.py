@@ -19,6 +19,7 @@ from dimwitness import (
     noisy_table,
     optimize,
 )
+from dimwitness.cli import main
 from dimwitness.files import (
     load_ensemble,
     load_seesaw_dump,
@@ -128,6 +129,29 @@ def test_mixed_file_and_helstrom_solve_states_and_pair_differences(tmp_path, mon
     # the 30 mixed states need the positivity solve; the pair differences
     # need one eigh for their projectors, which then pass by certificate
     assert calls == [("eigvalsh", (30, 4, 4)), ("eigh", (435, 4, 4))]
+
+
+def _evaluate_helstrom(path, capsys) -> None:
+    assert main(["evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom", "--json"]) == 0
+    capsys.readouterr()
+
+
+def test_evaluate_helstrom_on_a_pure_file_runs_no_eigensolve(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "haar.json"
+    save_ensemble(random_pure_ensemble(np.random.default_rng(6), 30, 4), path)
+    calls = _count_eigensolves(monkeypatch)
+    _evaluate_helstrom(path, capsys)
+    assert calls == []
+
+
+def test_evaluate_helstrom_on_a_mixed_file_solves_states_and_pair_spectra(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "mixed.json"
+    pure = random_pure_ensemble(np.random.default_rng(6), 30, 4)
+    save_ensemble(Ensemble.from_matrices(0.9 * pure.matrices() + 0.1 * np.eye(4) / 4), path)
+    calls = _count_eigensolves(monkeypatch)
+    _evaluate_helstrom(path, capsys)
+    # the state check, then the eigenvalues of the 435 pair differences
+    assert calls == [("eigvalsh", (30, 4, 4)), ("eigvalsh", (435, 4, 4))]
 
 
 class TestTableRoundTrip:

@@ -3,6 +3,7 @@ keep their empirical flag."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dimwitness import (
     BadArgument,
     DensityMatrix,
     Effect,
+    Ensemble,
     FileFormatError,
     ProbabilityTable,
     SeesawConfig,
@@ -23,6 +25,7 @@ from dimwitness import (
     depolarize,
     enumerate_max,
     fourier_ensemble,
+    helstrom_differences,
     helstrom_measurements,
     pure_state,
     quantum_bound,
@@ -127,6 +130,16 @@ class TestUndecodableFiles:
         code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python reads ints of any length")
+    def test_over_long_int_is_named_by_its_length(self, capsys, tmp_path):
+        # valid JSON that Python refuses to read; a CLI user cannot raise the limit
+        path = tmp_path / "e.json"
+        path.write_bytes(b'{"dim": 1, "states": [[[1' + b"0" * 5000 + b', 0.0]], [[1.0, 0.0]]]}')
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom")
+        assert code == 2 and out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: {path}: holds an integer of more than {limit} digits\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -385,13 +398,29 @@ class TestHugeCounts:
         assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("the see-saw's size bound\n")
 
     def test_helstrom_effects_are_bounded(self, capsys, tmp_path):
-        # 100 pure states in d = 99: a 440 KB file whose Helstrom effects peak at 3 GB
+        # 100 pure states in d = 99: a 440 KB file whose Helstrom effects would peak at 3 GB
         vecs = np.eye(99)[np.arange(100) % 99]
         path = tmp_path / "e.json"
         path.write_text(json.dumps({"dim": 99, "states": [[[float(a), 0.0] for a in v] for v in vecs]}))
-        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom")
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("the Helstrom size bound\n")
+        with pytest.raises(TooLarge, match="Helstrom size bound"):
+            helstrom_measurements(load_ensemble(path))
+        # evaluate builds no effects: 4950 pairs at trace distance 1, but for the one repeated state
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom",
+                             "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == 4949.0
+
+    @pytest.mark.parametrize("pure, entries", [(True, 6), (False, 12)])
+    def test_helstrom_differences_bound_is_inclusive(self, monkeypatch, pure, entries):
+        # N = 3 at d = 2: 3 pairs of 2 amplitudes (pure) or of 2 x 2 matrices (mixed)
+        ensemble = fourier_ensemble(3, 2)
+        if not pure:
+            ensemble = Ensemble.from_matrices(ensemble.matrices())
+        monkeypatch.setattr(kernels, "MAX_PAIR_ENTRIES", entries)
+        assert helstrom_differences(ensemble).shape == (3,)
+        monkeypatch.setattr(kernels, "MAX_PAIR_ENTRIES", entries - 1)
+        with pytest.raises(TooLarge, match="Helstrom size bound"):
+            helstrom_differences(ensemble)
 
     def test_size_bounds_are_inclusive(self, monkeypatch):
         # N = 3 at d = 2: 3 pairs of 2 x 2 effects, and 3 * 2 * max(restarts, 2) see-saw entries

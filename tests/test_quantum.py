@@ -22,10 +22,13 @@ from dimwitness import (
     StateVector,
     average_state,
     fidelity_pure,
+    born_table,
     fourier_ensemble,
+    helstrom_differences,
     helstrom_effect,
     helstrom_measurements,
     overlap_sum_identity_check,
+    pair_differences,
     pair_labels,
     pure_overlaps,
     pure_state,
@@ -273,6 +276,79 @@ class TestHelstrom:
         ensemble = fourier_ensemble(5, 3)
         ms = helstrom_measurements(ensemble)
         assert ms.N == 5 and ms.stack.shape == (10, 3, 3)
+
+
+def _pure_cases():
+    rng = np.random.default_rng(41)
+    haar = np.stack([random_state_vector(rng, 3) for _ in range(8)])
+    repeated = haar.copy()
+    repeated[3], repeated[5], repeated[6] = repeated[0], repeated[0], np.exp(0.7j) * repeated[1]
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (5, 1)))
+    # every norm at 0.99 of the tolerance, alternately above and below 1
+    near_unit = haar * (1 + 0.99 * UNIT_NORM_TOL * (-1.0) ** np.arange(8))[:, None]
+    return {"haar": haar, "repeated": repeated, "d1": phases, "near-unit": near_unit}
+
+
+def _mixed_cases():
+    rng = np.random.default_rng(42)
+    full = np.stack([random_density(rng, 3).matrix for _ in range(6)])
+    # rank 1 and rank 2 states in d = 4, and a pure state given as a matrix
+    deficient = np.stack([random_projector(rng, 4, 1 + x % 2) / (1 + x % 2) for x in range(6)])
+    identical = full.copy()
+    identical[2], identical[4] = identical[0], identical[0]
+    return {"full-rank": full, "rank-deficient": deficient, "identical": identical}
+
+
+class TestHelstromDifferences:
+    """The pair differences without effects equal the effect route and the trace distances."""
+
+    @staticmethod
+    def effect_route(ensemble):
+        return pair_differences(born_table(ensemble, helstrom_measurements(ensemble)))
+
+    @staticmethod
+    def trace_distances(ensemble):
+        rhos = [DensityMatrix(m) for m in ensemble.matrices()]
+        return np.array([trace_distance(rhos[x - 1], rhos[xp - 1]) for x, xp in pair_labels(ensemble.N)])
+
+    def assert_routes_agree(self, ensemble, atol=1e-12):
+        differences = helstrom_differences(ensemble)
+        assert differences.shape == (ensemble.N * (ensemble.N - 1) // 2,)
+        assert np.max(np.abs(differences - self.effect_route(ensemble))) <= atol
+        assert np.max(np.abs(differences - self.trace_distances(ensemble))) <= atol
+        return differences
+
+    @pytest.mark.parametrize("case", ["haar", "repeated", "d1"])
+    def test_pure(self, case):
+        differences = self.assert_routes_agree(Ensemble.from_vectors(_pure_cases()[case]))
+        if case == "repeated":
+            # pairs (4,1), (6,1), (6,4) and (7,2) hold one state twice
+            labels = pair_labels(8)
+            zeros = {labels[y] for y in np.flatnonzero(differences == 0.0)}
+            assert zeros == {(4, 1), (6, 1), (6, 4), (7, 2)}
+        if case == "d1":
+            assert np.all(differences == 0.0)
+
+    def test_pure_vectors_unit_only_within_tolerance(self):
+        vecs = _pure_cases()["near-unit"]
+        unit = Ensemble.from_vectors(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+        differences = helstrom_differences(Ensemble.from_vectors(vecs))
+        # the differences are those of the renormalized states
+        assert np.max(np.abs(differences - self.assert_routes_agree(unit))) <= 1e-15
+        # the other routes take the outer products as given, off by at most the norm slack
+        self.assert_routes_agree(Ensemble.from_vectors(vecs), atol=2 * UNIT_NORM_TOL + 1e-12)
+
+    @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "identical"])
+    def test_mixed(self, case):
+        differences = self.assert_routes_agree(Ensemble.from_matrices(_mixed_cases()[case]))
+        if case == "identical":
+            labels = pair_labels(6)
+            zeros = {labels[y] for y in np.flatnonzero(differences == 0.0)}
+            assert zeros == {(3, 1), (5, 1), (5, 3)}
+
+    def test_needs_two_preparations(self):
+        with pytest.raises(BadArgument, match="at least two preparations"):
+            helstrom_differences(fourier_ensemble(1, 1))
 
 
 class TestFourierEnsemble:

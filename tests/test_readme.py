@@ -20,6 +20,7 @@ def test_library_example_gives_the_values_it_shows():
     dw, value = namespace["dw"], namespace["value"]
     assert "# 12.25" in code
     assert value == pytest.approx(12.25, abs=1e-12)
+    assert namespace["same"] == pytest.approx(value, abs=1e-12)
     certified = dw.certify_dimension(dw.WitnessKind.QUADRATIC, 7, value)
     assert "\n# CertifiedDimensions(min_quantum_d=2, min_classical_d=3)\n" in code
     assert repr(certified) == "CertifiedDimensions(min_quantum_d=2, min_classical_d=3)"

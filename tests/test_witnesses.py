@@ -19,6 +19,7 @@ from dimwitness import (
     helstrom_measurements,
     pair_differences,
     pair_labels,
+    pair_value,
     quantum_bound,
 )
 
@@ -103,6 +104,13 @@ class TestEvaluators:
     def test_linear_fourier_helstrom_respects_ceiling(self):
         value = eval_linear(fourier_helstrom_table(4, 3))
         assert value <= quantum_bound(L, 4, 3) + 1e-9
+
+    def test_pair_value_sums_or_squares_and_refuses_guessing(self):
+        differences = np.array([0.5, -1.0, 0.25])
+        assert pair_value(L, differences) == -0.25
+        assert pair_value(Q, differences) == 1.3125
+        with pytest.raises(BadArgument, match="not a pair witness"):
+            pair_value(G, differences)
 
 
 class TestQuantumBound:
