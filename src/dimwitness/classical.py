@@ -27,6 +27,7 @@ from .witnesses import (
     WitnessKind,
     pair_labels,
     require_bound_args,
+    require_kind,
 )
 
 #: Enumeration refuses to visit more canonical encodings than this.
@@ -78,7 +79,7 @@ class DeterministicStrategy:
 def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> ProbabilityTable:
     """Deterministic 0/1 table P(b|x,y) = [decoding(y, encoding(x)) = b]."""
     n = strategy.N
-    m, k = kind.table_shape(n)
+    m, k = require_kind(kind).table_shape(n)
     p = np.zeros((n, m, k))
     for x in range(1, n + 1):
         symbol = strategy.encoding[x - 1]
@@ -151,7 +152,7 @@ def enumerate_max(
     ``ENUMERATION_MAX_N`` or the number of canonical encodings exceeds the
     search guard.
     """
-    n, dim = require_bound_args(n_preparations, dim)
+    n, dim = require_bound_args(kind, n_preparations, dim)
     symbols = min(dim, n)
     # the count grows with N, so counting at most one item past the N bound
     # decides the guard for every d >= 2 and never loops N times at d = 1

@@ -34,7 +34,7 @@ from .kernels import pair_labels, preparation_count
 from .quantum import Ensemble, PairMeasurementSet
 from .seesaw import SeesawResult
 from .simulate import require_compatible
-from .witnesses import ProbabilityTable, WitnessKind
+from .witnesses import ProbabilityTable, WitnessKind, require_kind_shape
 
 
 def _complex_to_json(a: np.ndarray) -> list[list[float]]:
@@ -153,7 +153,8 @@ def load_ensemble(path) -> Ensemble:
 
 
 def save_table(table: ProbabilityTable, kind: WitnessKind, path) -> None:
-    """Write a probability table together with its declared witness kind."""
+    """Write a probability table together with its declared witness kind, which its shape must match."""
+    require_kind_shape(table, kind)
     payload = {
         "witness": kind.value,
         "N": table.N,

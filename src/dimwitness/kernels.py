@@ -85,8 +85,8 @@ def pure_pair_gaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return c, np.where(s > ZERO_EIGENVALUE_TOL, s, 0.0)
 
 
-def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-part projectors scale |u><u| of |a><a| - |b><b| for stacked unit vectors (..., d).
+def rank_one_effects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Positive-part projectors scale |u><u| of |a><a| - |b><b| for stacked unit vectors (..., d), shape (..., d, d).
 
     With (c, s) from ``pure_pair_gaps``, u = a - (conj(c)/(1+s)) b and
     scale = 1/<u|u> = (1+s)/(2 s^2); scale is 0 where s is.
@@ -96,9 +96,4 @@ def rank_one_projectors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     scale = np.zeros_like(s)
     norms = np.einsum("...i,...i->...", u.conj(), u).real
     np.divide(1.0, norms, out=scale, where=s > 0.0)
-    return u, scale
-
-
-def rank_one_effects(u: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The effect stack scale |u><u| of ``rank_one_projectors``, shape (..., d, d)."""
     return scale[..., None, None] * np.einsum("...i,...j->...ij", u, u.conj())

@@ -332,7 +332,7 @@ def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
     """Optimal discrimination effect for every preparation pair of the ensemble.
 
     For a pure ensemble the effects are the closed-form rank-one projectors
-    of ``kernels.rank_one_projectors``; otherwise one stacked eigensolve gives
+    of ``kernels.rank_one_effects``; otherwise one stacked eigensolve gives
     them. ``PairMeasurementSet`` checks them either way. A (P, d, d) stack of
     more than ``kernels.MAX_PAIR_ENTRIES`` entries is refused with ``TooLarge``.
     A pair witness needs only the differences these effects give, which
@@ -341,7 +341,7 @@ def helstrom_measurements(ensemble: Ensemble) -> PairMeasurementSet:
     ix, ixp = _bounded_pair_index(ensemble, ensemble.dim**2, "pair-effect entries (N(N-1)/2 * d^2)")
     if ensemble.pure:
         vecs = _unit_vectors(ensemble)
-        effects = kernels.rank_one_effects(*kernels.rank_one_projectors(vecs[ix], vecs[ixp]))
+        effects = kernels.rank_one_effects(vecs[ix], vecs[ixp])
     else:
         rhos = ensemble.matrices()
         effects = kernels.positive_projectors(rhos[ix] - rhos[ixp])

@@ -7,10 +7,11 @@ x > x', the quadratic witness the sum of 1 - |A_xx'|^2 (a frame potential,
 after Benedetto & Fickus, Adv. Comput. Math. 18, 357, 2003). The search
 maximizes that smooth function of the states directly, by L-BFGS (Nocedal,
 Math. Comp. 35, 773, 1980) with an Armijo backtracking step, so the value
-rises strictly at every accepted step and no eigensolver is needed. The
-optimal measurements of the final states -- the rank-one Helstrom effects of
-``kernels.rank_one_projectors`` -- then give the reported model and value,
-which must not fall below the ascent's; the search asserts that.
+rises strictly at every accepted step and no eigensolver is needed. Each
+final pair difference is then read as the pair's trace distance, the value
+its optimal measurement attains (``kernels.pure_pair_gaps``); the final value
+must not fall below the ascent's, which the search asserts, and the best
+restart's model is its states with their ``helstrom_measurements``.
 
 Restarts draw independent Haar-random pure starting states from a
 counter-based Philox stream keyed by (seed, restart index) and advance in
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import kernels
 from .errors import BadArgument, DimWitnessError, NonMonotonic, TooLarge, require_int, require_seed
-from .quantum import Ensemble, PairMeasurementSet
-from .witnesses import WitnessKind, quantum_bound
+from .quantum import Ensemble, PairMeasurementSet, helstrom_measurements
+from .witnesses import WitnessKind, quantum_bound, require_kind
 
 #: Objective decrease beyond this from the ascent to its final model signals a bug.
 MONOTONIC_SLACK = 1e-9
@@ -69,7 +70,7 @@ class SeesawConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.witness not in (WitnessKind.QUADRATIC, WitnessKind.LINEAR):
+        if require_kind(self.witness) not in (WitnessKind.QUADRATIC, WitnessKind.LINEAR):
             raise BadArgument(f"see-saw supports the pair witnesses, not {self.witness.value}")
         for name in ("N", "d", "restarts", "max_iters"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
@@ -273,13 +274,10 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         ax, af, ag = ax[keep], af[keep], ag[keep]
         steps, changes, rho, gamma = steps[keep], changes[keep], rho[keep], gamma[keep]
 
-    # the reported model: the optimal measurements of the final states
+    # under the optimal measurements each pair difference is the pair's trace distance
     vecs = x.view(complex).reshape(n_restarts, *shape)
     vecs = _fix_phase(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
-    u, scale = kernels.rank_one_projectors(vecs[:, ix], vecs[:, ixp])
-    # tr(rho_x E_y) = scale_y |<u_y|psi_x>|^2 for pure states and rank-one effects
-    born = [np.abs(np.einsum("rpi,rpi->rp", u.conj(), vecs[:, side])) ** 2 for side in (ix, ixp)]
-    differences = scale * (born[0] - born[1])
+    differences = kernels.pure_pair_gaps(vecs[:, ix], vecs[:, ixp])[1]
     final = _pair_sum(differences**2 if quadratic else differences)
     fell = np.flatnonzero(final < values - MONOTONIC_SLACK)
     if fell.size:
@@ -296,10 +294,11 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             "this indicates a numerical inconsistency"
         )
 
+    ensemble = Ensemble.from_vectors(vecs[best])
     return SeesawResult(
         best_value=best_value,
-        ensemble=Ensemble.from_vectors(vecs[best]),
-        measurements=PairMeasurementSet(kernels.rank_one_effects(u[best], scale[best])),
+        ensemble=ensemble,
+        measurements=helstrom_measurements(ensemble),
         iterations_used=int(iterations.sum()),
         restart_values=tuple(float(v) for v in final),
         restart_sweeps=tuple(int(k) for k in iterations),

@@ -94,9 +94,16 @@ class ProbabilityTable:
         return self.p.shape[2]
 
 
+def require_kind(kind) -> WitnessKind:
+    """``kind`` if it is a ``WitnessKind``; anything else, its value as a string too, raises ``BadArgument``."""
+    if not isinstance(kind, WitnessKind):
+        raise BadArgument(f"witness kind must be a WitnessKind, got {kind!r}")
+    return kind
+
+
 def require_kind_shape(table: ProbabilityTable, kind: WitnessKind) -> None:
-    """Raise ``ShapeMismatch`` unless the table has the kind's shape."""
-    expected = kind.table_shape(table.N)
+    """Raise ``BadArgument`` unless ``kind`` is a ``WitnessKind``, ``ShapeMismatch`` unless the table has its shape."""
+    expected = require_kind(kind).table_shape(table.N)
     if (table.m, table.k) != expected:
         raise ShapeMismatch(
             f"{kind.value} witness with N={table.N} needs (m, k)={expected}, got ({table.m}, {table.k})"
@@ -118,7 +125,7 @@ def eval_guessing(table: ProbabilityTable) -> float:
 
 def pair_value(kind: WitnessKind, differences: np.ndarray) -> float:
     """A pair witness from its pair differences: their sum (linear) or their sum of squares (quadratic)."""
-    if kind is WitnessKind.QUADRATIC:
+    if require_kind(kind) is WitnessKind.QUADRATIC:
         return float(np.dot(differences, differences))
     if kind is WitnessKind.LINEAR:
         return float(np.sum(differences))
@@ -139,15 +146,16 @@ def eval_linear(table: ProbabilityTable) -> float:
 
 def evaluate(kind: WitnessKind, table: ProbabilityTable) -> float:
     """Dispatch to the evaluator for ``kind``."""
-    if kind is WitnessKind.GUESSING:
+    if require_kind(kind) is WitnessKind.GUESSING:
         return eval_guessing(table)
     if kind is WitnessKind.QUADRATIC:
         return eval_quadratic(table)
     return eval_linear(table)
 
 
-def require_bound_args(n_preparations: int, dim: int) -> tuple[int, int]:
-    """(N, d) of a ceiling or an enumeration as ``int``s: integers with 2 <= N <= 10^150, d >= 1."""
+def require_bound_args(kind: WitnessKind, n_preparations: int, dim: int) -> tuple[int, int]:
+    """(N, d) of a ceiling or an enumeration of ``kind`` as ``int``s: integers with 2 <= N <= 10^150, d >= 1."""
+    require_kind(kind)
     n, dim = require_int(n_preparations, "n_preparations"), require_int(dim, "dim")
     if n < 2:
         raise BadArgument(f"need at least 2 preparations, got {n}")
@@ -160,7 +168,7 @@ def require_bound_args(n_preparations: int, dim: int) -> tuple[int, int]:
 
 def quantum_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float:
     """Largest witness value reachable with dim-dimensional quantum systems."""
-    return _quantum_ceiling(kind, *require_bound_args(n_preparations, dim))
+    return _quantum_ceiling(kind, *require_bound_args(kind, n_preparations, dim))
 
 
 def _quantum_ceiling(kind: WitnessKind, n: int, dim: int) -> float:
@@ -193,7 +201,7 @@ def classical_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float |
     closed form is available; use the enumeration oracle in
     :mod:`dimwitness.classical` instead.
     """
-    return _classical_ceiling(kind, *require_bound_args(n_preparations, dim))
+    return _classical_ceiling(kind, *require_bound_args(kind, n_preparations, dim))
 
 
 def _classical_ceiling(kind: WitnessKind, n: int, dim: int) -> float | None:
@@ -232,7 +240,7 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
     Raises ``OutOfRange`` when ``value`` exceeds the unrestricted ceiling (or
     undershoots the witness range) by more than the numeric slack.
     """
-    n, _ = require_bound_args(n_preparations, 1)
+    n, _ = require_bound_args(kind, n_preparations, 1)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise BadArgument(f"witness value must be a finite number, got {value!r}")
     lo, hi = _witness_range(kind, n)

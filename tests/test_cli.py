@@ -257,17 +257,23 @@ class TestSeesaw:
         assert abs(payload["best_value"] - 20.416667) <= 1e-3
 
     def test_model_dump(self, capsys, tmp_path):
-        path = str(tmp_path / "model.json")
-        code, out, _ = run(
-            capsys,
-            "seesaw", "--witness", "linear", "--N", "3", "--d", "2", "--restarts", "3",
-            "--out", path,
-        )
-        assert code == 0
         from dimwitness.files import load_seesaw_dump
 
-        ensemble, measurements = load_seesaw_dump(path)
-        assert ensemble.N == 3 and measurements.N == 3
+        for witness in ("linear", "quadratic"):
+            path = str(tmp_path / f"{witness}.json")
+            code, out, _ = run(
+                capsys,
+                "seesaw", "--witness", witness, "--N", "3", "--d", "2", "--restarts", "3",
+                "--out", path, "--json",
+            )
+            assert code == 0
+            best = json.loads(out)["best_value"]
+            ensemble, measurements = load_seesaw_dump(path)
+            assert ensemble.N == 3 and measurements.N == 3
+            # the dumped states reproduce the see-saw's value under their Helstrom measurements
+            code, out, _ = run(capsys, "evaluate", "--witness", witness, "--ensemble", path, "--helstrom", "--json")
+            assert code == 0
+            assert json.loads(out)["value"] == pytest.approx(best, rel=1e-12, abs=0), witness
 
     def test_guessing_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from dimwitness import (
     NoiseModel,
     ProbabilityTable,
     SeesawConfig,
+    ShapeMismatch,
     WitnessKind,
     born_table,
     depolarize,
@@ -169,6 +170,14 @@ class TestTableRoundTrip:
         path.write_text('{"witness": "guessing", "N": 2, "m": 1, "k": 3, "p": [[[0.5, 0.25, 0.25]], [[0.5, 0.25, 0.25]]]}')
         with pytest.raises(FileFormatError):
             load_table(path)
+
+    def test_save_refuses_a_shape_the_kind_does_not_have(self, tmp_path):
+        path = tmp_path / "table.json"
+        ensemble = fourier_ensemble(4, 2)
+        table = born_table(ensemble, helstrom_measurements(ensemble))
+        with pytest.raises(ShapeMismatch, match="guessing witness with N=4"):
+            save_table(table, WitnessKind.GUESSING, path)
+        assert not path.exists()
 
     def test_unknown_witness(self, tmp_path):
         path = tmp_path / "table.json"

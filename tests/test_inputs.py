@@ -20,15 +20,19 @@ from dimwitness import (
     StateVector,
     TooLarge,
     WitnessKind,
+    born_table,
     certify_dimension,
     classical_bound,
     depolarize,
     enumerate_max,
+    evaluate,
     fourier_ensemble,
     helstrom_differences,
     helstrom_measurements,
+    pair_value,
     pure_state,
     quantum_bound,
+    strategy_table,
     verify_table2,
 )
 from dimwitness import kernels
@@ -250,7 +254,7 @@ class TestIntegerArguments:
             depolarize(pure_state([1.0, 0.0]), eta)
 
     def test_integral_values_are_kept_as_int(self):
-        n, d = require_bound_args(np.int64(7), np.int32(3))
+        n, d = require_bound_args(WitnessKind.QUADRATIC, np.int64(7), np.int32(3))
         assert (n, d) == (7, 3) and type(n) is int and type(d) is int
         assert classical_bound(WitnessKind.QUADRATIC, np.int64(7), np.int32(3)) == 16
         assert quantum_bound(WitnessKind.LINEAR, np.int64(5), np.int64(2)) == quantum_bound(WitnessKind.LINEAR, 5, 2)
@@ -273,6 +277,35 @@ class TestIntegerArguments:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+
+class TestWitnessKindArgument:
+    """A kind that is not a ``WitnessKind`` -- its value as a string too -- is refused, never coerced."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda kind, table, path: evaluate(kind, table),
+            lambda kind, table, path: pair_value(kind, np.ones(6)),
+            lambda kind, table, path: quantum_bound(kind, 7, 2),
+            lambda kind, table, path: classical_bound(kind, 7, 3),
+            lambda kind, table, path: certify_dimension(kind, 4, 3.0),
+            lambda kind, table, path: enumerate_max(kind, 4, 2),
+            lambda kind, table, path: strategy_table(enumerate_max(WitnessKind.QUADRATIC, 4, 2)[1], kind),
+            lambda kind, table, path: SeesawConfig(kind, 3, 2),
+            lambda kind, table, path: save_table(table, kind, path),
+        ],
+        ids=["evaluate", "pair_value", "quantum_bound", "classical_bound", "certify_dimension",
+             "enumerate_max", "strategy_table", "SeesawConfig", "save_table"],
+    )
+    def test_refused(self, call, tmp_path):
+        ensemble = fourier_ensemble(4, 2)
+        table = born_table(ensemble, helstrom_measurements(ensemble))
+        path = tmp_path / "table.json"
+        for kind in ("quadratic", "linear", None, 1):
+            with pytest.raises(BadArgument, match="WitnessKind"):
+                call(kind, table, path)
+        assert not path.exists()
 
 
 class TestBooleanCounts:

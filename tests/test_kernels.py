@@ -18,7 +18,7 @@ from dimwitness import (
     pair_differences,
     pair_labels,
 )
-from dimwitness.kernels import pair_index, positive_projectors, preparation_count, rank_one_projectors
+from dimwitness.kernels import pair_index, positive_projectors, preparation_count, rank_one_effects
 
 
 def positive_part(delta):
@@ -116,18 +116,18 @@ def projectors_of(vecs):
     return np.einsum("...i,...j->...ij", vecs, vecs.conj())
 
 
-def test_rank_one_projectors_match_stacked_eigensolve():
+def test_rank_one_effects_match_stacked_eigensolve():
     rng = np.random.default_rng(23)
     a, b = unit_vectors(rng, (4, 6, 3)), unit_vectors(rng, (4, 6, 3))
     # a row of identical pairs, and a pair orthogonal by Gram-Schmidt
     b[1] = a[1]
     b[0, 1] -= np.vdot(a[0, 1], b[0, 1]) * a[0, 1]
     b[0, 1] /= np.linalg.norm(b[0, 1])
-    u, scale = rank_one_projectors(a, b)
-    effects = scale[..., None, None] * projectors_of(u)
+    effects = rank_one_effects(a, b)
+    assert effects.shape == (4, 6, 3, 3)
     expected = positive_projectors(projectors_of(a) - projectors_of(b))
     assert np.max(np.abs(effects - expected)) <= 1e-12
-    assert np.all(scale[1] == 0.0)
+    assert np.all(effects[1] == 0.0)
     assert np.max(np.abs(effects[0, 1] - projectors_of(a[0, 1]))) <= 1e-12
 
 

@@ -65,9 +65,10 @@ class TestQuadraticSeesaw:
         assert abs(result.best_value - 49 / 3) <= 1e-4
 
     def test_reported_model_reproduces_value(self):
-        result = optimize(SeesawConfig(Q, 5, 3, restarts=5))
-        table = born_table(result.ensemble, result.measurements)
-        assert evaluate(Q, table) == pytest.approx(result.best_value, abs=1e-9)
+        for kind in (Q, L):
+            result = optimize(SeesawConfig(kind, 5, 3, restarts=5))
+            table = born_table(result.ensemble, result.measurements)
+            assert evaluate(kind, table) == pytest.approx(result.best_value, abs=1e-9), kind
 
 
 class TestLinearSeesaw:
@@ -133,14 +134,14 @@ class TestResultStructure:
         assert result.restart_stops == ("max_iters",) * 20
 
     def test_decreasing_final_measurement_names_its_restart(self, monkeypatch):
-        # shrunken effects make the final measurement step lose value
-        rank_one = kernels.rank_one_projectors
+        # halved trace distances make the final measurement step lose value
+        gaps = kernels.pure_pair_gaps
 
         def shrunk(a, b):
-            u, scale = rank_one(a, b)
-            return u, 0.5 * scale
+            c, s = gaps(a, b)
+            return c, 0.5 * s
 
-        monkeypatch.setattr(kernels, "rank_one_projectors", shrunk)
+        monkeypatch.setattr(kernels, "pure_pair_gaps", shrunk)
         with pytest.raises(NonMonotonic, match=r"^restart 0: final measurement step"):
             optimize(SeesawConfig(L, 4, 2, restarts=3))
 

@@ -36,3 +36,18 @@ def test_tracer_installs_and_uninstalls(tmp_path, capsys):
     assert code == 0 and json.loads(capsys.readouterr().out)["value"] == pytest.approx(9.0, abs=1e-12)
     assert {"files.load_ensemble", "witnesses.certify"} <= {span[0] for span in tracer.spans}
     assert (cli.helstrom_measurements, cli.evaluate, np.linalg.eigh, files.load_ensemble) == originals
+
+
+def test_tracer_spans_a_seesaw_dump(tmp_path, capsys):
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(dimwitness)
+        tracer.op = 0
+        code = cli.main(["seesaw", "--witness", "linear", "--N", "3", "--d", "2", "--restarts", "2",
+                         "--out", str(tmp_path / "model.json")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert {"seesaw.optimize", "files.save_dump"} <= {span[0] for span in tracer.spans}
+    assert tracer.counts[0]["seesaw.sweeps"] > 0
