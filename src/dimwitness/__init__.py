@@ -59,9 +59,6 @@ from .witnesses import (
     WitnessKind,
     certify_dimension,
     classical_bound,
-    eval_guessing,
-    eval_linear,
-    eval_quadratic,
     evaluate,
     pair_differences,
     pair_labels,

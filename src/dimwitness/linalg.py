@@ -18,7 +18,6 @@ from .errors import BadArgument, NotHermitian
 # reads its slack from these constants.
 HERMITIAN_TOL = 1e-10        # max |A - A^dag| entry allowed
 ZERO_EIGENVALUE_TOL = 1e-10  # eigenvalues with |l| <= this count as zero
-RESIDUAL_TOL = 1e-8          # eigenpair residual / orthonormality slack
 TRACE_ONE_TOL = 1e-9         # density-matrix trace deviation
 POSITIVITY_TOL = 1e-9        # allowed negative-eigenvalue excursion
 EFFECT_CEILING_TOL = 1e-9    # allowed effect eigenvalue excess above 1

@@ -1,10 +1,9 @@
 """Quantum objects: states, effects, ensembles, and discrimination tools.
 
-A single state is a density matrix with an optional pure-vector witness
-attached; an ensemble holds its states as one stack: of vectors when it is
-pure, of matrices otherwise. Operations that only make sense for pure states
-(overlap fidelity, the pairwise-overlap identity) require the vectors and
-raise ``NotPure`` otherwise. Binary pair measurements store only the b = 1
+A single state is a density matrix; an ensemble holds its states as one
+stack: of vectors when it is pure, of matrices otherwise. Operations that
+only make sense for pure states (overlap fidelity, the pairwise-overlap
+identity) require the vectors and raise ``NotPure`` otherwise. Binary pair measurements store only the b = 1
 effect -- the complement is implicit as identity minus it.
 
 Preparations are indexed 1-based, x in {1..N}; pair measurements are labelled
@@ -42,24 +41,12 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix.
-
-    ``vector`` optionally records a pure-state representation; when present
-    it must reproduce the matrix as its outer product.
-    """
+    """Hermitian, positive semidefinite, unit-trace matrix."""
 
     matrix: np.ndarray
-    vector: StateVector | None = None
 
     def __post_init__(self) -> None:
-        mat = _checked_densities(self.matrix, "density matrix")
-        if self.vector is not None:
-            if self.vector.dim != mat.shape[0]:
-                raise DimensionMismatch("vector witness dimension does not match the matrix")
-            outer = np.outer(self.vector.amplitudes, self.vector.amplitudes.conj())
-            if float(np.max(np.abs(mat - outer))) > linalg.RESIDUAL_TOL:
-                raise BadArgument("density matrix does not match its pure-vector witness")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _checked_densities(self.matrix, "density matrix"))
 
     @property
     def dim(self) -> int:
@@ -204,7 +191,7 @@ class Ensemble:
 
     @classmethod
     def from_matrices(cls, matrices) -> Ensemble:
-        """Ensemble from an (N, d, d) stack of density matrices, without pure witnesses.
+        """Mixed ensemble from an (N, d, d) stack of density matrices.
 
         One batched pass applies the ``DensityMatrix`` checks to every member;
         the error names the first offending state as ``density_matrices[i]``,
@@ -243,7 +230,7 @@ class Ensemble:
     def vectors(self) -> np.ndarray:
         """Stacked pure-state amplitudes, shape (N, d), read-only; requires a pure ensemble."""
         if not self.pure:
-            raise NotPure("not every state of the ensemble carries a pure-vector representation")
+            raise NotPure("the ensemble was built from density matrices, not amplitude vectors")
         return self._stack
 
 
@@ -278,9 +265,9 @@ class PairMeasurementSet:
 
 
 def pure_state(amplitudes) -> DensityMatrix:
-    """Density matrix of a unit vector, keeping the vector witness attached."""
-    vec = StateVector(amplitudes)
-    return DensityMatrix(np.outer(vec.amplitudes, vec.amplitudes.conj()), vector=vec)
+    """Density matrix |v><v| of a unit vector v, checked as a ``StateVector``."""
+    amps = StateVector(amplitudes).amplitudes
+    return DensityMatrix(np.outer(amps, amps.conj()))
 
 
 def _require_same_dim(a, b) -> None:
@@ -406,8 +393,8 @@ def overlap_sum_identity_check(ensemble: Ensemble) -> tuple[float, float]:
     Returns (lhs, rhs) with lhs the sum of squared overlaps over pairs
     x > x' and rhs = (N^2/2) tr(Omega^2) - N/2 for the uniform mixture
     Omega. The two agree for every pure ensemble, which makes this a useful
-    self-test of the ensemble plumbing. Raises ``NotPure`` when a state has
-    no vector representation.
+    self-test of the ensemble plumbing. Raises ``NotPure`` for an ensemble
+    built from density matrices.
     """
     lhs = float(np.sum(np.tril(pure_overlaps(ensemble), k=-1)))
     n = ensemble.N
@@ -416,7 +403,7 @@ def overlap_sum_identity_check(ensemble: Ensemble) -> tuple[float, float]:
 
 
 def pure_overlaps(ensemble: Ensemble) -> np.ndarray:
-    """Matrix of squared overlaps |<psi_x|psi_x'>|^2; requires pure witnesses."""
+    """Matrix of squared overlaps |<psi_x|psi_x'>|^2; requires a pure ensemble."""
     vectors = ensemble.vectors()
     gram = vectors.conj() @ vectors.T
     return np.abs(gram) ** 2

@@ -2,8 +2,9 @@
 
 Exact tables follow the Born rule P(b|x,y) = tr(rho_x M^b_y). Two optional
 distortions feed the certification pipeline with more realistic data:
-depolarizing noise applied to the states, and finite-shot sampling that
-replaces each cell with an empirical frequency. Every cell draws from its
+depolarizing noise, applied to the table through its linear action on the
+Born probabilities, and finite-shot sampling that replaces each cell with an
+empirical frequency. Every cell draws from its
 own counter-based Philox stream keyed by (seed, x, y), so tables are
 reproducible cell by cell regardless of evaluation order. One generator
 serves a whole table: before each cell it is reset to the fresh state of
@@ -49,16 +50,10 @@ def _require_eta(eta, name: str) -> None:
         raise BadArgument(f"{name} must lie in [0, 1], got {eta!r}")
 
 
-def _depolarized(rhos: np.ndarray, eta: float) -> np.ndarray:
-    """(1 - eta) rho + eta I/d for one (d, d) matrix or a stack of them."""
-    d = rhos.shape[-1]
-    return (1.0 - eta) * rhos + eta * np.eye(d) / d
-
-
 def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Mix a state with the maximally mixed one: (1 - eta) rho + eta I/d."""
     _require_eta(eta, "eta")
-    return DensityMatrix(_depolarized(rho.matrix, eta))
+    return DensityMatrix((1.0 - eta) * rho.matrix + eta * np.eye(rho.dim) / rho.dim)
 
 
 def require_compatible(ensemble: Ensemble, measurements: PairMeasurementSet) -> None:
@@ -88,10 +83,13 @@ def noisy_table(
 ) -> ProbabilityTable:
     """Pair-witness table after depolarizing and (optionally) finite sampling.
 
-    Depolarizing acts on the states before the Born rule. With ``shots`` set,
-    every (x, y) cell becomes the success frequency of that many Bernoulli
-    trials at the exact probability (clipped to [0, 1]), drawn with one
-    ``binomial`` call from the Philox stream keyed by [seed, (x << 32) | y].
+    Depolarizing is applied to the table: the Born rule is linear in the
+    state, so tr(rho_eta E_y) = (1 - eta) tr(rho E_y) + eta tr(E_y)/d for
+    rho_eta = (1 - eta) rho + eta I/d, and no depolarized state is built.
+    With ``shots`` set, every (x, y) cell becomes the success frequency of
+    that many Bernoulli trials at that probability (clipped to [0, 1]),
+    drawn with one ``binomial`` call from the Philox stream keyed by
+    [seed, (x << 32) | y].
     One bit generator serves the table: before each cell it is reset to that
     stream's fresh state (counter 0, empty buffer), so each cell gets the
     same draw as from its own new generator, independent of evaluation
@@ -99,25 +97,26 @@ def noisy_table(
     ``empirical``.
     """
     seed = require_seed(seed)
-    noisy = Ensemble.from_matrices(_depolarized(ensemble.matrices(), noise.depolarizing_eta))
-    exact = born_table(noisy, measurements)
+    eta = noise.depolarizing_eta
+    traces = np.trace(measurements.stack, axis1=1, axis2=2).real
+    p1 = (1.0 - eta) * born_table(ensemble, measurements).p[:, :, 0] + eta * traces / measurements.dim
     shots = noise.shots
     if shots is None:
-        return exact
+        return ProbabilityTable(np.stack([p1, 1.0 - p1], axis=2))
     key = [seed, 0]
     fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bit_generator = np.random.Philox(key=0)  # reset to a cell's stream before every draw
     rng = np.random.Generator(bit_generator)
     counts = []
-    for x, row in enumerate(np.clip(exact.p[:, :, 0], 0.0, 1.0).tolist(), start=1):
-        for y, p1 in enumerate(row, start=1):
+    for x, row in enumerate(np.clip(p1, 0.0, 1.0).tolist(), start=1):
+        for y, prob in enumerate(row, start=1):
             key[1] = (x << 32) | y
             bit_generator.state = fresh
-            counts.append(rng.binomial(shots, p1))
+            counts.append(rng.binomial(shots, prob))
     # int / int is correctly rounded for any shot count; a float64 array
     # division is not once counts pass 2**53.
-    freq = np.array([c / shots for c in counts]).reshape(exact.N, exact.m)
+    freq = np.array([c / shots for c in counts]).reshape(p1.shape)
     return ProbabilityTable(np.stack([freq, 1.0 - freq], axis=2), empirical=True)
 
 

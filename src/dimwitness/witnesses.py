@@ -117,12 +117,6 @@ def pair_differences(table: ProbabilityTable) -> np.ndarray:
     return kernels.pair_differences(table.p[:, :, 0])
 
 
-def eval_guessing(table: ProbabilityTable) -> float:
-    """Average probability of outcome b = x under preparation x."""
-    require_kind_shape(table, WitnessKind.GUESSING)
-    return float(np.mean(np.diagonal(table.p[:, 0, :])))
-
-
 def pair_value(kind: WitnessKind, differences: np.ndarray) -> float:
     """A pair witness from its pair differences: their sum (linear) or their sum of squares (quadratic)."""
     if require_kind(kind) is WitnessKind.QUADRATIC:
@@ -132,25 +126,16 @@ def pair_value(kind: WitnessKind, differences: np.ndarray) -> float:
     raise BadArgument(f"the {kind.value} witness is not a pair witness")
 
 
-def eval_quadratic(table: ProbabilityTable) -> float:
-    """Sum of squared pair differences; ranges over [0, N(N-1)/2]."""
-    require_kind_shape(table, WitnessKind.QUADRATIC)
-    return pair_value(WitnessKind.QUADRATIC, pair_differences(table))
-
-
-def eval_linear(table: ProbabilityTable) -> float:
-    """Sum of signed pair differences; ranges over [-N(N-1)/2, N(N-1)/2]."""
-    require_kind_shape(table, WitnessKind.LINEAR)
-    return pair_value(WitnessKind.LINEAR, pair_differences(table))
-
-
 def evaluate(kind: WitnessKind, table: ProbabilityTable) -> float:
-    """Dispatch to the evaluator for ``kind``."""
-    if require_kind(kind) is WitnessKind.GUESSING:
-        return eval_guessing(table)
-    if kind is WitnessKind.QUADRATIC:
-        return eval_quadratic(table)
-    return eval_linear(table)
+    """The ``kind`` witness of a table of its shape.
+
+    guessing: the average probability of outcome b = x under preparation x;
+    quadratic and linear: ``pair_value`` of the table's pair differences.
+    """
+    require_kind_shape(table, kind)
+    if kind is WitnessKind.GUESSING:
+        return float(np.mean(np.diagonal(table.p[:, 0, :])))
+    return pair_value(kind, pair_differences(table))
 
 
 def require_bound_args(kind: WitnessKind, n_preparations: int, dim: int) -> tuple[int, int]:

@@ -11,20 +11,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_density, random_povm, random_projector, random_pure, random_pure_ensemble
+from conftest import random_density, random_povm, random_projector, random_pure_ensemble, random_state_vector
 from dimwitness import (
     Effect,
     Ensemble,
     NoiseModel,
     SeesawConfig,
+    StateVector,
     WitnessKind,
     born_table,
     certify_dimension,
     classical_bound,
     enumerate_max,
-    eval_guessing,
-    eval_linear,
-    eval_quadratic,
+    evaluate,
     fidelity_pure,
     fourier_ensemble,
     guessing_table,
@@ -34,6 +33,7 @@ from dimwitness import (
     optimize,
     overlap_sum_identity_check,
     pair_differences,
+    pure_state,
     purity,
     quantum_bound,
     trace_distance,
@@ -74,7 +74,7 @@ def test_criterion_3_quadratic_bound_attainment_grid():
         for d in range(2, n + 1):
             ensemble = fourier_ensemble(n, d)
             table = born_table(ensemble, helstrom_measurements(ensemble))
-            value = eval_quadratic(table)
+            value = evaluate(Q, table)
             assert abs(value - quantum_bound(Q, n, d)) <= 1e-6, (n, d)
     elapsed = time.time() - started
     assert elapsed < 5.0
@@ -85,7 +85,7 @@ def test_criterion_4_linear_attainment_next_to_full_dimension():
     for d in (2, 3, 4, 5):
         ensemble = fourier_ensemble(d + 1, d)
         table = born_table(ensemble, helstrom_measurements(ensemble))
-        value = eval_linear(table)
+        value = evaluate(L, table)
         target = (d + 1) * math.sqrt(d * d - 1) / 2
         assert abs(value - target) <= 1e-6, d
         diffs = pair_differences(table)
@@ -122,13 +122,13 @@ def test_criterion_7_guessing_ceiling():
         d = int(rng.integers(2, n))
         ensemble = Ensemble.from_matrices(np.stack([random_density(rng, d).matrix for _ in range(n)]))
         effects = random_povm(rng, d, n)
-        value = eval_guessing(guessing_table(ensemble, effects))
+        value = evaluate(G, guessing_table(ensemble, effects))
         assert value <= d / n + 1e-8, (n, d, value)
     # equality through the orthonormal construction at d = N
     for n in (2, 4, 6):
         ensemble = Ensemble.from_vectors(np.eye(n))
         effects = [Effect(np.outer(np.eye(n)[i], np.eye(n)[i])) for i in range(n)]
-        assert eval_guessing(guessing_table(ensemble, effects)) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate(G, guessing_table(ensemble, effects)) == pytest.approx(1.0, abs=1e-12)
     report(7, "guessing value never exceeds d/N over 50 random models; equality at d=N")
 
 
@@ -147,8 +147,9 @@ def test_criterion_8_property_suites():
     # fidelity sandwich and pure-state saturation
     for _ in range(200):
         d = int(rng.integers(2, 6))
-        rho, sigma = random_pure(rng, d), random_pure(rng, d)
-        fid = fidelity_pure(rho.vector, sigma.vector)
+        psi, phi = (StateVector(random_state_vector(rng, d)) for _ in range(2))
+        rho, sigma = pure_state(psi.amplitudes), pure_state(phi.amplitudes)
+        fid = fidelity_pure(psi, phi)
         dist = trace_distance(rho, sigma)
         assert 1 - fid <= dist + 1e-8
         assert dist <= math.sqrt(1 - fid * fid) + 1e-8
@@ -185,12 +186,12 @@ def test_criterion_9_end_to_end_certification():
     ensemble = fourier_ensemble(7, 2)
     measurements = helstrom_measurements(ensemble)
     table = born_table(ensemble, measurements)
-    value = eval_quadratic(table)
+    value = evaluate(Q, table)
     certified = certify_dimension(Q, 7, value)
     assert certified == (2, 3)
 
     noisy = noisy_table(ensemble, measurements, NoiseModel(depolarizing_eta=0.5), seed=0)
-    noisy_value = eval_quadratic(noisy)
+    noisy_value = evaluate(Q, noisy)
     assert abs(noisy_value - 0.25 * 12.25) <= 1e-9  # pair differences scale by (1 - eta)
     assert certify_dimension(Q, 7, 3.0625).min_quantum_d == 2
     report(9, "N=7 qubit pipeline certifies (quantum 2, classical 3); eta=0.5 still forces quantum d>=2")

@@ -11,8 +11,6 @@ from dimwitness import (
     WitnessKind,
     classical_bound,
     enumerate_max,
-    eval_linear,
-    eval_quadratic,
     evaluate,
     strategy_table,
 )
@@ -27,16 +25,16 @@ class TestStrategyTable:
         table = strategy_table(strategy, Q)
         # the lone pair is (2, 1); the b=1 effect fires on preparation 2's symbol
         assert table.p[1, 0, 0] - table.p[0, 0, 0] == 1.0
-        assert eval_quadratic(table) == 1.0
+        assert evaluate(Q, table) == 1.0
 
     def test_single_message_carries_nothing(self):
         strategy = DeterministicStrategy(2, 1, (1, 1), {(1, 1): 1})
-        assert eval_quadratic(strategy_table(strategy, Q)) == 0.0
+        assert evaluate(Q, strategy_table(strategy, Q)) == 0.0
 
     def test_balanced_four_preparations(self):
         _, strategy = enumerate_max(Q, 4, 2)
         table = strategy_table(strategy, Q)
-        assert eval_quadratic(table) == 4.0  # 6 pairs, 2 within groups
+        assert evaluate(Q, table) == 4.0  # 6 pairs, 2 within groups
 
     def test_missing_decoding_entry(self):
         strategy = DeterministicStrategy(2, 2, (1, 2), {(1, 1): 1})
@@ -143,4 +141,4 @@ class TestBalancedPartitionValue:
 
 def test_linear_strategy_value_matches_table_evaluation():
     value, strategy = enumerate_max(L, 5, 3)
-    assert eval_linear(strategy_table(strategy, L)) == value
+    assert evaluate(L, strategy_table(strategy, L)) == value

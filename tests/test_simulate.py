@@ -18,9 +18,7 @@ from dimwitness import (
     average_state,
     born_table,
     depolarize,
-    eval_guessing,
-    eval_linear,
-    eval_quadratic,
+    evaluate,
     fourier_ensemble,
     guessing_table,
     helstrom_measurements,
@@ -29,6 +27,8 @@ from dimwitness import (
     pure_state,
     quantum_bound,
 )
+
+Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
 
 
 def basis_pair():
@@ -77,7 +77,7 @@ class TestBornTable:
     def test_fourier_helstrom_reference_value(self):
         ensemble = fourier_ensemble(7, 2)
         table = born_table(ensemble, helstrom_measurements(ensemble))
-        assert eval_quadratic(table) == pytest.approx(12.25, abs=1e-6)
+        assert evaluate(Q, table) == pytest.approx(12.25, abs=1e-6)
 
     def test_dimension_mismatch(self):
         ensemble = basis_pair()
@@ -95,7 +95,7 @@ class TestNoisyTable:
         ensemble = fourier_ensemble(4, 2)
         ms = helstrom_measurements(ensemble)
         table = noisy_table(ensemble, ms, NoiseModel(depolarizing_eta=1.0), seed=0)
-        assert eval_quadratic(table) == pytest.approx(0.0, abs=1e-24)
+        assert evaluate(Q, table) == pytest.approx(0.0, abs=1e-24)
 
     def test_noiseless_exact_equals_born(self):
         ensemble = fourier_ensemble(4, 2)
@@ -107,7 +107,7 @@ class TestNoisyTable:
         ms = helstrom_measurements(ensemble)
         table = noisy_table(ensemble, ms, NoiseModel(depolarizing_eta=0.1), seed=0)
         expected = 0.9 * 3 * np.sqrt(3) / 2
-        assert eval_linear(table) == pytest.approx(expected, abs=1e-10)
+        assert evaluate(L, table) == pytest.approx(expected, abs=1e-10)
 
     def test_depolarizing_linearity_per_pair(self):
         rng = np.random.default_rng(17)
@@ -119,6 +119,16 @@ class TestNoisyTable:
             exact = born_table(ensemble, ms)
             deviation = pair_differences(noisy) - (1 - eta) * pair_differences(exact)
             assert np.max(np.abs(deviation)) <= 1e-10
+
+    @pytest.mark.parametrize("n, d", [(7, 2), (10, 3), (12, 4), (20, 5), (30, 6)])
+    def test_table_space_depolarizing_matches_depolarized_states(self, n, d):
+        ensemble = fourier_ensemble(n, d)
+        ms = helstrom_measurements(ensemble)
+        for eta in (0.0, 0.05, 0.1, 0.37, 0.5, 1.0):
+            states = np.stack([depolarize(DensityMatrix(m), eta).matrix for m in ensemble.matrices()])
+            reference = born_table(Ensemble.from_matrices(states), ms).p
+            table = noisy_table(ensemble, ms, NoiseModel(depolarizing_eta=eta), seed=0)
+            assert np.max(np.abs(table.p - reference)) <= 1e-14
 
     def test_finite_shots_deterministic_and_flagged(self):
         ensemble = fourier_ensemble(4, 2)
@@ -140,15 +150,14 @@ class TestNoisyTable:
     def test_million_shot_convergence_on_reference_model(self):
         ensemble = fourier_ensemble(7, 2)
         ms = helstrom_measurements(ensemble)
-        exact = eval_quadratic(born_table(ensemble, ms))
+        exact = evaluate(Q, born_table(ensemble, ms))
         empirical = noisy_table(ensemble, ms, NoiseModel(shots=10**6), seed=7)
-        assert abs(eval_quadratic(empirical) - exact) <= 5e-3
+        assert abs(evaluate(Q, empirical) - exact) <= 5e-3
 
 
 def per_cell_frequencies(ensemble, measurements, eta, shots, seed):
     """Reference sampler: a new Philox generator keyed [seed, (x << 32) | y] per cell."""
-    noisy = Ensemble.from_matrices(np.stack([depolarize(DensityMatrix(m), eta).matrix for m in ensemble.matrices()]))
-    exact = born_table(noisy, measurements).p[:, :, 0]
+    exact = noisy_table(ensemble, measurements, NoiseModel(eta), seed).p[:, :, 0]
     freq = np.empty(exact.shape)
     for x in range(1, exact.shape[0] + 1):
         for y in range(1, exact.shape[1] + 1):
@@ -213,7 +222,7 @@ class TestGuessingTable:
         ensemble = Ensemble.from_vectors(np.eye(n))
         effects = [Effect(np.outer(np.eye(n)[i], np.eye(n)[i])) for i in range(n)]
         table = guessing_table(ensemble, effects)
-        assert eval_guessing(table) == 1.0
+        assert evaluate(G, table) == 1.0
         assert table.k == n
 
     def test_trivial_povm(self):
@@ -221,7 +230,7 @@ class TestGuessingTable:
         ensemble = fourier_ensemble(n, 2)
         effects = [Effect(np.eye(2) / n) for _ in range(n)]
         table = guessing_table(ensemble, effects)
-        assert eval_guessing(table) == pytest.approx(1 / n, abs=1e-12)
+        assert evaluate(G, table) == pytest.approx(1 / n, abs=1e-12)
 
     def test_square_root_measurement_respects_ceiling(self):
         ensemble = fourier_ensemble(4, 2)
@@ -229,7 +238,7 @@ class TestGuessingTable:
         w, v = np.linalg.eigh(omega.matrix)
         inv_sqrt = (v * (1 / np.sqrt(w))) @ v.conj().T
         effects = [Effect(inv_sqrt @ (m / 4) @ inv_sqrt) for m in ensemble.matrices()]
-        value = eval_guessing(guessing_table(ensemble, effects))
+        value = evaluate(G, guessing_table(ensemble, effects))
         assert value <= 0.5 + 1e-9
         assert value == pytest.approx(0.5, abs=1e-9)
 
@@ -253,5 +262,5 @@ def test_born_tables_respect_quantum_ceilings():
         d = int(rng.integers(2, n + 1))
         ensemble = random_pure_ensemble(rng, n, d)
         table = born_table(ensemble, helstrom_measurements(ensemble))
-        assert eval_quadratic(table) <= quantum_bound(WitnessKind.QUADRATIC, n, d) + 1e-8
-        assert eval_linear(table) <= quantum_bound(WitnessKind.LINEAR, n, d) + 1e-8
+        assert evaluate(Q, table) <= quantum_bound(Q, n, d) + 1e-8
+        assert evaluate(L, table) <= quantum_bound(L, n, d) + 1e-8

@@ -12,9 +12,7 @@ from dimwitness import (
     born_table,
     certify_dimension,
     classical_bound,
-    eval_guessing,
-    eval_linear,
-    eval_quadratic,
+    evaluate,
     fourier_ensemble,
     helstrom_measurements,
     pair_differences,
@@ -60,9 +58,9 @@ class TestTableValidation:
 
     def test_shape_check_per_kind(self):
         table = uniform_table(3, 3, 2)
-        assert eval_quadratic(table) == 0.0
+        assert evaluate(Q, table) == 0.0
         with pytest.raises(ShapeMismatch):
-            eval_guessing(table)
+            evaluate(G, table)
 
 
 class TestPairLabels:
@@ -76,33 +74,33 @@ class TestPairLabels:
 
 class TestEvaluators:
     def test_guessing_uniform(self):
-        assert eval_guessing(uniform_table(4, 1, 4)) == pytest.approx(0.25)
+        assert evaluate(G, uniform_table(4, 1, 4)) == pytest.approx(0.25)
 
     def test_guessing_perfect_identification(self):
         p = np.zeros((4, 1, 4))
         for x in range(4):
             p[x, 0, x] = 1.0
-        assert eval_guessing(ProbabilityTable(p)) == 1.0
+        assert evaluate(G, ProbabilityTable(p)) == 1.0
 
     def test_quadratic_equal_rows(self):
-        assert eval_quadratic(pair_table_from_rows(4, 0.7, 0.7)) == 0.0
+        assert evaluate(Q, pair_table_from_rows(4, 0.7, 0.7)) == 0.0
 
     def test_quadratic_perfect_discrimination(self):
         n = 5
-        assert eval_quadratic(pair_table_from_rows(n, 1.0, 0.0)) == n * (n - 1) / 2
+        assert evaluate(Q, pair_table_from_rows(n, 1.0, 0.0)) == n * (n - 1) / 2
 
     def test_quadratic_fourier_helstrom_reference_value(self):
-        assert eval_quadratic(fourier_helstrom_table(7, 2)) == pytest.approx(12.25, abs=1e-6)
+        assert evaluate(Q, fourier_helstrom_table(7, 2)) == pytest.approx(12.25, abs=1e-6)
 
     def test_linear_equal_rows(self):
-        assert eval_linear(pair_table_from_rows(4, 0.3, 0.3)) == 0.0
+        assert evaluate(L, pair_table_from_rows(4, 0.3, 0.3)) == 0.0
 
     def test_linear_fourier_helstrom_qubit(self):
         expected = 3 * math.sqrt(3) / 2
-        assert eval_linear(fourier_helstrom_table(3, 2)) == pytest.approx(expected, abs=1e-6)
+        assert evaluate(L, fourier_helstrom_table(3, 2)) == pytest.approx(expected, abs=1e-6)
 
     def test_linear_fourier_helstrom_respects_ceiling(self):
-        value = eval_linear(fourier_helstrom_table(4, 3))
+        value = evaluate(L, fourier_helstrom_table(4, 3))
         assert value <= quantum_bound(L, 4, 3) + 1e-9
 
     def test_pair_value_sums_or_squares_and_refuses_guessing(self):
@@ -192,7 +190,7 @@ def test_linearization_consistency_on_nonnegative_tables():
         p[:, :, 1] = 1.0 - p[:, :, 0]
         table = ProbabilityTable(p)
         m = len(labels)
-        assert eval_linear(table) <= math.sqrt(m) * math.sqrt(eval_quadratic(table)) + 1e-9
+        assert evaluate(L, table) <= math.sqrt(m) * math.sqrt(evaluate(Q, table)) + 1e-9
 
 
 def test_cauchy_schwarz_saturation_for_fourier_helstrom():
