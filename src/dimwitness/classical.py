@@ -21,7 +21,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import BadArgument, IncompleteDecoding, TooLarge
+from .errors import BadArgument, IncompleteDecoding, TooLarge, require_int
 from .witnesses import (
     ProbabilityTable,
     WitnessKind,
@@ -68,12 +68,18 @@ class DeterministicStrategy:
     decoding: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
+        for name in ("N", "d"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, 1))
         if len(self.encoding) != self.N:
             raise BadArgument(f"encoding must assign all {self.N} preparations")
-        if any(s < 1 or s > self.d for s in self.encoding):
-            raise BadArgument(f"encoding symbols must lie in 1..{self.d}")
-        object.__setattr__(self, "encoding", tuple(self.encoding))
-        object.__setattr__(self, "decoding", dict(self.decoding))
+        encoding = tuple(require_int(s, f"symbol of preparation {x}", 1, self.d)
+                         for x, s in enumerate(self.encoding, start=1))
+        decoding = dict(self.decoding)
+        for key, b in decoding.items():
+            if type(b) is not int:  # the type test alone keeps a large decoding cheap to check
+                decoding[key] = require_int(b, f"decoding{key}")
+        object.__setattr__(self, "encoding", encoding)
+        object.__setattr__(self, "decoding", decoding)
 
 
 def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> ProbabilityTable:

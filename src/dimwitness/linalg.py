@@ -44,6 +44,20 @@ def complex_array(data, need: str) -> np.ndarray:
         raise BadArgument(f"{need}, got entries that are not numbers") from None
 
 
+def real_array(data, need: str) -> np.ndarray:
+    """``data`` as a float array; ``BadArgument`` opening with ``need`` when it is ragged or holds no real numbers.
+
+    Only integers and floats pass: strings, bools and complex numbers are refused, not coerced.
+    """
+    try:
+        arr = np.asarray(data)
+    except (TypeError, ValueError):
+        raise BadArgument(f"{need}, got a ragged input whose members differ in shape") from None
+    if arr.dtype.kind not in "iuf":
+        raise BadArgument(f"{need}, got entries of type {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndarray:
     """Validate ``a`` as finite and Hermitian; return it symmetrized, as complex.
 

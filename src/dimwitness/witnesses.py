@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .errors import BadArgument, OutOfRange, ShapeMismatch, TooLarge, require_int
 from .kernels import pair_labels
-from .linalg import PROBABILITY_TOL, ROW_SUM_TOL
+from .linalg import PROBABILITY_TOL, ROW_SUM_TOL, real_array
 
 #: Comparison slack against closed-form bounds.
 ANALYTIC_SLACK = 1e-9
@@ -53,20 +53,24 @@ class WitnessKind(enum.Enum):
 class ProbabilityTable:
     """Conditional probabilities ``p[x-1, y-1, b-1] = P(b|x, y)``.
 
-    The array has shape (N, m, k). Each conditional distribution must be
-    normalized within tolerance; entries may undershoot 0 or overshoot 1 only
-    by the probability tolerance. Tables need not be realizable by any
-    quantum or classical model -- the witnesses are functionals on data.
+    The array has shape (N, m, k) and holds real numbers: ragged input and
+    string, bool or complex entries raise ``BadArgument``. Each conditional
+    distribution must be normalized within tolerance; entries may undershoot
+    0 or overshoot 1 only by the probability tolerance. Tables need not be
+    realizable by any quantum or classical model -- the witnesses are
+    functionals on data.
 
-    ``empirical`` marks tables whose cells are finite-shot frequencies rather
-    than exact model probabilities.
+    ``empirical``, a bool, marks tables whose cells are finite-shot
+    frequencies rather than exact model probabilities.
     """
 
     p: np.ndarray
     empirical: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.p, dtype=float)
+        if not isinstance(self.empirical, bool):
+            raise BadArgument(f"empirical must be True or False, got {self.empirical!r}")
+        arr = real_array(self.p, "a table must be an (N, m, k) array of real numbers")
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ShapeMismatch(f"table must have shape (N, m, k), got {arr.shape}")
         # NaN fails both comparisons, so the range check also catches it
@@ -118,8 +122,15 @@ def pair_differences(table: ProbabilityTable) -> np.ndarray:
 
 
 def pair_value(kind: WitnessKind, differences: np.ndarray) -> float:
-    """A pair witness from its pair differences: their sum (linear) or their sum of squares (quadratic)."""
-    if require_kind(kind) is WitnessKind.QUADRATIC:
+    """A pair witness from its pair differences: their sum (linear) or their sum of squares (quadratic).
+
+    ``differences`` must be a 1-D real array of N(N-1)/2 entries for some N >= 2, else ``BadArgument``.
+    """
+    require_kind(kind)
+    differences = real_array(differences, "pair differences must be a 1-D array of real numbers")
+    if differences.ndim != 1 or kernels.preparation_count(len(differences)) is None:
+        raise BadArgument(f"need N(N-1)/2 pair differences for some N >= 2, got shape {differences.shape}")
+    if kind is WitnessKind.QUADRATIC:
         return float(np.dot(differences, differences))
     if kind is WitnessKind.LINEAR:
         return float(np.sum(differences))

@@ -79,13 +79,13 @@ class TestEnumerateMax:
 
     def test_canonical_encodings_are_the_restricted_growth_strings_in_order(self):
         for n in range(1, 8):
+            # each symbol is at most one above every symbol before it, so none passes n
+            oracle = [
+                enc for enc in itertools.product(range(1, n + 1), repeat=n)
+                if all(s <= max(enc[:i], default=0) + 1 for i, s in enumerate(enc))
+            ]
             for d in range(1, n + 2):
-                # each symbol is at most one above every symbol before it
-                oracle = [
-                    enc for enc in itertools.product(range(1, d + 1), repeat=n)
-                    if all(s <= max(enc[:i], default=0) + 1 for i, s in enumerate(enc))
-                ]
-                assert list(_canonical_encodings(n, d)) == oracle, (n, d)
+                assert list(_canonical_encodings(n, d)) == [e for e in oracle if max(e) <= d], (n, d)
 
     @pytest.mark.parametrize("kind", [Q, L, G])
     def test_decoding_size_does_not_grow_with_dimension(self, kind):

@@ -6,7 +6,10 @@ other installed package would pass here and fail on a clean install.
 
 import ast
 import sys
+import types
 from pathlib import Path
+
+import dimwitness
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dimwitness"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
@@ -26,3 +29,31 @@ def test_package_imports_only_stdlib_numpy_or_relative():
                 continue
             foreign += [f"{source.name}: {root}" for root in roots if root not in ALLOWED]
     assert not foreign
+
+
+#: The public names of ``dimwitness``: a name added or removed here is an API change.
+PUBLIC_API = {
+    # errors
+    "BadArgument", "DimensionMismatch", "DimWitnessError", "FileFormatError", "IncompleteDecoding",
+    "NonMonotonic", "NotAPovm", "NotHermitian", "NotPure", "OutOfRange", "ShapeMismatch", "TooLarge",
+    # quantum objects and tools
+    "DensityMatrix", "Effect", "Ensemble", "PairMeasurementSet", "StateVector", "average_state",
+    "fidelity_pure", "fourier_ensemble", "helstrom_differences", "helstrom_effect",
+    "helstrom_measurements", "overlap_sum_identity_check", "pure_overlaps", "pure_state", "purity",
+    "trace_distance", "trace_norm",
+    # witnesses
+    "CertifiedDimensions", "ProbabilityTable", "WitnessKind", "certify_dimension", "classical_bound",
+    "evaluate", "pair_differences", "pair_labels", "pair_value", "quantum_bound",
+    # classical strategies
+    "DeterministicStrategy", "enumerate_max", "strategy_table",
+    # see-saw
+    "TIGHT_DIMENSIONS", "SeesawConfig", "SeesawResult", "TightnessEntry", "optimize", "verify_table2",
+    # simulation
+    "NoiseModel", "born_table", "depolarize", "guessing_table", "noisy_table",
+}
+
+
+def test_public_names_are_the_listed_api():
+    public = {name for name, value in vars(dimwitness).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == PUBLIC_API

@@ -11,6 +11,7 @@ import pytest
 from dimwitness import (
     BadArgument,
     DensityMatrix,
+    DeterministicStrategy,
     Effect,
     Ensemble,
     FileFormatError,
@@ -306,6 +307,68 @@ class TestWitnessKindArgument:
             with pytest.raises(BadArgument, match="WitnessKind"):
                 call(kind, table, path)
         assert not path.exists()
+
+
+HALF = [[[0.5, 0.5]]]
+
+
+class TestTableAndDifferenceEdges:
+    """A table or a pair-difference array that is not real numbers of the right form is refused."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ProbabilityTable([[[0.5, 0.5]], [[1.0, 0.0], [0.0]]]),
+            lambda: ProbabilityTable("x"),
+            lambda: ProbabilityTable([[["0.5", "0.5"]]]),
+            lambda: ProbabilityTable([[[True, False]]]),
+            lambda: ProbabilityTable(np.array(HALF, dtype=object)),
+            lambda: ProbabilityTable(np.array(HALF, dtype=complex)),
+            lambda: ProbabilityTable(HALF, empirical="no"),
+            lambda: ProbabilityTable(HALF, empirical=1),
+            lambda: pair_value(WitnessKind.LINEAR, np.ones((2, 3))),
+            lambda: pair_value(WitnessKind.QUADRATIC, [1j]),
+            lambda: pair_value(WitnessKind.LINEAR, []),
+            lambda: pair_value(WitnessKind.LINEAR, [0.5, 0.5]),
+            lambda: pair_value(WitnessKind.QUADRATIC, [True]),
+            lambda: pair_value(WitnessKind.LINEAR, "x"),
+        ],
+        ids=["ragged", "string", "strings", "bools", "objects", "complex", "empirical-string",
+             "empirical-int", "2d-differences", "complex-differences", "no-differences",
+             "not-a-pair-count", "bool-differences", "string-differences"],
+    )
+    def test_refused(self, call):
+        with pytest.raises(BadArgument):
+            call()
+
+    def test_numbers_pass(self):
+        assert ProbabilityTable(np.array(HALF, dtype=np.float32), empirical=True).empirical is True
+        assert ProbabilityTable([[[1, 0]]]).p.dtype == float
+        assert pair_value(WitnessKind.QUADRATIC, np.array([1, 2, 3])) == 14.0
+
+
+class TestDeterministicStrategyIntegers:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (True, 2, (1,), {}),
+            (2.0, 2, (1, 2), {}),
+            (2, "2", (1, 2), {}),
+            (2, 2, (1, 1.5), {(1, 1): 1}),
+            (2, 2, (1, True), {(1, 1): 1}),
+            (2, 2, (1, 2), {(1, 1): 1.5, (1, 2): 1}),
+            (2, 2, (1, 2), {(1, 1): 1, (1, 2): "2"}),
+        ],
+        ids=["bool-N", "float-N", "string-d", "float-symbol", "bool-symbol", "float-outcome", "string-outcome"],
+    )
+    def test_refused(self, args):
+        with pytest.raises(BadArgument):
+            DeterministicStrategy(*args)
+
+    def test_integral_values_are_kept_as_int(self):
+        strategy = DeterministicStrategy(np.int64(2), 2, (np.int64(1), 2), {(1, 1): np.int64(2), (1, 2): 1})
+        assert [type(v) for v in (strategy.N, strategy.encoding[0], strategy.decoding[(1, 1)])] == [int] * 3
+        assert strategy_table(strategy, WitnessKind.QUADRATIC).p[:, 0, 0].tolist() == [0.0, 1.0]
 
 
 class TestBooleanCounts:

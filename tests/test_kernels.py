@@ -84,7 +84,7 @@ def closed_form_cases():
 def test_pure_helstrom_closed_form_matches_eigensolve(ensemble):
     assert ensemble.pure
     closed = helstrom_measurements(ensemble).stack
-    # the same states without their pure witnesses take the stacked eigh
+    # the same states as a mixed ensemble take the stacked eigh
     eigensolved = helstrom_measurements(Ensemble.from_matrices(ensemble.matrices())).stack
     assert np.max(np.abs(closed - eigensolved)) <= 1e-12
 
