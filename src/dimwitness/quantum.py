@@ -1,10 +1,11 @@
 """Quantum objects: states, effects, ensembles, and discrimination tools.
 
-A single state is a density matrix; an ensemble holds its states as one
-stack: of vectors when it is pure, of matrices otherwise. Operations that
-only make sense for pure states (overlap fidelity, the pairwise-overlap
-identity) require the vectors and raise ``NotPure`` otherwise. Binary pair measurements store only the b = 1
-effect -- the complement is implicit as identity minus it.
+A single state is a density matrix; an ensemble holds its states as one stack:
+of vectors when it is pure, of matrices otherwise. Operations that only make
+sense for pure states (overlap fidelity, the pairwise-overlap identity)
+require the vectors and raise ``NotPure`` otherwise. Binary pair measurements
+store only the b = 1 effect -- the complement is implicit as identity minus
+it.
 
 Preparations are indexed 1-based, x in {1..N}; pair measurements are labelled
 by ordered pairs (x, x') with x > x'.

@@ -2,13 +2,13 @@
 
 Exact tables follow the Born rule P(b|x,y) = tr(rho_x M^b_y). Two optional
 distortions feed the certification pipeline with more realistic data:
-depolarizing noise, applied to the table through its linear action on the
-Born probabilities, and finite-shot sampling that replaces each cell with an
-empirical frequency. Every cell draws from its
-own counter-based Philox stream keyed by (seed, x, y), so tables are
-reproducible cell by cell regardless of evaluation order. One generator
-serves a whole table: before each cell it is reset to the fresh state of
-that cell's stream, which draws exactly what a new generator would.
+depolarizing noise, applied to the table through its linear action on the Born
+probabilities, and finite-shot sampling that replaces each cell with an
+empirical frequency. Every cell draws from its own counter-based Philox stream
+keyed by (seed, x, y), so tables are reproducible cell by cell regardless of
+evaluation order. One generator serves a whole table: before each cell it is
+reset to the fresh state of that cell's stream, which draws exactly what a new
+generator would.
 """
 
 from __future__ import annotations
@@ -85,16 +85,15 @@ def noisy_table(
 
     Depolarizing is applied to the table: the Born rule is linear in the
     state, so tr(rho_eta E_y) = (1 - eta) tr(rho E_y) + eta tr(E_y)/d for
-    rho_eta = (1 - eta) rho + eta I/d, and no depolarized state is built.
-    With ``shots`` set, every (x, y) cell becomes the success frequency of
-    that many Bernoulli trials at that probability (clipped to [0, 1]),
-    drawn with one ``binomial`` call from the Philox stream keyed by
-    [seed, (x << 32) | y].
-    One bit generator serves the table: before each cell it is reset to that
-    stream's fresh state (counter 0, empty buffer), so each cell gets the
-    same draw as from its own new generator, independent of evaluation
-    order. The result is deterministic given the seed and is flagged
-    ``empirical``.
+    rho_eta = (1 - eta) rho + eta I/d, and no depolarized state is built. With
+    ``shots`` set, every (x, y) cell becomes the success frequency of that
+    many Bernoulli trials at that probability (clipped to [0, 1]), drawn with
+    one ``binomial`` call from the Philox stream keyed by
+    [seed, (x << 32) | y]. One bit generator serves the table: before each
+    cell it is reset to that stream's fresh state (counter 0, empty buffer),
+    so each cell gets the same draw as from its own new generator, independent
+    of evaluation order. The result is deterministic given the seed and is
+    flagged ``empirical``.
     """
     seed = require_seed(seed)
     eta = noise.depolarizing_eta
