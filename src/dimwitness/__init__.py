@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
+from .kernels import pair_labels
 from .linalg import trace_norm
 from .quantum import (
     DensityMatrix,
@@ -61,7 +62,6 @@ from .witnesses import (
     classical_bound,
     evaluate,
     pair_differences,
-    pair_labels,
     pair_value,
     quantum_bound,
 )

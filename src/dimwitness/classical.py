@@ -17,18 +17,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import BadArgument, IncompleteDecoding, TooLarge, require_int
-from .witnesses import (
-    ProbabilityTable,
-    WitnessKind,
-    pair_labels,
-    require_bound_args,
-    require_kind,
-)
+from .kernels import pair_labels
+from .witnesses import ProbabilityTable, WitnessKind, require_bound_args, require_kind
 
 #: Enumeration refuses to visit more canonical encodings than this.
 SEARCH_GUARD = 10**7
@@ -70,10 +65,14 @@ class DeterministicStrategy:
     def __post_init__(self) -> None:
         for name in ("N", "d"):
             object.__setattr__(self, name, require_int(getattr(self, name), name, 1))
-        if len(self.encoding) != self.N:
+        if not isinstance(self.encoding, Iterable) or not isinstance(self.decoding, Mapping):
+            raise BadArgument("encoding must be a sequence of symbols and decoding a mapping, got "
+                              f"{type(self.encoding).__name__} and {type(self.decoding).__name__}")
+        encoding = tuple(self.encoding)
+        if len(encoding) != self.N:
             raise BadArgument(f"encoding must assign all {self.N} preparations")
         encoding = tuple(require_int(s, f"symbol of preparation {x}", 1, self.d)
-                         for x, s in enumerate(self.encoding, start=1))
+                         for x, s in enumerate(encoding, start=1))
         decoding = dict(self.decoding)
         for key, b in decoding.items():
             if type(b) is not int:  # the type test alone keeps a large decoding cheap to check

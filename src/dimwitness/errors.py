@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, and the integer and real argument checks."""
 
 import math
 import numbers
@@ -64,6 +64,23 @@ def require_int(value, name: str, low: float = -math.inf, high: float = math.inf
         bounds = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
         raise BadArgument(f"{name} must be an integer{bounds}, got {value!r}")
     return int(value)
+
+
+def require_real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """Return ``value`` as a ``float`` if it is a finite, non-bool real number in [low, high].
+
+    The twin of ``require_int``: a bool, a string, a complex number, NaN, an
+    infinity or a number past the float range raises ``BadArgument`` naming it.
+    """
+    try:
+        real = float(value)
+    except (TypeError, ValueError, OverflowError):
+        real = math.nan
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(real) or not low <= real <= high):
+        bounds = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
+        raise BadArgument(f"{name} must be a finite number{bounds}, got {value!r}")
+    return real
 
 
 def require_seed(seed) -> int:

@@ -29,8 +29,9 @@ import sys
 
 import numpy as np
 
-from .errors import DimWitnessError, FileFormatError
+from .errors import BadArgument, DimWitnessError, FileFormatError, require_int
 from .kernels import pair_labels, preparation_count
+from .linalg import real_array
 from .quantum import Ensemble, PairMeasurementSet
 from .seesaw import SeesawResult
 from .simulate import require_compatible
@@ -42,47 +43,35 @@ def _complex_to_json(a: np.ndarray) -> list[list[float]]:
     return np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
 
 
-def _only_numbers(nest: list) -> bool:
-    """Whether every leaf of a depth-3 list nest is a JSON number: an ``int`` or a ``float``.
-
-    ``np.asarray(..., dtype=float)`` takes "0.5" and true as numbers too.
-    """
-    return {type(v) for outer in nest for inner in outer for v in inner} <= {int, float}
-
-
-def _json_to_complex_array(data, count: int, where: str) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != count:
-        raise FileFormatError(f"{where}: expected {count} [re, im] pairs")
-    out = np.empty(count, dtype=complex)
-    for i, entry in enumerate(data):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise FileFormatError(f"{where}[{i}]: expected an [re, im] pair")
-        try:
-            if not _only_numbers([[entry]]):  # the one pair as a nest of depth 3
-                raise TypeError
-            out[i] = complex(float(entry[0]), float(entry[1]))
-        except (TypeError, ValueError, OverflowError):
-            raise FileFormatError(
-                f"{where}[{i}]: [re, im] must be numbers in the float range, got {entry}"
-            ) from None
-    return out
+def _number_pair(pair) -> bool:
+    try:
+        return real_array(pair, "an [re, im] pair").shape == (2,)
+    except BadArgument:
+        return False
 
 
-def _json_to_complex_stack(entries: list, count: int, where) -> np.ndarray:
-    """Each entry a list of ``count`` [re, im] pairs, as one (len(entries), count) array.
+def _complex_stack(entries: list, count: int, where) -> np.ndarray:
+    """Each entry a list of ``count`` [re, im] pairs, as one (len(entries), count) complex array.
 
-    One ``np.asarray`` parses well-formed input; the per-entry parser runs
-    only when that fails or some value is no JSON number (a string, true or
-    null), and names the malformed entry ``where(i)``.
+    ``real_array`` reads well-formed input in one pass. Only when it refuses
+    does a scan find the first malformed entry, naming it ``where(i)`` or a
+    pair in it ``where(i)[j]``.
     """
     try:
-        pairs = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if pairs is None or pairs.shape != (len(entries), count, 2) or not _only_numbers(entries):
-        return np.stack([_json_to_complex_array(e, count, where(i)) for i, e in enumerate(entries)])
-    # reinterpreting the (re, im) doubles keeps every bit, signed zeros too
-    return np.ascontiguousarray(pairs).view(complex)[..., 0]
+        pairs = real_array(entries, "entries must be [re, im] pairs")
+        if pairs.shape == (len(entries), count, 2):
+            # reinterpreting the (re, im) doubles keeps every bit, signed zeros too
+            return np.ascontiguousarray(pairs).view(complex)[..., 0]
+    except BadArgument:
+        pass
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != count:
+            raise FileFormatError(f"{where(i)}: expected {count} [re, im] pairs")
+        for j, pair in enumerate(entry):
+            if not _number_pair(pair):
+                raise FileFormatError(f"{where(i)}[{j}]: expected an [re, im] pair of numbers in the float range "
+                                      f"(integers of at most 64 bits), got {pair}")
+    raise FileFormatError(f"{where(0)} to {where(len(entries) - 1)}: the [re, im] pairs do not form one array")
 
 
 def _read_json(path) -> dict:
@@ -121,10 +110,10 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
 
 def _read_count(path, data: dict, name: str) -> int:
     """A positive integer field; JSON ``true`` is not a count."""
-    value = data.get(name)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise FileFormatError(f"{path}: '{name}' must be a positive integer")
-    return value
+    try:
+        return require_int(data.get(name), f"{path}: '{name}'", 1)
+    except BadArgument as exc:
+        raise FileFormatError(str(exc)) from None
 
 
 def _read_states(path, data: dict, key: str) -> Ensemble:
@@ -134,7 +123,7 @@ def _read_states(path, data: dict, key: str) -> Ensemble:
     if not isinstance(entries, list) or not entries:
         raise FileFormatError(f"{path}: '{key}' must be a nonempty list")
     pure = key == "states"
-    flat = _json_to_complex_stack(entries, dim if pure else dim * dim, lambda i: f"{key}[{i}]")
+    flat = _complex_stack(entries, dim if pure else dim * dim, lambda i: f"{key}[{i}]")
     try:
         return Ensemble.from_vectors(flat) if pure else Ensemble.from_matrices(flat.reshape(-1, dim, dim))
     except DimWitnessError as exc:
@@ -180,18 +169,10 @@ def load_table(path) -> tuple[ProbabilityTable, WitnessKind]:
             f"{path}: declared shape (m={m}, k={k}) does not match a {kind.value} witness at N={n}"
         )
     try:
-        p = np.asarray(data.get("p"), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{path}: 'p' must be a numeric array") from exc
-    if p.shape != (n, m, k):
-        raise FileFormatError(f"{path}: 'p' has shape {p.shape}, declared ({n}, {m}, {k})")
-    if not _only_numbers(data["p"]):
-        raise FileFormatError(f"{path}: 'p' must hold numbers only, not strings, true/false or null")
-    empirical = data.get("empirical", False)
-    if not isinstance(empirical, bool):
-        raise FileFormatError(f"{path}: 'empirical' must be true or false")
-    try:
-        table = ProbabilityTable(p, empirical=empirical)
+        p = real_array(data.get("p"), "'p' must be an array of numbers")
+        if p.shape != (n, m, k):
+            raise FileFormatError(f"'p' has shape {p.shape}, declared ({n}, {m}, {k})")
+        table = ProbabilityTable(p, empirical=data.get("empirical", False))
     except DimWitnessError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return table, kind
@@ -225,7 +206,7 @@ def load_seesaw_dump(path) -> tuple[Ensemble, PairMeasurementSet]:
     if set(effects_json) != set(keys):
         raise FileFormatError(f"{path}: effect keys must be exactly all 'x,x'' with N >= x > x' >= 1")
     entries = [effects_json[key] for key in keys]
-    flat = _json_to_complex_stack(entries, dim * dim, lambda i: f"effects[{keys[i]}]")
+    flat = _complex_stack(entries, dim * dim, lambda i: f"effects[{keys[i]}]")
     try:
         measurements = PairMeasurementSet(flat.reshape(-1, dim, dim))
         require_compatible(ensemble, measurements)

@@ -1,12 +1,15 @@
 """Dense Hermitian linear algebra: the package tolerances, the Hermitian check, trace norm.
 
-Functions take square complex arrays (anything ``np.asarray`` coerces).
+Functions take square arrays of numbers: ``complex_array`` and ``real_array``
+hold the one rule for what counts as a number in an array, for the API and the
+file loaders alike.
 ``require_hermitian`` validates one matrix or a whole stack in one pass;
 the stacked eigensolves of the pair computations live in ``kernels``.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -32,30 +35,33 @@ def member_name(what: str | Callable[[int], str], k: int) -> str:
     return what if isinstance(what, str) else what(k)
 
 
-def complex_array(data, need: str) -> np.ndarray:
-    """``data`` as a complex array; ``BadArgument`` opening with ``need`` when it is ragged or not numeric."""
-    try:
-        return np.asarray(data, dtype=complex)
-    except (TypeError, ValueError):
-        try:
-            np.asarray(data)
-        except ValueError:
-            raise BadArgument(f"{need}, got a ragged input whose members differ in shape") from None
-        raise BadArgument(f"{need}, got entries that are not numbers") from None
+def _numeric_array(data, need: str, kinds: str, numbers: str) -> np.ndarray:
+    """``data`` as an array whose guessed dtype has a kind in ``kinds``, else ``BadArgument`` opening with ``need``.
 
-
-def real_array(data, need: str) -> np.ndarray:
-    """``data`` as a float array; ``BadArgument`` opening with ``need`` when it is ragged or holds no real numbers.
-
-    Only integers and floats pass: strings, bools and complex numbers are refused, not coerced.
+    Strings, ``None`` and integers past 64 bits are refused, not coerced, and
+    so are bools: one among numbers changes no dtype, so the leaf types of a
+    list or tuple are scanned in one lazy pass.
     """
     try:
         arr = np.asarray(data)
     except (TypeError, ValueError):
         raise BadArgument(f"{need}, got a ragged input whose members differ in shape") from None
-    if arr.dtype.kind not in "iuf":
-        raise BadArgument(f"{need}, got entries of type {arr.dtype}")
-    return arr.astype(float, copy=False)
+    leaves = [data] if isinstance(data, (list, tuple)) else []
+    for _ in range(arr.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    if arr.dtype.kind not in kinds or any(issubclass(t, (bool, np.bool_)) for t in set(map(type, leaves))):
+        raise BadArgument(f"{need}, got entries that are not {numbers}")
+    return arr
+
+
+def complex_array(data, need: str) -> np.ndarray:
+    """``data`` as a complex array of integers, floats or complex numbers; see ``_numeric_array``."""
+    return _numeric_array(data, need, "iufc", "numbers").astype(complex, copy=False)
+
+
+def real_array(data, need: str) -> np.ndarray:
+    """``data`` as a float array of integers or floats; see ``_numeric_array``."""
+    return _numeric_array(data, need, "iuf", "real numbers").astype(float, copy=False)
 
 
 def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndarray:

@@ -22,14 +22,12 @@ and does not depend on how many restarts run beside it.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, DimWitnessError, NonMonotonic, TooLarge, require_int, require_seed
+from .errors import BadArgument, DimWitnessError, NonMonotonic, TooLarge, require_int, require_real, require_seed
 from .quantum import Ensemble, PairMeasurementSet, helstrom_measurements
 from .witnesses import WitnessKind, quantum_bound, require_kind
 
@@ -84,9 +82,8 @@ class SeesawConfig:
         if self.N * (self.N - 1) // 2 * self.d * max(self.restarts, self.d) > kernels.MAX_PAIR_ENTRIES:
             raise TooLarge(f"restarts={self.restarts} at N={self.N}, d={self.d} needs more than 10^7 entries "
                            "(N(N-1)/2 * d * max(restarts, d)), the see-saw's size bound")
-        tol = self.improvement_tol
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
-            raise BadArgument(f"improvement_tol must be finite and positive, got {tol!r}")
+        if not require_real(self.improvement_tol, "improvement_tol", 0):
+            raise BadArgument("improvement_tol must be positive, got 0")
         object.__setattr__(self, "seed", require_seed(self.seed))
 
 
@@ -335,8 +332,7 @@ def verify_table2(
     n_max = require_int(n_max, "n_max")
     if not 3 <= n_max <= 10:
         raise BadArgument(f"n_max must lie in 3..10, got {n_max}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0):
-        raise BadArgument(f"tol must be finite and non-negative, got {tol!r}")
+    tol = require_real(tol, "tol", 0)
     entries = []
     for n in sorted(TIGHT_DIMENSIONS):
         if n > n_max:

@@ -13,14 +13,13 @@ generator would.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, DimensionMismatch, NotAPovm, ShapeMismatch, require_int, require_seed
+from .errors import BadArgument, DimensionMismatch, NotAPovm, ShapeMismatch, require_int, require_real, require_seed
 from .linalg import POVM_SUM_TOL
 from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet
 from .witnesses import ProbabilityTable
@@ -40,19 +39,14 @@ class NoiseModel:
     shots: int | None = None
 
     def __post_init__(self) -> None:
-        _require_eta(self.depolarizing_eta, "depolarizing_eta")
+        object.__setattr__(self, "depolarizing_eta", require_real(self.depolarizing_eta, "depolarizing_eta", 0, 1))
         if self.shots is not None:
             object.__setattr__(self, "shots", require_int(self.shots, "shots", 1, 2**63 - 1))
 
 
-def _require_eta(eta, name: str) -> None:
-    if isinstance(eta, bool) or not isinstance(eta, numbers.Real) or not 0.0 <= eta <= 1.0:
-        raise BadArgument(f"{name} must lie in [0, 1], got {eta!r}")
-
-
 def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Mix a state with the maximally mixed one: (1 - eta) rho + eta I/d."""
-    _require_eta(eta, "eta")
+    eta = require_real(eta, "eta", 0, 1)
     return DensityMatrix((1.0 - eta) * rho.matrix + eta * np.eye(rho.dim) / rho.dim)
 
 
@@ -122,9 +116,15 @@ def noisy_table(
 def guessing_table(ensemble: Ensemble, effects: Sequence[Effect]) -> ProbabilityTable:
     """Single-measurement table P(b|x) = tr(rho_x E_b) for an N-outcome POVM.
 
-    The effects must number one per preparation and sum to the identity
-    within tolerance; otherwise ``NotAPovm`` reports the deviation.
+    ``effects`` must be a sequence of ``Effect`` objects, one per preparation,
+    that sums to the identity within tolerance; otherwise ``NotAPovm``
+    reports the deviation.
     """
+    if not isinstance(effects, Sequence):
+        raise BadArgument(f"effects must be a sequence of Effect objects, got {type(effects).__name__}")
+    for i, effect in enumerate(effects):
+        if not isinstance(effect, Effect):
+            raise BadArgument(f"effects[{i}] must be an Effect, got {type(effect).__name__}")
     if len(effects) != ensemble.N:
         raise ShapeMismatch(f"need {ensemble.N} effects (one outcome per preparation), got {len(effects)}")
     if any(e.dim != ensemble.dim for e in effects):

@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, OutOfRange, ShapeMismatch, TooLarge, require_int
-from .kernels import pair_labels
+from .errors import BadArgument, OutOfRange, ShapeMismatch, TooLarge, require_int, require_real
 from .linalg import PROBABILITY_TOL, ROW_SUM_TOL, real_array
 
 #: Comparison slack against closed-form bounds.
@@ -237,8 +235,7 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
     undershoots the witness range) by more than the numeric slack.
     """
     n, _ = require_bound_args(kind, n_preparations, 1)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise BadArgument(f"witness value must be a finite number, got {value!r}")
+    value = require_real(value, "witness value")
     lo, hi = _witness_range(kind, n)
     if value < lo - NUMERIC_SLACK:
         raise OutOfRange(f"value {value} below the {kind.value} witness range [{lo}, {hi}]")

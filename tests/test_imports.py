@@ -1,4 +1,4 @@
-"""The package imports nothing beyond the standard library and numpy.
+"""The package imports nothing beyond the standard library and numpy, and uses what it imports.
 
 ``pyproject.toml`` declares numpy as the one dependency, so an import of any
 other installed package would pass here and fail on a clean install.
@@ -29,6 +29,28 @@ def test_package_imports_only_stdlib_numpy_or_relative():
                 continue
             foreign += [f"{source.name}: {root}" for root in roots if root not in ALLOWED]
     assert not foreign
+
+
+def test_modules_use_every_name_they_import():
+    """An import a module never uses is dead code; a line marked ``# noqa`` is kept on purpose."""
+    unused = []
+    for source in sorted(PACKAGE.glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        text = source.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa" in lines[node.lineno - 1]:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{source.name}:{node.lineno}: {name}")
+    assert not unused
 
 
 #: The public names of ``dimwitness``: a name added or removed here is an API change.

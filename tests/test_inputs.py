@@ -1,9 +1,11 @@
-"""Non-finite, non-integer and boolean input ends in a typed error, and tables
-keep their empirical flag."""
+"""Non-finite, non-integer, non-number and boolean input ends in a typed error,
+and tables keep their empirical flag."""
 
+import functools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from dimwitness import (
     Effect,
     Ensemble,
     FileFormatError,
+    PairMeasurementSet,
     ProbabilityTable,
     SeesawConfig,
     ShapeMismatch,
@@ -347,6 +350,67 @@ class TestTableAndDifferenceEdges:
         assert pair_value(WitnessKind.QUADRATIC, np.array([1, 2, 3])) == 14.0
 
 
+def _not_numbers(good):
+    """A valid nested list of floats holding a 1.0, as numeric strings, as an all-bool ndarray
+    and with its first 1.0 replaced by True: three inputs that are the same numbers, but not numbers."""
+    arr = np.array(good, dtype=float)
+    flat = arr.ravel().tolist()
+    flat[flat.index(1.0)] = True
+    mixed = np.array(flat, dtype=object).reshape(arr.shape).tolist()
+    return {"numeric-strings": arr.astype(str).tolist(), "all-bool-ndarray": arr.astype(bool),
+            "bool-among-floats": mixed}
+
+
+ARRAY_SITES = {
+    "StateVector": (StateVector, [1.0, 0.0]),
+    "DensityMatrix": (DensityMatrix, [[1.0, 0.0], [0.0, 0.0]]),
+    "Effect": (Effect, [[1.0, 0.0], [0.0, 0.0]]),
+    "from_vectors": (Ensemble.from_vectors, [[1.0, 0.0], [0.0, 1.0]]),
+    "from_matrices": (Ensemble.from_matrices, [[[1.0, 0.0], [0.0, 0.0]]]),
+    "PairMeasurementSet": (PairMeasurementSet, [[[1.0, 0.0], [0.0, 0.0]]]),
+    "ProbabilityTable": (ProbabilityTable, [[[1.0, 0.0]], [[0.0, 1.0]]]),
+    "pair_value": (functools.partial(pair_value, WitnessKind.LINEAR), [0.5, 1.0, 0.1]),
+}
+
+SCALAR_SITES = {
+    "certify_dimension": ("witness value", lambda v: certify_dimension(WitnessKind.QUADRATIC, 5, v)),
+    "NoiseModel": ("depolarizing_eta", lambda v: NoiseModel(depolarizing_eta=v)),
+    "depolarize": ("eta", lambda v: depolarize(pure_state([1.0, 0.0]), v)),
+    "SeesawConfig": ("improvement_tol", lambda v: SeesawConfig(WitnessKind.LINEAR, 3, 2, improvement_tol=v)),
+    "verify_table2": ("tol", lambda v: verify_table2(3, tol=v)),
+}
+
+
+class TestOneNumberRule:
+    """Every array and every real argument is held to one rule: a number is an int or a float
+    (or, for a complex array, a complex), never a bool or a string, and a real argument is finite."""
+
+    @pytest.mark.parametrize("variant", ["numeric-strings", "all-bool-ndarray", "bool-among-floats"])
+    @pytest.mark.parametrize("site", list(ARRAY_SITES))
+    def test_array_refused(self, site, variant):
+        build, good = ARRAY_SITES[site]
+        build(good)  # the same values as numbers pass
+        with pytest.raises(BadArgument, match="not (real )?numbers$"):
+            build(_not_numbers(good)[variant])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.1", 1j, 10**400],
+                             ids=["nan", "inf", "True", "string", "complex", "past-float-range"])
+    @pytest.mark.parametrize("site", list(SCALAR_SITES))
+    def test_scalar_refused(self, site, value):
+        name, call = SCALAR_SITES[site]
+        with pytest.raises(BadArgument, match=f"^{name} must be a finite number"):
+            call(value)
+
+    def test_real_values_are_kept_as_float(self):
+        for value in (np.float64(0.25), np.float32(0.25), Fraction(1, 4)):
+            eta = NoiseModel(value).depolarizing_eta
+            assert eta == 0.25 and type(eta) is float
+        assert NoiseModel(1).depolarizing_eta == 1.0
+        assert certify_dimension(WitnessKind.QUADRATIC, 5, np.int64(8)) == certify_dimension(WitnessKind.QUADRATIC, 5, 8.0)
+        with pytest.raises(BadArgument, match="improvement_tol must be positive"):
+            SeesawConfig(WitnessKind.LINEAR, 3, 2, improvement_tol=0)
+
+
 class TestDeterministicStrategyIntegers:
     @pytest.mark.parametrize(
         "args",
@@ -358,8 +422,11 @@ class TestDeterministicStrategyIntegers:
             (2, 2, (1, True), {(1, 1): 1}),
             (2, 2, (1, 2), {(1, 1): 1.5, (1, 2): 1}),
             (2, 2, (1, 2), {(1, 1): 1, (1, 2): "2"}),
+            (2, 2, 5, {}),
+            (2, 2, (1, 1), [(1, 1)]),
         ],
-        ids=["bool-N", "float-N", "string-d", "float-symbol", "bool-symbol", "float-outcome", "string-outcome"],
+        ids=["bool-N", "float-N", "string-d", "float-symbol", "bool-symbol", "float-outcome", "string-outcome",
+             "int-encoding", "list-decoding"],
     )
     def test_refused(self, args):
         with pytest.raises(BadArgument):

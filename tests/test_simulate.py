@@ -254,6 +254,17 @@ class TestGuessingTable:
         with pytest.raises(ShapeMismatch):
             guessing_table(ensemble, [Effect(np.eye(2))])
 
+    def test_member_that_is_not_an_effect_is_named(self):
+        ensemble = fourier_ensemble(4, 2)
+        effects = [Effect(np.eye(2) / 4)] * 3 + [np.eye(2) / 4]
+        with pytest.raises(BadArgument, match=r"^effects\[3\] must be an Effect, got ndarray$"):
+            guessing_table(ensemble, effects)
+
+    def test_generator_of_effects_is_refused(self):
+        ensemble = fourier_ensemble(4, 2)
+        with pytest.raises(BadArgument, match="sequence of Effect objects, got generator"):
+            guessing_table(ensemble, (Effect(np.eye(2) / 4) for _ in range(4)))
+
 
 def test_born_tables_respect_quantum_ceilings():
     rng = np.random.default_rng(23)
