@@ -160,7 +160,7 @@ def _cmd_seesaw(args) -> int:
     bound = quantum_bound(kind, args.N, args.d)
     gap = bound - result.best_value
     if args.out is not None:
-        files.save_seesaw_dump(result, args.out)
+        files.save_seesaw_dump(result.ensemble, args.out)
     text = "\n".join(
         [
             f"witness: {kind.value}",

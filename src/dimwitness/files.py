@@ -19,11 +19,16 @@ frequencies; a file without it holds exact probabilities.
 
 See-saw dump: the pure-ensemble schema plus ``"effects"``, a map from pair
 strings ``"x,x'"`` to flat matrices; P effects stand for the N preparations
-with P = N(N-1)/2, so their keys are exactly the pairs of that N.
+with P = N(N-1)/2, so their keys are exactly the pairs of that N. The writer
+builds the Helstrom effects of the states it is given.
+
+Any ``DimWitnessError`` raised while loading a file becomes a
+``FileFormatError`` whose message starts with the file's path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -32,8 +37,7 @@ import numpy as np
 from .errors import BadArgument, DimWitnessError, FileFormatError, require_int
 from .kernels import pair_labels, preparation_count
 from .linalg import real_array
-from .quantum import Ensemble, PairMeasurementSet
-from .seesaw import SeesawResult
+from .quantum import Ensemble, PairMeasurementSet, helstrom_measurements
 from .simulate import require_compatible
 from .witnesses import ProbabilityTable, WitnessKind, require_kind_shape
 
@@ -74,20 +78,31 @@ def _complex_stack(entries: list, count: int, where) -> np.ndarray:
     raise FileFormatError(f"{where(0)} to {where(len(entries) - 1)}: the [re, im] pairs do not form one array")
 
 
+def _names_its_file(load):
+    """``load(path)`` with every ``DimWitnessError`` it raises reworded to start with the path."""
+
+    @functools.wraps(load)
+    def loader(path):
+        try:
+            return load(path)
+        except DimWitnessError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+
+    return loader
+
+
 def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         # also bytes that are not UTF-8 and too deep a nest
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+            raise FileFormatError(f"not valid JSON ({exc})") from exc
         # the one other ValueError: an int literal past Python's digit limit (3.11+), in valid JSON
         except ValueError as exc:
-            raise FileFormatError(
-                f"{path}: holds an integer of more than {sys.get_int_max_str_digits()} digits"
-            ) from exc
+            raise FileFormatError(f"holds an integer of more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: top level must be a JSON object")
+        raise FileFormatError("top level must be a JSON object")
     return data
 
 
@@ -98,47 +113,39 @@ def _write_json(path, payload: dict) -> None:
         fh.write(text)
 
 
+def _pure_payload(ensemble: Ensemble) -> dict:
+    return {"dim": ensemble.dim, "states": [_complex_to_json(v) for v in ensemble.vectors()]}
+
+
 def save_ensemble(ensemble: Ensemble, path) -> None:
     """Write an ensemble; pure ensembles keep their amplitude representation."""
-    payload: dict = {"dim": ensemble.dim}
     if ensemble.pure:
-        payload["states"] = [_complex_to_json(v) for v in ensemble.vectors()]
+        payload = _pure_payload(ensemble)
     else:
-        payload["density_matrices"] = [_complex_to_json(m) for m in ensemble.matrices()]
+        payload = {"dim": ensemble.dim, "density_matrices": [_complex_to_json(m) for m in ensemble.matrices()]}
     _write_json(path, payload)
 
 
-def _read_count(path, data: dict, name: str) -> int:
-    """A positive integer field; JSON ``true`` is not a count."""
-    try:
-        return require_int(data.get(name), f"{path}: '{name}'", 1)
-    except BadArgument as exc:
-        raise FileFormatError(str(exc)) from None
-
-
-def _read_states(path, data: dict, key: str) -> Ensemble:
+def _read_states(data: dict, key: str) -> Ensemble:
     """The ensemble under ``key`` ("states" or "density_matrices"); names a bad state ``key[i]``."""
-    dim = _read_count(path, data, "dim")
+    dim = require_int(data.get("dim"), "'dim'", 1)
     entries = data.get(key)
     if not isinstance(entries, list) or not entries:
-        raise FileFormatError(f"{path}: '{key}' must be a nonempty list")
+        raise FileFormatError(f"'{key}' must be a nonempty list")
     pure = key == "states"
     flat = _complex_stack(entries, dim if pure else dim * dim, lambda i: f"{key}[{i}]")
-    try:
-        return Ensemble.from_vectors(flat) if pure else Ensemble.from_matrices(flat.reshape(-1, dim, dim))
-    except DimWitnessError as exc:
-        # the batched checks already name the state as key[i]
-        raise FileFormatError(str(exc)) from exc
+    return Ensemble.from_vectors(flat) if pure else Ensemble.from_matrices(flat.reshape(-1, dim, dim))
 
 
+@_names_its_file
 def load_ensemble(path) -> Ensemble:
     """Read an ensemble file, validating every state and naming offenders."""
     data = _read_json(path)
     has_states = "states" in data
     has_matrices = "density_matrices" in data
     if has_states == has_matrices:
-        raise FileFormatError(f"{path}: provide exactly one of 'states' or 'density_matrices'")
-    return _read_states(path, data, "states" if has_states else "density_matrices")
+        raise FileFormatError("provide exactly one of 'states' or 'density_matrices'")
+    return _read_states(data, "states" if has_states else "density_matrices")
 
 
 def save_table(table: ProbabilityTable, kind: WitnessKind, path) -> None:
@@ -155,61 +162,48 @@ def save_table(table: ProbabilityTable, kind: WitnessKind, path) -> None:
     _write_json(path, payload)
 
 
+@_names_its_file
 def load_table(path) -> tuple[ProbabilityTable, WitnessKind]:
     """Read a table file; the declared shape must match the witness kind."""
     data = _read_json(path)
     try:
         kind = WitnessKind(data.get("witness"))
     except ValueError:
-        raise FileFormatError(f"{path}: 'witness' must be one of "
-                              f"{[k.value for k in WitnessKind]}") from None
-    n, m, k = (_read_count(path, data, name) for name in ("N", "m", "k"))
+        raise FileFormatError(f"'witness' must be one of {[k.value for k in WitnessKind]}") from None
+    n, m, k = (require_int(data.get(name), f"'{name}'", 1) for name in ("N", "m", "k"))
     if (m, k) != kind.table_shape(n):
-        raise FileFormatError(
-            f"{path}: declared shape (m={m}, k={k}) does not match a {kind.value} witness at N={n}"
-        )
-    try:
-        p = real_array(data.get("p"), "'p' must be an array of numbers")
-        if p.shape != (n, m, k):
-            raise FileFormatError(f"'p' has shape {p.shape}, declared ({n}, {m}, {k})")
-        table = ProbabilityTable(p, empirical=data.get("empirical", False))
-    except DimWitnessError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    return table, kind
+        raise FileFormatError(f"declared shape (m={m}, k={k}) does not match a {kind.value} witness at N={n}")
+    p = real_array(data.get("p"), "'p' must be an array of numbers")
+    if p.shape != (n, m, k):
+        raise FileFormatError(f"'p' has shape {p.shape}, declared ({n}, {m}, {k})")
+    return ProbabilityTable(p, empirical=data.get("empirical", False)), kind
 
 
-def save_seesaw_dump(result: SeesawResult, path) -> None:
-    """Write a see-saw model: the pure ensemble plus the pair effects."""
-    vectors = result.ensemble.vectors()
-    measurements = result.measurements
-    payload = {
-        "dim": result.ensemble.dim,
-        "states": [_complex_to_json(v) for v in vectors],
-        "effects": {
-            f"{x},{xp}": _complex_to_json(effect)
-            for (x, xp), effect in zip(pair_labels(measurements.N), measurements.stack)
-        },
+def save_seesaw_dump(ensemble: Ensemble, path) -> None:
+    """Write a see-saw model: a pure ensemble plus the Helstrom effect of each of its pairs."""
+    payload = _pure_payload(ensemble)
+    measurements = helstrom_measurements(ensemble)
+    payload["effects"] = {
+        f"{x},{xp}": _complex_to_json(effect) for (x, xp), effect in zip(pair_labels(ensemble.N), measurements.stack)
     }
     _write_json(path, payload)
 
 
+@_names_its_file
 def load_seesaw_dump(path) -> tuple[Ensemble, PairMeasurementSet]:
     """Read a see-saw dump back into validated domain objects."""
     data = _read_json(path)
-    ensemble = _read_states(path, data, "states")
+    ensemble = _read_states(data, "states")
     dim = ensemble.dim
     effects_json = data.get("effects")
     if not isinstance(effects_json, dict) or not effects_json:
-        raise FileFormatError(f"{path}: 'effects' must be a nonempty object")
+        raise FileFormatError("'effects' must be a nonempty object")
     n = preparation_count(len(effects_json))
     keys = [f"{x},{xp}" for x, xp in pair_labels(n)] if n else []
     if set(effects_json) != set(keys):
-        raise FileFormatError(f"{path}: effect keys must be exactly all 'x,x'' with N >= x > x' >= 1")
+        raise FileFormatError("effect keys must be exactly all 'x,x'' with N >= x > x' >= 1")
     entries = [effects_json[key] for key in keys]
     flat = _complex_stack(entries, dim * dim, lambda i: f"effects[{keys[i]}]")
-    try:
-        measurements = PairMeasurementSet(flat.reshape(-1, dim, dim))
-        require_compatible(ensemble, measurements)
-    except DimWitnessError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    measurements = PairMeasurementSet(flat.reshape(-1, dim, dim))
+    require_compatible(ensemble, measurements)
     return ensemble, measurements

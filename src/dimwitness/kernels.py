@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import ZERO_EIGENVALUE_TOL
 
-#: The Helstrom effects and the see-saw refuse to build pair stacks with more entries than this.
+#: The Helstrom effects, the see-saw and ``fourier_ensemble`` refuse to build stacks with more entries than this.
 MAX_PAIR_ENTRIES = 10**7
 
 

@@ -366,13 +366,16 @@ def fourier_ensemble(n_states: int, dim: int) -> Ensemble:
     State x (x = 1..N) has amplitudes exp(i 2 pi k x / N) / sqrt(d) for
     k = 0..d-1. The uniform mixture of these states is maximally mixed for
     every 1 <= d <= N, which makes the ensemble saturate the quadratic
-    witness ceiling under optimal pair discrimination.
+    witness ceiling under optimal pair discrimination. More than
+    ``kernels.MAX_PAIR_ENTRIES`` amplitudes (N * d) are refused with ``TooLarge``.
     """
     n_states, dim = require_int(n_states, "n_states"), require_int(dim, "dim")
     if n_states < 1:
         raise BadArgument(f"need at least one state, got {n_states}")
     if dim < 1 or dim > n_states:
         raise BadArgument(f"dimension must satisfy 1 <= d <= N, got d={dim}, N={n_states}")
+    if n_states * dim > kernels.MAX_PAIR_ENTRIES:
+        raise TooLarge(f"N={n_states}, d={dim} needs more than 10^7 amplitudes (N * d), the ensemble size bound")
     k = np.arange(dim)
     x = np.arange(1, n_states + 1)[:, None]
     return Ensemble.from_vectors(np.exp(2j * np.pi * k * x / n_states) / np.sqrt(dim))

@@ -11,7 +11,8 @@ rises strictly at every accepted step and no eigensolver is needed. Each
 final pair difference is then read as the pair's trace distance, the value
 its optimal measurement attains (``kernels.pure_pair_gaps``); the final value
 must not fall below the ascent's, which the search asserts, and the best
-restart's model is its states with their ``helstrom_measurements``.
+restart's model is its states. The search builds no effects: a dump of the
+model (``files.save_seesaw_dump``) builds their Helstrom effects itself.
 
 Restarts draw independent Haar-random pure starting states from a
 counter-based Philox stream keyed by (seed, restart index) and advance in
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadArgument, DimWitnessError, NonMonotonic, TooLarge, require_int, require_real, require_seed
-from .quantum import Ensemble, PairMeasurementSet, helstrom_measurements
+from .quantum import Ensemble
 from .witnesses import WitnessKind, quantum_bound, require_kind
 
 #: Objective decrease beyond this from the ascent to its final model signals a bug.
@@ -78,7 +79,8 @@ class SeesawConfig:
             raise BadArgument("restarts must be at least 1")
         if self.max_iters < 1:
             raise BadArgument("max_iters must be at least 1")
-        # the final step's (R, P, d) stacks, for d >= 2 at least half the (R, N, N) Gram one, and the model
+        # the final step's (R, P, d) stacks, for d >= 2 at least half the (R, N, N) Gram one; the d^2
+        # term keeps a dump's (P, d, d) effects within their bound, so --out cannot fail after the run
         if self.N * (self.N - 1) // 2 * self.d * max(self.restarts, self.d) > kernels.MAX_PAIR_ENTRIES:
             raise TooLarge(f"restarts={self.restarts} at N={self.N}, d={self.d} needs more than 10^7 entries "
                            "(N(N-1)/2 * d * max(restarts, d)), the see-saw's size bound")
@@ -89,7 +91,7 @@ class SeesawConfig:
 
 @dataclass(frozen=True)
 class SeesawResult:
-    """Best value over restarts with a witnessing model attached.
+    """Best value over restarts with the witnessing states attached.
 
     ``iterations_used`` counts ascent iterations (one step and its line
     search) summed over all restarts. In restart order, ``restart_values``
@@ -103,7 +105,6 @@ class SeesawResult:
 
     best_value: float
     ensemble: Ensemble
-    measurements: PairMeasurementSet
     iterations_used: int
     restart_values: tuple[float, ...]
     restart_sweeps: tuple[int, ...]
@@ -192,8 +193,8 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     or at ``cfg.max_iters``. The optimal measurements of each restart's final
     states must then reproduce its value (a decrease raises ``NonMonotonic``
     naming the restart). The first restart with the best value has its states
-    and measurements returned as validated domain objects; the value always
-    respects the d-dimensional quantum ceiling.
+    returned as a validated ``Ensemble``; the value always respects the
+    d-dimensional quantum ceiling.
     """
     quadratic = cfg.witness is WitnessKind.QUADRATIC
     ceiling = quantum_bound(cfg.witness, cfg.N, cfg.d)
@@ -291,11 +292,9 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
             "this indicates a numerical inconsistency"
         )
 
-    ensemble = Ensemble.from_vectors(vecs[best])
     return SeesawResult(
         best_value=best_value,
-        ensemble=ensemble,
-        measurements=helstrom_measurements(ensemble),
+        ensemble=Ensemble.from_vectors(vecs[best]),
         iterations_used=int(iterations.sum()),
         restart_values=tuple(float(v) for v in final),
         restart_sweeps=tuple(int(k) for k in iterations),

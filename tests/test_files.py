@@ -196,10 +196,10 @@ class TestSeesawDump:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
         result = optimize(SeesawConfig(WitnessKind.LINEAR, 3, 2, restarts=3))
-        save_seesaw_dump(result, path)
+        save_seesaw_dump(result.ensemble, path)
         ensemble, measurements = load_seesaw_dump(path)
         assert np.array_equal(ensemble.vectors(), result.ensemble.vectors())
-        assert np.array_equal(measurements.stack, result.measurements.stack)
+        assert np.array_equal(measurements.stack, helstrom_measurements(result.ensemble).stack)
 
     def test_bad_pair_key(self, tmp_path):
         path = tmp_path / "model.json"
@@ -212,7 +212,7 @@ class TestSeesawDump:
         path.write_text('{"dim": 1, "states": [[[1.0, 0.0]], [[2.0, 0.0]]], "effects": {"2,1": [[1.0, 0.0]]}}')
         with pytest.raises(FileFormatError) as err:
             load_seesaw_dump(path)
-        assert str(err.value).startswith("states[1]: ")
+        assert str(err.value).startswith(f"{path}: states[1]: ")
 
     def test_effects_must_cover_the_pairs_of_the_states(self, tmp_path):
         path = tmp_path / "model.json"
@@ -228,7 +228,7 @@ class TestSeesawDump:
 
     def test_effect_key_order_does_not_matter(self, tmp_path):
         path = tmp_path / "model.json"
-        save_seesaw_dump(optimize(SeesawConfig(WitnessKind.LINEAR, 4, 2, restarts=2)), path)
+        save_seesaw_dump(optimize(SeesawConfig(WitnessKind.LINEAR, 4, 2, restarts=2)).ensemble, path)
         _, measurements = load_seesaw_dump(path)
         data = json.loads(path.read_text())
         data["effects"] = {key: data["effects"][key] for key in reversed(list(data["effects"]))}
@@ -286,8 +286,8 @@ class TestCompactWriterRoundTrip:
     def test_seesaw_dump_is_bitwise(self, tmp_path):
         path = tmp_path / "model.json"
         result = optimize(SeesawConfig(WitnessKind.QUADRATIC, 4, 3, restarts=2))
-        save_seesaw_dump(result, path)
+        save_seesaw_dump(result.ensemble, path)
         compact_text(path)
         ensemble, measurements = load_seesaw_dump(path)
         assert ensemble.vectors().tobytes() == result.ensemble.vectors().tobytes()
-        assert measurements.stack.tobytes() == result.measurements.stack.tobytes()
+        assert measurements.stack.tobytes() == helstrom_measurements(result.ensemble).stack.tobytes()

@@ -53,6 +53,37 @@ def test_modules_use_every_name_they_import():
     assert not unused
 
 
+#: Each module's imports from within the package. A new edge is a design change: ``files`` alone knows
+#: the file formats, and the see-saw hands it states, not effects.
+IMPORTS = {
+    "__init__": {"classical", "errors", "kernels", "linalg", "quantum", "seesaw", "simulate", "witnesses"},
+    "__main__": {"cli"},
+    "classical": {"errors", "kernels", "witnesses"},
+    "cli": {"classical", "errors", "files", "quantum", "seesaw", "witnesses"},
+    "errors": set(),
+    "files": {"errors", "kernels", "linalg", "quantum", "simulate", "witnesses"},
+    "kernels": {"linalg"},
+    "linalg": {"errors"},
+    "quantum": {"errors", "kernels", "linalg"},
+    "seesaw": {"errors", "kernels", "quantum", "witnesses"},
+    "simulate": {"errors", "kernels", "linalg", "quantum", "witnesses"},
+    # "classical" is the one back edge: certify_dimension's deferred import, which the closed-form
+    # linear classical bound of ROADMAP item 2 would delete
+    "witnesses": {"classical", "errors", "kernels", "linalg"},
+}
+
+
+def test_module_import_graph_is_pinned():
+    graph = {}
+    for source in sorted(PACKAGE.glob("*.py")):
+        deps = set()
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module.split(".")[0]] if node.module else [alias.name for alias in node.names])
+        graph[source.stem] = deps
+    assert graph == IMPORTS
+
+
 #: The public names of ``dimwitness``: a name added or removed here is an API change.
 PUBLIC_API = {
     # errors

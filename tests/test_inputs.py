@@ -164,6 +164,35 @@ def test_seesaw_rejects_bad_tol(capsys, tol):
     assert out == "" and "improvement_tol" in err
 
 
+_TABLE = {"witness": "quadratic", "N": 2, "m": 1, "k": 2, "p": [[[0.5, 0.5]], [[0.5, 0.5]]]}
+_DUMP = {"dim": 1, "states": [[[1, 0]], [[1, 0]]], "effects": {"2,1": [[1, 0]]}}
+
+
+@pytest.mark.parametrize("load, data", [
+    (load_ensemble, {"dim": 2, "states": [[[1, 0], [0, "x"]]]}),
+    (load_ensemble, {"dim": 1, "states": [[[1, 0]], [[2, 0]]]}),
+    (load_ensemble, {"dim": 0, "states": [[[1, 0]]]}),
+    (load_ensemble, {"dim": 1, "density_matrices": [[[1, 0]], [[2]]]}),
+    (load_ensemble, {"dim": 1, "density_matrices": [[[1, 0]], [[2, 0]]]}),
+    (load_ensemble, {"dim": True, "density_matrices": [[[1, 0]]]}),
+    (load_table, {**_TABLE, "p": [[[0.5, "x"]], [[0.5, 0.5]]]}),
+    (load_table, {**_TABLE, "p": [[[0.5, 0.6]], [[0.5, 0.5]]]}),
+    (load_table, {**_TABLE, "N": 0}),
+    (load_seesaw_dump, {**_DUMP, "effects": {"2,1": [[1, "z"]]}}),
+    (load_seesaw_dump, {**_DUMP, "effects": {"2,1": [[2, 0]]}}),
+    (load_seesaw_dump, {**_DUMP, "dim": -1}),
+], ids=[f"{kind}-{bad}" for kind in ("pure", "mixed", "table", "dump") for bad in ("entry", "invalid", "count")])
+def test_every_load_refusal_names_its_file(capsys, tmp_path, load, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError) as refusal:
+        load(path)
+    assert str(refusal.value).startswith(f"{path}: ")
+    if load is load_ensemble:
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", str(path), "--helstrom")
+        assert code == 2 and out == "" and err.startswith(f"error: {path}: ")
+
+
 class TestEmpiricalFlag:
     def test_noisy_table_round_trip_through_cli(self, capsys, tmp_path):
         path = tmp_path / "noisy.json"
@@ -584,6 +613,21 @@ class TestHugeCounts:
         monkeypatch.setattr(kernels, "MAX_PAIR_ENTRIES", entries - 1)
         with pytest.raises(TooLarge, match="Helstrom size bound"):
             helstrom_differences(ensemble)
+
+    def test_fourier_ensemble_bound_is_inclusive(self, monkeypatch):
+        # N = 3 at d = 2: 6 amplitudes
+        monkeypatch.setattr(kernels, "MAX_PAIR_ENTRIES", 6)
+        assert fourier_ensemble(3, 2).N == 3
+        monkeypatch.setattr(kernels, "MAX_PAIR_ENTRIES", 5)
+        with pytest.raises(TooLarge, match="ensemble size bound"):
+            fourier_ensemble(3, 2)
+
+    def test_states_size_is_bounded(self, capsys, tmp_path):
+        # 10^12 amplitudes, 14.6 TiB, refused before anything is allocated
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, "states", "--N", "1000000", "--d", "1000000", "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("the ensemble size bound\n")
 
     def test_size_bounds_are_inclusive(self, monkeypatch):
         # N = 3 at d = 2: 3 pairs of 2 x 2 effects, and 3 * 2 * max(restarts, 2) see-saw entries

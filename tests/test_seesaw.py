@@ -67,7 +67,7 @@ class TestQuadraticSeesaw:
     def test_reported_model_reproduces_value(self):
         for kind in (Q, L):
             result = optimize(SeesawConfig(kind, 5, 3, restarts=5))
-            table = born_table(result.ensemble, result.measurements)
+            table = born_table(result.ensemble, helstrom_measurements(result.ensemble))
             assert evaluate(kind, table) == pytest.approx(result.best_value, abs=1e-9), kind
 
 
@@ -89,7 +89,7 @@ class TestResultStructure:
         assert result.best_value == max(result.restart_values)
         assert result.best_value <= quantum_bound(L, 5, 3) + 1e-6
         assert len(result.restart_values) == 8
-        assert result.ensemble.N == 5 and result.measurements.N == 5
+        assert result.ensemble.N == 5 and helstrom_measurements(result.ensemble).N == 5
 
     def test_reproducible_restart_values(self):
         a = optimize(SeesawConfig(L, 3, 2, restarts=6, seed=9))
