@@ -15,14 +15,13 @@ relabelling; the reported maximizer is the lexicographically smallest one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from . import kernels
 from .errors import BadArgument, IncompleteDecoding, TooLarge, require_int
-from .kernels import pair_labels
 from .witnesses import ProbabilityTable, WitnessKind, require_bound_args, require_kind
 
 #: Enumeration refuses to visit more canonical encodings than this.
@@ -116,17 +115,19 @@ def _canonical_encodings(n: int, d: int) -> Iterator[tuple[int, ...]]:
         top[i:] = [max(top[i - 1], enc[i])] * (n - i)
 
 
-def _pair_value(labels, encoding: tuple[int, ...]) -> int:
-    # labels first, so the argmax key is the positional partial(_pair_value, labels)
-    return sum(1 for x, xp in labels if encoding[x - 1] != encoding[xp - 1])
+def _pair_value(encoding: tuple[int, ...]) -> int:
+    # the pairs told apart: all of them but those within one symbol's block;
+    # a canonical encoding uses exactly the symbols 1..max
+    n = len(encoding)
+    return n * (n - 1) // 2 - sum(c * (c - 1) // 2 for c in map(encoding.count, range(1, max(encoding) + 1)))
 
 
-def _pair_decoding(encoding: tuple[int, ...], labels, d: int) -> dict[tuple[int, int], int]:
+def _pair_decoding(encoding: tuple[int, ...], d: int) -> dict[tuple[int, int], int]:
     # For measurement (x, x') the b=1 effect fires on x's message. When both
     # preparations share a message the pair contributes zero either way.
     decoding = {}
-    for y, (x, _xp) in enumerate(labels, start=1):
-        fire = encoding[x - 1]
+    for y, x in enumerate(kernels.pair_index(len(encoding))[0], start=1):
+        fire = encoding[x]
         for s in range(1, d + 1):
             decoding[(y, s)] = 1 if s == fire else 2
     return decoding
@@ -166,13 +167,10 @@ def enumerate_max(
     if n > ENUMERATION_MAX_N:
         raise TooLarge(f"N={n} exceeds {ENUMERATION_MAX_N}, the largest N the enumeration takes")
 
-    if kind is WitnessKind.GUESSING:
-        score = max  # a canonical encoding uses exactly the messages 1..max
-    else:
-        labels = pair_labels(n)
-        score = functools.partial(_pair_value, labels)
+    # a canonical encoding uses exactly the messages 1..max
+    score = max if kind is WitnessKind.GUESSING else _pair_value
     # max keeps the first maximizer, the lexicographically smallest in canonical order
     best = max(_canonical_encodings(n, symbols), key=score)
     if kind is WitnessKind.GUESSING:
         return score(best) / n, DeterministicStrategy(n, dim, best, _guessing_decoding(best, n, symbols))
-    return float(score(best)), DeterministicStrategy(n, dim, best, _pair_decoding(best, labels, symbols))
+    return float(score(best)), DeterministicStrategy(n, dim, best, _pair_decoding(best, symbols))

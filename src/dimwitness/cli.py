@@ -31,6 +31,7 @@ from .errors import DimWitnessError
 from .quantum import fourier_ensemble, helstrom_differences
 from .quantum import helstrom_measurements  # noqa: F401  bench/tracing.py wraps it as a cli attribute
 from .witnesses import (
+    ANALYTIC_SLACK,
     WitnessKind,
     certify_dimension,
     classical_bound,
@@ -153,7 +154,6 @@ def _cmd_seesaw(args) -> int:
         d=args.d,
         restarts=args.restarts,
         max_iters=args.max_iters,
-        improvement_tol=args.tol,
         seed=args.seed,
     )
     result = seesaw.optimize(cfg)
@@ -215,10 +215,9 @@ def _reproduce_bound_table(args) -> int:
 
 
 def _reproduce_tightness(args) -> int:
-    entries = seesaw.verify_table2(
-        args.nmax, tol=args.tol, restarts=args.restarts, seed=args.seed
-    )
-    lines = [f"Linear-witness tightness grid (restarts={args.restarts}, seed={args.seed}, tol={args.tol:.1e})"]
+    entries = seesaw.verify_table2(args.nmax, restarts=args.restarts, seed=args.seed)
+    tol = seesaw.ATTAINMENT_GAP
+    lines = [f"Linear-witness tightness grid (restarts={args.restarts}, seed={args.seed}, tol={tol:.1e})"]
     for e in entries:
         status = "attained" if e.attained else "not attained"
         lines.append(f"N={e.N} d={e.d}: Q_d {e.bound:.6f}  best {e.best_value:.6f}  gap {e.gap:.2e}  {status}")
@@ -227,7 +226,7 @@ def _reproduce_tightness(args) -> int:
     payload = {
         "restarts": args.restarts,
         "seed": args.seed,
-        "tol": args.tol,
+        "tol": tol,
         "entries": [dataclasses.asdict(e) for e in entries],
     }
     _emit(args, payload, "\n".join(lines))
@@ -246,7 +245,7 @@ def _cmd_classical(args) -> int:
     closed = classical_bound(kind, args.N, args.d)
     if closed is None:
         verdict = "no closed form"
-    elif abs(closed - value) <= 1e-9:
+    elif abs(closed - value) <= ANALYTIC_SLACK:
         verdict = "match"
     else:
         verdict = "MISMATCH"
@@ -314,19 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", choices=pair_choices, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-9, help="per-iteration improvement tolerance")
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--restarts", type=int, default=seesaw.SeesawConfig.restarts)
+    p.add_argument("--seed", type=int, default=seesaw.SeesawConfig.seed)
+    p.add_argument("--max-iters", type=int, default=seesaw.SeesawConfig.max_iters)
     p.add_argument("--out", help="write the best model to this JSON path")
     p.set_defaults(handler=_cmd_seesaw)
 
     p = sub.add_parser("reproduce", parents=[common], help="print a reference table")
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
     p.add_argument("--nmax", type=int, default=7, help="largest N for table 2")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-3, help="attainment gap for table 2")
+    p.add_argument("--restarts", type=int, default=seesaw.SeesawConfig.restarts)
+    p.add_argument("--seed", type=int, default=seesaw.SeesawConfig.seed)
     p.set_defaults(handler=_cmd_reproduce)
 
     p = sub.add_parser("classical", parents=[common], help="deterministic-strategy maximum")

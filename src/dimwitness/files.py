@@ -37,8 +37,7 @@ import numpy as np
 from .errors import BadArgument, DimWitnessError, FileFormatError, require_int
 from .kernels import pair_labels, preparation_count
 from .linalg import real_array
-from .quantum import Ensemble, PairMeasurementSet, helstrom_measurements
-from .simulate import require_compatible
+from .quantum import Ensemble, PairMeasurementSet, helstrom_measurements, require_compatible
 from .witnesses import ProbabilityTable, WitnessKind, require_kind_shape
 
 

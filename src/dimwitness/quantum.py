@@ -265,6 +265,18 @@ class PairMeasurementSet:
         return self.stack.shape[-1]
 
 
+def require_compatible(ensemble: Ensemble, measurements: PairMeasurementSet) -> None:
+    """``DimensionMismatch`` unless the effects share the states' dimension and cover their pairs."""
+    if ensemble.dim != measurements.dim:
+        raise DimensionMismatch(
+            f"states live in dimension {ensemble.dim}, effects in {measurements.dim}"
+        )
+    if ensemble.N != measurements.N:
+        raise DimensionMismatch(
+            f"measurements cover pairs of {measurements.N} preparations, ensemble has {ensemble.N}"
+        )
+
+
 def pure_state(amplitudes) -> DensityMatrix:
     """Density matrix |v><v| of a unit vector v, checked as a ``StateVector``."""
     amps = StateVector(amplitudes).amplitudes

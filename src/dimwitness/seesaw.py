@@ -28,12 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BadArgument, DimWitnessError, NonMonotonic, TooLarge, require_int, require_real, require_seed
+from .errors import BadArgument, DimWitnessError, NonMonotonic, TooLarge, require_int, require_seed
 from .quantum import Ensemble
-from .witnesses import WitnessKind, quantum_bound, require_kind
+from .witnesses import NUMERIC_SLACK, WitnessKind, quantum_bound, require_kind
 
 #: Objective decrease beyond this from the ascent to its final model signals a bug.
 MONOTONIC_SLACK = 1e-9
+#: A restart stops once it is this close to the ceiling, or an iteration gains less than this.
+IMPROVEMENT_TOL = 1e-9
+#: A Table-2 entry is attained when the best value is this close to the ceiling.
+ATTAINMENT_GAP = 1e-3
 #: L-BFGS memory: the (step, gradient change) pairs kept per restart.
 HISTORY = 8
 #: Armijo constant: a step must gain this share of its first-order prediction.
@@ -58,14 +62,13 @@ TIGHT_DIMENSIONS: dict[int, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class SeesawConfig:
-    """Knobs of one see-saw search."""
+    """Knobs of one see-saw search; the defaults here are the only ones."""
 
     witness: WitnessKind
     N: int
     d: int
     restarts: int = 20
     max_iters: int = 500
-    improvement_tol: float = 1e-9
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -84,8 +87,6 @@ class SeesawConfig:
         if self.N * (self.N - 1) // 2 * self.d * max(self.restarts, self.d) > kernels.MAX_PAIR_ENTRIES:
             raise TooLarge(f"restarts={self.restarts} at N={self.N}, d={self.d} needs more than 10^7 entries "
                            "(N(N-1)/2 * d * max(restarts, d)), the see-saw's size bound")
-        if not require_real(self.improvement_tol, "improvement_tol", 0):
-            raise BadArgument("improvement_tol must be positive, got 0")
         object.__setattr__(self, "seed", require_seed(self.seed))
 
 
@@ -97,9 +98,9 @@ class SeesawResult:
     search) summed over all restarts. In restart order, ``restart_values``
     records each restart's final value, ``restart_sweeps`` its iterations and
     ``restart_stops`` why it stopped: ``"ceiling"`` (within
-    ``improvement_tol`` of the quantum ceiling, so no iteration could gain
+    ``IMPROVEMENT_TOL`` of the quantum ceiling, so no iteration could gain
     that much), ``"stalled"`` (an iteration gained less than
-    ``improvement_tol``, or no step along its direction gained at all) or
+    ``IMPROVEMENT_TOL``, or no step along its direction gained at all) or
     ``"max_iters"``.
     """
 
@@ -188,8 +189,8 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     only with positive curvature), and halves it until the value gains at
     least ``ARMIJO`` times the predicted gain, so a restart never descends. A
     restart leaves the active set, its vectors and value frozen, once it is
-    within ``cfg.improvement_tol`` of the quantum ceiling (``"ceiling"``),
-    once an iteration gains less than ``cfg.improvement_tol`` (``"stalled"``),
+    within ``IMPROVEMENT_TOL`` of the quantum ceiling (``"ceiling"``), once
+    an iteration gains less than ``IMPROVEMENT_TOL`` (``"stalled"``),
     or at ``cfg.max_iters``. The optimal measurements of each restart's final
     states must then reproduce its value (a decrease raises ``NonMonotonic``
     naming the restart). The first restart with the best value has its states
@@ -260,8 +261,8 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         ax, af, ag = nx, nf, ng
         iterations[active] += 1
         x[active], values[active] = ax, af
-        at_ceiling = ceiling - af < cfg.improvement_tol
-        stalled = gain < cfg.improvement_tol
+        at_ceiling = ceiling - af < IMPROVEMENT_TOL
+        stalled = gain < IMPROVEMENT_TOL
         leaving = at_ceiling | stalled
         for k in np.flatnonzero(leaving):
             stops[active[k]] = "ceiling" if at_ceiling[k] else "stalled"
@@ -286,7 +287,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     best = int(np.argmax(final))
     best_value = float(final[best])
 
-    if best_value > ceiling + 1e-6:
+    if best_value > ceiling + NUMERIC_SLACK:
         raise DimWitnessError(
             f"see-saw value {best_value} exceeds the dimension ceiling {ceiling}; "
             "this indicates a numerical inconsistency"
@@ -315,23 +316,18 @@ class TightnessEntry:
 
 
 def verify_table2(
-    n_max: int,
-    tol: float = 1e-3,
-    *,
-    restarts: int = 20,
-    seed: int = 1,
+    n_max: int, *, restarts: int = SeesawConfig.restarts, seed: int = SeesawConfig.seed
 ) -> tuple[TightnessEntry, ...]:
     """Probe every reference tightness entry with N <= n_max.
 
     Runs the linear-witness see-saw at each listed (N, d) and reports the
     attained value against the ceiling; an entry is flagged attained when the
-    gap is at most ``tol``. Misses are reported, never raised -- a local
-    search failing to reach the ceiling is inconclusive.
+    gap is at most ``ATTAINMENT_GAP``. Misses are reported, never raised -- a
+    local search failing to reach the ceiling is inconclusive.
     """
     n_max = require_int(n_max, "n_max")
     if not 3 <= n_max <= 10:
         raise BadArgument(f"n_max must lie in 3..10, got {n_max}")
-    tol = require_real(tol, "tol", 0)
     entries = []
     for n in sorted(TIGHT_DIMENSIONS):
         if n > n_max:
@@ -340,5 +336,5 @@ def verify_table2(
             result = optimize(SeesawConfig(WitnessKind.LINEAR, n, d, restarts=restarts, seed=seed))
             bound = quantum_bound(WitnessKind.LINEAR, n, d)
             gap = bound - result.best_value
-            entries.append(TightnessEntry(n, d, bound, result.best_value, gap, gap <= tol))
+            entries.append(TightnessEntry(n, d, bound, result.best_value, gap, gap <= ATTAINMENT_GAP))
     return tuple(entries)

@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import BadArgument, DimensionMismatch, NotAPovm, ShapeMismatch, require_int, require_real, require_seed
 from .linalg import POVM_SUM_TOL
-from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet
+from .quantum import DensityMatrix, Effect, Ensemble, PairMeasurementSet, require_compatible
 from .witnesses import ProbabilityTable
 
 
@@ -48,18 +48,6 @@ def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Mix a state with the maximally mixed one: (1 - eta) rho + eta I/d."""
     eta = require_real(eta, "eta", 0, 1)
     return DensityMatrix((1.0 - eta) * rho.matrix + eta * np.eye(rho.dim) / rho.dim)
-
-
-def require_compatible(ensemble: Ensemble, measurements: PairMeasurementSet) -> None:
-    """``DimensionMismatch`` unless the effects share the states' dimension and cover their pairs."""
-    if ensemble.dim != measurements.dim:
-        raise DimensionMismatch(
-            f"states live in dimension {ensemble.dim}, effects in {measurements.dim}"
-        )
-    if ensemble.N != measurements.N:
-        raise DimensionMismatch(
-            f"measurements cover pairs of {measurements.N} preparations, ensemble has {ensemble.N}"
-        )
 
 
 def born_table(ensemble: Ensemble, measurements: PairMeasurementSet) -> ProbabilityTable:

@@ -191,7 +191,7 @@ def max_distinct_pairs(n_items: int, n_groups: int) -> int:
 def classical_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float | None:
     """Largest witness value reachable classically with dim messages.
 
-    Returns ``None`` for the linear witness away from dim = N - 1, where no
+    Returns ``None`` for the linear witness below dim = N - 1, where no
     closed form is available; use the enumeration oracle in
     :mod:`dimwitness.classical` instead.
     """
@@ -202,7 +202,7 @@ def _classical_ceiling(kind: WitnessKind, n: int, dim: int) -> float | None:
     # the closed forms behind classical_bound, on checked (N, d)
     if kind is WitnessKind.GUESSING:
         return min(dim, n) / n
-    if kind is WitnessKind.QUADRATIC or dim == n - 1:
+    if kind is WitnessKind.QUADRATIC or dim >= n - 1:
         return float(max_distinct_pairs(n, min(dim, n)))
     return None
 
@@ -227,8 +227,8 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
     The quantum side scans d = 1..N against the closed-form ceilings with the
     analytic comparison slack. The classical side does the same where a
     closed form exists and falls back to the deterministic-strategy
-    enumeration (with the looser numeric slack) for the linear witness away
-    from d = N - 1; if that enumeration would exceed its search guard the
+    enumeration (with the looser numeric slack) for the linear witness below
+    d = N - 1; if that enumeration would exceed its search guard the
     classical answer is reported as ``None`` rather than guessed.
 
     Raises ``OutOfRange`` when ``value`` exceeds the unrestricted ceiling (or

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dimwitness import DensityMatrix, Effect, Ensemble, pure_state
-from dimwitness import classical, files, kernels
+from dimwitness import files, kernels
 
 
 def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -82,7 +82,7 @@ def small_pair_labels(monkeypatch):
 
         return guarded
 
-    for module in (classical, files, kernels):
+    for module in (files, kernels):
         monkeypatch.setattr(module, "pair_labels", guard(kernels.pair_labels))
-    # quantum and seesaw reach the index arrays through the kernels module
+    # classical, quantum and seesaw reach the index arrays through the kernels module
     monkeypatch.setattr(kernels, "pair_index", guard(kernels.pair_index))

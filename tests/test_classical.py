@@ -14,7 +14,7 @@ from dimwitness import (
     evaluate,
     strategy_table,
 )
-from dimwitness.classical import ENUMERATION_MAX_N, _canonical_encodings
+from dimwitness.classical import ENUMERATION_MAX_N, _canonical_encodings, _pair_value
 
 Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
 
@@ -86,6 +86,12 @@ class TestEnumerateMax:
             ]
             for d in range(1, n + 2):
                 assert list(_canonical_encodings(n, d)) == [e for e in oracle if max(e) <= d], (n, d)
+
+    def test_pair_value_counts_the_pairs_told_apart(self):
+        # the block-size score against the pair-by-pair count
+        for n in range(2, 8):
+            for enc in _canonical_encodings(n, n):
+                assert _pair_value(enc) == sum(enc[x] != enc[xp] for x in range(n) for xp in range(x)), enc
 
     @pytest.mark.parametrize("kind", [Q, L, G])
     def test_decoding_size_does_not_grow_with_dimension(self, kind):

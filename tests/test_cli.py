@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from dimwitness import (
     Ensemble,
+    SeesawConfig,
     WitnessKind,
     born_table,
     certify_dimension,
@@ -14,8 +17,9 @@ from dimwitness import (
     fourier_ensemble,
     helstrom_measurements,
     quantum_bound,
+    verify_table2,
 )
-from dimwitness.cli import main
+from dimwitness.cli import build_parser, main
 from dimwitness.files import load_ensemble, save_ensemble
 
 
@@ -356,3 +360,48 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
                         lambda *a, **k: pytest.fail("main rebuilt the parser"))
     assert run(capsys, "classical", "--witness", "guessing", "--N", "3", "--d", "2")[0] == 0
+
+
+#: The settable values of the see-saw and of each subcommand (``--help`` aside): a knob added or
+#: removed here is an API change. The tolerances are module constants, not knobs.
+KNOBS = {
+    "SeesawConfig": ["witness", "N", "d", "restarts", "max_iters", "seed"],
+    "verify_table2": ["n_max", "restarts", "seed"],
+    "bounds": ["--json", "--witness", "--N", "--d"],
+    "states": ["--json", "--N", "--d", "--out"],
+    "evaluate": ["--json", "--witness", "--table", "--ensemble", "--helstrom"],
+    "seesaw": ["--json", "--witness", "--N", "--d", "--restarts", "--seed", "--max-iters", "--out"],
+    "reproduce": ["--json", "--table", "--nmax", "--restarts", "--seed"],
+    "classical": ["--json", "--witness", "--N", "--d"],
+}
+
+
+class TestKnobs:
+    def test_knobs_are_the_listed_ones(self):
+        subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        knobs = {name: [option for action in sub._actions if not isinstance(action, argparse._HelpAction)
+                        for option in action.option_strings]
+                 for name, sub in subcommands.choices.items()}
+        knobs["SeesawConfig"] = [field.name for field in dataclasses.fields(SeesawConfig)]
+        knobs["verify_table2"] = list(inspect.signature(verify_table2).parameters)
+        assert knobs == KNOBS
+
+    def test_defaults_are_the_config_ones(self):
+        defaults = {"restarts": SeesawConfig.restarts, "seed": SeesawConfig.seed}
+        seesaw_args = build_parser().parse_args(["seesaw", "--witness", "linear", "--N", "3", "--d", "2"])
+        reproduce_args = build_parser().parse_args(["reproduce", "--table", "2"])
+        assert {**defaults, "max_iters": SeesawConfig.max_iters} == {
+            name: getattr(seesaw_args, name) for name in ("restarts", "seed", "max_iters")}
+        assert defaults == {name: getattr(reproduce_args, name) for name in defaults}
+        assert defaults == {name: p.default for name, p in inspect.signature(verify_table2).parameters.items()
+                            if name in defaults}
+
+    @pytest.mark.parametrize("argv", [
+        ["seesaw", "--witness", "linear", "--N", "4", "--d", "2", "--tol", "1e-9"],
+        ["reproduce", "--table", "2", "--tol", "1e-3"],
+    ], ids=["seesaw", "reproduce"])
+    def test_tolerances_are_not_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err

@@ -61,7 +61,7 @@ IMPORTS = {
     "classical": {"errors", "kernels", "witnesses"},
     "cli": {"classical", "errors", "files", "quantum", "seesaw", "witnesses"},
     "errors": set(),
-    "files": {"errors", "kernels", "linalg", "quantum", "simulate", "witnesses"},
+    "files": {"errors", "kernels", "linalg", "quantum", "witnesses"},
     "kernels": {"linalg"},
     "linalg": {"errors"},
     "quantum": {"errors", "kernels", "linalg"},

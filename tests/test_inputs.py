@@ -150,20 +150,6 @@ class TestUndecodableFiles:
         assert err == f"error: {path}: holds an integer of more than {limit} digits\n"
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_tightness_grid_rejects_bad_tol(capsys, tol):
-    code, out, err = run(capsys, "reproduce", "--table", "2", "--nmax", "3", "--tol", tol)
-    assert code == 2
-    assert out == "" and "tol" in err
-
-
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_seesaw_rejects_bad_tol(capsys, tol):
-    code, out, err = run(capsys, "seesaw", "--witness", "linear", "--N", "4", "--d", "2", "--tol", tol)
-    assert code == 2
-    assert out == "" and "improvement_tol" in err
-
-
 _TABLE = {"witness": "quadratic", "N": 2, "m": 1, "k": 2, "p": [[[0.5, 0.5]], [[0.5, 0.5]]]}
 _DUMP = {"dim": 1, "states": [[[1, 0]], [[1, 0]]], "effects": {"2,1": [[1, 0]]}}
 
@@ -405,8 +391,6 @@ SCALAR_SITES = {
     "certify_dimension": ("witness value", lambda v: certify_dimension(WitnessKind.QUADRATIC, 5, v)),
     "NoiseModel": ("depolarizing_eta", lambda v: NoiseModel(depolarizing_eta=v)),
     "depolarize": ("eta", lambda v: depolarize(pure_state([1.0, 0.0]), v)),
-    "SeesawConfig": ("improvement_tol", lambda v: SeesawConfig(WitnessKind.LINEAR, 3, 2, improvement_tol=v)),
-    "verify_table2": ("tol", lambda v: verify_table2(3, tol=v)),
 }
 
 
@@ -436,8 +420,6 @@ class TestOneNumberRule:
             assert eta == 0.25 and type(eta) is float
         assert NoiseModel(1).depolarizing_eta == 1.0
         assert certify_dimension(WitnessKind.QUADRATIC, 5, np.int64(8)) == certify_dimension(WitnessKind.QUADRATIC, 5, 8.0)
-        with pytest.raises(BadArgument, match="improvement_tol must be positive"):
-            SeesawConfig(WitnessKind.LINEAR, 3, 2, improvement_tol=0)
 
 
 class TestDeterministicStrategyIntegers:

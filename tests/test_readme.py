@@ -1,8 +1,11 @@
-"""The README's library example runs and prints the values it shows."""
+"""The README's library example runs and prints the values it shows, and its command lines run."""
 
+import shlex
 from pathlib import Path
 
 import pytest
+
+from dimwitness.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,6 +14,22 @@ def library_example() -> str:
     """The first ``python`` code block under the README's "Library" heading."""
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def command_lines() -> list[str]:
+    """The ``dimwitness`` lines of the first code block under the README's "Command line" heading."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("dimwitness ")]
+
+
+def test_command_lines_run(monkeypatch, tmp_path):
+    # in order, in one directory: a later line reads what an earlier one wrote
+    monkeypatch.chdir(tmp_path)
+    lines = command_lines()
+    assert len(lines) == 7
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_library_example_gives_the_values_it_shows():

@@ -141,11 +141,11 @@ class TestClassicalBound:
     def test_reference_row(self):
         assert [classical_bound(Q, 7, d) for d in range(2, 8)] == [12, 16, 18, 19, 20, 21]
 
-    def test_linear_closed_form_only_next_to_full_dimension(self):
+    def test_linear_closed_form_from_one_below_full_dimension(self):
         assert classical_bound(L, 3, 2) == 2.0
         assert classical_bound(L, 4, 3) == 5.0
         assert classical_bound(L, 5, 2) is None
-        assert classical_bound(L, 5, 5) is None
+        assert classical_bound(L, 5, 5) == 10.0
 
     def test_linear_next_to_full_dimension_is_all_pairs_but_one(self):
         for n in range(2, 41):
