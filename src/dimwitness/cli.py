@@ -57,32 +57,35 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _report(args, fields: list, notes=()) -> None:
+    """Print one report from its fields: ``label: text`` lines, then ``notes``,
+    or under ``--json`` one object of ``key: value`` entries.
+
+    A field is a (label, key, value, text) row; one with no label is
+    JSON-only and one with no key text-only.
+    """
+    if args.json:
+        print(json.dumps({key: value for _, key, value, _ in fields if key is not None}))
+    else:
+        print("\n".join([f"{label}: {text}" for label, _, _, text in fields if label is not None] + list(notes)))
+
+
+def _setting(kind: WitnessKind, n: int, d: int | None = None) -> list:
+    """The witness, N and (when given) d fields that open a report."""
+    fields = [("witness", "witness", kind.value, kind.value), ("N", "N", n, n)]
+    return fields if d is None else fields + [("d", "d", d, d)]
+
+
 def _cmd_bounds(args) -> int:
     kind = WitnessKind(args.witness)
     quantum = quantum_bound(kind, args.N, args.d)
     classical = classical_bound(kind, args.N, args.d)
-    if classical is None:
-        classical_text = "requires enumeration (no closed form at this N, d)"
-    else:
-        classical_text = _fmt(classical)
-    text = "\n".join(
-        [
-            f"witness: {kind.value}",
-            f"N: {args.N}",
-            f"d: {args.d}",
-            f"Q_d: {_fmt(quantum)}",
-            f"C_d: {classical_text}",
-        ]
-    )
-    payload = {
-        "witness": kind.value,
-        "N": args.N,
-        "d": args.d,
-        "quantum_bound": quantum,
-        "classical_bound": classical,
-        "classical_bound_exact": classical is not None,
-    }
-    _emit(args, payload, text)
+    _report(args, _setting(kind, args.N, args.d) + [
+        ("Q_d", "quantum_bound", quantum, _fmt(quantum)),
+        ("C_d", "classical_bound", classical,
+         "requires enumeration (no closed form at this N, d)" if classical is None else _fmt(classical)),
+        (None, "classical_bound_exact", classical is not None, None),
+    ])
     return 0
 
 
@@ -119,30 +122,14 @@ def _cmd_evaluate(args) -> int:
         ensemble = files.load_ensemble(args.ensemble)
         n, value, empirical = ensemble.N, pair_value(kind, helstrom_differences(ensemble)), False
 
-    certified = certify_dimension(kind, n, value)
-    classical_text = (
-        "unknown (enumeration guard exceeded)"
-        if certified.min_classical_d is None
-        else str(certified.min_classical_d)
-    )
-    lines = [
-        f"witness: {kind.value}",
-        f"N: {n}",
-        f"value: {value:.6f}",
-        f"min quantum dimension: {certified.min_quantum_d}",
-        f"min classical dimension: {classical_text}",
-    ]
-    if empirical:
-        lines.append("note: table holds empirical frequencies")
-    payload = {
-        "witness": kind.value,
-        "N": n,
-        "value": value,
-        "min_quantum_d": certified.min_quantum_d,
-        "min_classical_d": certified.min_classical_d,
-        "empirical": empirical,
-    }
-    _emit(args, payload, "\n".join(lines))
+    quantum_d, classical_d = certify_dimension(kind, n, value)
+    _report(args, _setting(kind, n) + [
+        ("value", "value", value, f"{value:.6f}"),
+        ("min quantum dimension", "min_quantum_d", quantum_d, quantum_d),
+        ("min classical dimension", "min_classical_d", classical_d,
+         "unknown (enumeration guard exceeded)" if classical_d is None else classical_d),
+        (None, "empirical", empirical, None),
+    ], ["note: table holds empirical frequencies"] if empirical else [])
     return 0
 
 
@@ -161,33 +148,17 @@ def _cmd_seesaw(args) -> int:
     gap = bound - result.best_value
     if args.out is not None:
         files.save_seesaw_dump(result.ensemble, args.out)
-    text = "\n".join(
-        [
-            f"witness: {kind.value}",
-            f"N: {args.N}",
-            f"d: {args.d}",
-            f"best value: {result.best_value:.6f}",
-            f"Q_d: {bound:.6f}",
-            f"gap: {gap:.3e}",
-            f"restarts: {args.restarts}",
-            f"iterations: {result.iterations_used}",
-        ]
-        + ([f"wrote model to {args.out}"] if args.out is not None else [])
-    )
-    payload = {
-        "witness": kind.value,
-        "N": args.N,
-        "d": args.d,
-        "best_value": result.best_value,
-        "quantum_bound": bound,
-        "gap": gap,
-        "restart_values": list(result.restart_values),
-        "restart_sweeps": list(result.restart_sweeps),
-        "restart_stops": list(result.restart_stops),
-        "iterations_used": result.iterations_used,
-        "out": args.out,
-    }
-    _emit(args, payload, text)
+    _report(args, _setting(kind, args.N, args.d) + [
+        ("best value", "best_value", result.best_value, f"{result.best_value:.6f}"),
+        ("Q_d", "quantum_bound", bound, f"{bound:.6f}"),
+        ("gap", "gap", gap, f"{gap:.3e}"),
+        ("restarts", None, None, args.restarts),
+        (None, "restart_values", list(result.restart_values), None),
+        (None, "restart_sweeps", list(result.restart_sweeps), None),
+        (None, "restart_stops", list(result.restart_stops), None),
+        ("iterations", "iterations_used", result.iterations_used, result.iterations_used),
+        (None, "out", args.out, None),
+    ], [f"wrote model to {args.out}"] if args.out is not None else [])
     return 0
 
 
@@ -249,27 +220,12 @@ def _cmd_classical(args) -> int:
         verdict = "match"
     else:
         verdict = "MISMATCH"
-    text = "\n".join(
-        [
-            f"witness: {kind.value}",
-            f"N: {args.N}",
-            f"d: {args.d}",
-            f"enumerated maximum: {_fmt(value)}",
-            f"closed-form value: {'none' if closed is None else _fmt(closed)}",
-            f"verdict: {verdict}",
-            f"optimal encoding: {strategy.encoding}",
-        ]
-    )
-    payload = {
-        "witness": kind.value,
-        "N": args.N,
-        "d": args.d,
-        "enumerated": value,
-        "closed_form": closed,
-        "verdict": verdict,
-        "encoding": list(strategy.encoding),
-    }
-    _emit(args, payload, text)
+    _report(args, _setting(kind, args.N, args.d) + [
+        ("enumerated maximum", "enumerated", value, _fmt(value)),
+        ("closed-form value", "closed_form", closed, "none" if closed is None else _fmt(closed)),
+        ("verdict", "verdict", verdict, verdict),
+        ("optimal encoding", "encoding", list(strategy.encoding), strategy.encoding),
+    ])
     return 0
 
 

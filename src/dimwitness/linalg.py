@@ -67,14 +67,17 @@ def real_array(data, need: str) -> np.ndarray:
 def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndarray:
     """Validate ``a`` as finite and Hermitian; return it symmetrized, as complex.
 
-    ``a`` is one square matrix or a stack of shape (..., n, n), checked in
-    one pass. ``what`` names the input in errors; for a stack it may be a
-    function naming member k of the flattened stack. Raises ``BadArgument`` on
-    ragged, non-numeric, NaN or infinite entries and ``NotHermitian`` reporting
-    the offending deviation when the entrywise asymmetry exceeds ``HERMITIAN_TOL``.
+    ``what`` names the input in errors. A string names one matrix, and
+    anything but a 2-D ``a`` raises ``BadArgument`` naming its shape; a
+    function naming member k of the flattened stack admits a stack of shape
+    (..., n, n), checked in one pass. Raises ``BadArgument`` on ragged,
+    non-numeric, NaN or infinite entries and ``NotHermitian`` reporting the
+    offending deviation when the entrywise asymmetry exceeds ``HERMITIAN_TOL``.
     """
     name = what if isinstance(what, str) else "every member of the stack"
     a = complex_array(a, f"{name} must be a square matrix of numbers")
+    if isinstance(what, str) and a.ndim != 2:
+        raise BadArgument(f"{name} must be one square matrix, got shape {a.shape}")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise NotHermitian(f"{name} must be square, got shape {a.shape}")
 

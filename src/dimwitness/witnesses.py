@@ -30,7 +30,7 @@ from .linalg import PROBABILITY_TOL, ROW_SUM_TOL, real_array
 
 #: Comparison slack against closed-form bounds.
 ANALYTIC_SLACK = 1e-9
-#: Comparison slack against enumerated or otherwise numerical bounds.
+#: How far a numerically computed value may pass a ceiling or leave the witness range.
 NUMERIC_SLACK = 1e-6
 
 
@@ -224,12 +224,14 @@ def _witness_range(kind: WitnessKind, n_preparations: int) -> tuple[float, float
 def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> CertifiedDimensions:
     """Smallest quantum and classical dimensions compatible with ``value``.
 
-    The quantum side scans d = 1..N against the closed-form ceilings with the
-    analytic comparison slack. The classical side does the same where a
-    closed form exists and falls back to the deterministic-strategy
-    enumeration (with the looser numeric slack) for the linear witness below
-    d = N - 1; if that enumeration would exceed its search guard the
-    classical answer is reported as ``None`` rather than guessed.
+    Both sides scan d = 1..N with the analytic comparison slack: the quantum
+    side against the closed-form ceilings, the classical side against them
+    where a closed form exists and against the deterministic-strategy
+    enumeration, whose maxima are exact integers, for the linear witness
+    below d = N - 1. Both fall back to N, whose ceilings equal the
+    unrestricted one, for a value above it within the numeric slack. The
+    classical answer is ``None`` only when an enumeration would exceed its
+    search guard.
 
     Raises ``OutOfRange`` when ``value`` exceeds the unrestricted ceiling (or
     undershoots the witness range) by more than the numeric slack.
@@ -251,17 +253,16 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
 
     from . import classical  # deferred: classical depends on this module
 
-    min_classical: int | None = None
+    min_classical: int | None = n
     for d in range(1, n + 1):
         bound = _classical_ceiling(kind, n, d)
-        slack = ANALYTIC_SLACK
         if bound is None:
             try:
                 bound, _ = classical.enumerate_max(kind, n, d)
             except TooLarge:
+                min_classical = None
                 break
-            slack = NUMERIC_SLACK
-        if bound >= value - slack:
+        if bound >= value - ANALYTIC_SLACK:
             min_classical = d
             break
     return CertifiedDimensions(min_quantum, min_classical)

@@ -1,13 +1,19 @@
 import argparse
+import ast
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dimwitness import (
     Ensemble,
+    NoiseModel,
     SeesawConfig,
     WitnessKind,
     born_table,
@@ -16,17 +22,85 @@ from dimwitness import (
     evaluate,
     fourier_ensemble,
     helstrom_measurements,
+    noisy_table,
     quantum_bound,
     verify_table2,
 )
 from dimwitness.cli import build_parser, main
-from dimwitness.files import load_ensemble, save_ensemble
+from dimwitness.files import load_ensemble, save_ensemble, save_table
+from dimwitness.kernels import pair_index
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fixed(text):
+    """A number printed with six decimals, or bare when it is an integer."""
+    return pytest.approx(float(text), rel=0, abs=5.1e-7)
+
+
+def unless(word, read):
+    """``read`` of the text, or ``None`` where the text is ``word``."""
+    return lambda text: None if text == word else read(text)
+
+
+SETTING = [("witness", "witness", str), ("N", "N", int), ("d", "d", int)]
+BOUNDS_FIELDS = SETTING + [
+    ("Q_d", "quantum_bound", fixed),
+    ("C_d", "classical_bound", unless("requires enumeration (no closed form at this N, d)", fixed)),
+    (None, "classical_bound_exact", None),
+]
+EVALUATE_FIELDS = SETTING[:2] + [
+    ("value", "value", fixed),
+    ("min quantum dimension", "min_quantum_d", int),
+    ("min classical dimension", "min_classical_d", unless("unknown (enumeration guard exceeded)", int)),
+    (None, "empirical", None),
+]
+SEESAW_FIELDS = SETTING + [
+    ("best value", "best_value", fixed),
+    ("Q_d", "quantum_bound", fixed),
+    ("gap", "gap", lambda text: pytest.approx(float(text), rel=5e-4, abs=0)),
+    ("restarts", None, None),
+    (None, "restart_values", None),
+    (None, "restart_sweeps", None),
+    (None, "restart_stops", None),
+    ("iterations", "iterations_used", int),
+    (None, "out", None),
+]
+CLASSICAL_FIELDS = SETTING + [
+    ("enumerated maximum", "enumerated", fixed),
+    ("closed-form value", "closed_form", unless("none", fixed)),
+    ("verdict", "verdict", str),
+    ("optimal encoding", "encoding", lambda text: list(ast.literal_eval(text))),
+]
+
+
+def same_fields(capsys, argv, fields, notes=()):
+    """Run one report as text and as --json and check that both carry the same fields.
+
+    ``fields`` lists the report's (label, key, read) rows in order. The text
+    lines hold the labels in that order, then ``notes``; the JSON keys come in
+    that order; and on a row with both, ``read`` of the text equals the JSON
+    value. Returns the text fields (label -> text) and the JSON object.
+    """
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    labelled = [row for row in fields if row[0] is not None]
+    lines = out.splitlines()
+    assert lines[len(labelled):] == list(notes)
+    text = dict(line.split(": ", 1) for line in lines[:len(labelled)])
+    assert list(text) == [label for label, _, _ in labelled]
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert list(payload) == [key for _, key, _ in fields if key is not None]
+    for label, key, read in labelled:
+        if key is not None:
+            assert read(text[label]) == payload[key], label
+    return text, payload
 
 
 class TestBounds:
@@ -65,9 +139,8 @@ class TestBounds:
             for d in (1, 2, 3, 6, 9):
                 argv = ("bounds", "--witness", kind.value, "--N", str(n), "--d", str(d))
                 classical = classical_bound(kind, n, d)
-                code, out, _ = run(capsys, *argv, "--json")
-                assert code == 0
-                assert json.loads(out) == {
+                _, payload = same_fields(capsys, argv, BOUNDS_FIELDS)
+                assert payload == {
                     "witness": kind.value,
                     "N": n,
                     "d": d,
@@ -75,9 +148,6 @@ class TestBounds:
                     "classical_bound": classical,
                     "classical_bound_exact": classical is not None,
                 }
-                code, out, _ = run(capsys, *argv)
-                assert code == 0
-                assert ("requires enumeration" in out) == (classical is None), (n, d)
 
     def test_ceilings_that_round_past_each_other_are_reported(self, capsys):
         # at N = 10^11 the float C_d rounds one ulp above the float Q_d, though exactly C_d < Q_d
@@ -164,6 +234,35 @@ class TestEvaluate:
         assert "value: 0.000000" in out
         assert "min quantum dimension: 1" in out
         assert "min classical dimension: 1" in out
+
+    def test_json_and_text_report_the_same_fields(self, capsys, tmp_path):
+        ensemble = fourier_ensemble(7, 2)
+        save_ensemble(ensemble, tmp_path / "e.json")
+        argv = ("evaluate", "--witness", "linear", "--ensemble", str(tmp_path / "e.json"), "--helstrom")
+        _, payload = same_fields(capsys, argv, EVALUATE_FIELDS)
+        assert (payload["N"], payload["min_quantum_d"], payload["empirical"]) == (7, 2, False)
+
+        table = noisy_table(ensemble, helstrom_measurements(ensemble), NoiseModel(0.1, 500), seed=3)
+        save_table(table, WitnessKind.QUADRATIC, tmp_path / "t.json")
+        argv = ("evaluate", "--witness", "quadratic", "--table", str(tmp_path / "t.json"))
+        _, payload = same_fields(capsys, argv, EVALUATE_FIELDS, ["note: table holds empirical frequencies"])
+        assert payload["value"] == evaluate(WitnessKind.QUADRATIC, table) and payload["empirical"] is True
+
+    def test_value_just_above_the_ceiling_certifies_n_classically(self, capsys, tmp_path):
+        # every pair difference is 1 + 1.8e-9 inside the probability tolerance: the value passes C_20 = 190
+        # by 6.8e-7, within the slack certify_dimension admits, and nothing is enumerated
+        n = 20
+        p = np.full((n, n * (n - 1) // 2, 2), 0.5)
+        x, xp = pair_index(n)
+        y = np.arange(x.size)
+        p[x, y] = [1 + 9e-10, -9e-10]
+        p[xp, y] = [-9e-10, 1 + 9e-10]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"witness": "quadratic", "N": n, "m": y.size, "k": 2, "p": p.tolist()}))
+        text, payload = same_fields(capsys, ("evaluate", "--witness", "quadratic", "--table", str(path)),
+                                    EVALUATE_FIELDS)
+        assert 190 < payload["value"] < 190 + 1e-6
+        assert text["min classical dimension"] == "20" and payload["min_quantum_d"] == 20
 
     def test_witness_must_match_declared_kind(self, capsys, tmp_path):
         path = tmp_path / "t.json"
@@ -279,6 +378,18 @@ class TestSeesaw:
             assert code == 0
             assert json.loads(out)["value"] == pytest.approx(best, rel=1e-12, abs=0), witness
 
+    @pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+    def test_json_and_text_report_the_same_fields(self, capsys, tmp_path, out):
+        argv = ("seesaw", "--witness", "linear", "--N", "4", "--d", "3", "--restarts", "3")
+        path = str(tmp_path / "m.json")
+        notes = []
+        if out:
+            argv += ("--out", path)
+            notes = [f"wrote model to {path}"]
+        text, payload = same_fields(capsys, argv, SEESAW_FIELDS, notes)
+        assert text["restarts"] == "3" and len(payload["restart_values"]) == 3
+        assert payload["out"] == (path if out else None)
+
     def test_guessing_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["seesaw", "--witness", "guessing", "--N", "3", "--d", "2"])
@@ -352,6 +463,40 @@ class TestClassical:
 
     def test_guard_exits_2(self, capsys):
         assert run(capsys, "classical", "--witness", "quadratic", "--N", "30", "--d", "3")[0] == 2
+
+    @pytest.mark.parametrize("kind", list(WitnessKind))
+    def test_json_and_text_report_the_same_fields(self, capsys, kind):
+        text, payload = same_fields(capsys, ("classical", "--witness", kind.value, "--N", "6", "--d", "2"),
+                                    CLASSICAL_FIELDS)
+        assert payload["verdict"] == ("no closed form" if kind is WitnessKind.LINEAR else "match")
+        assert text["optimal encoding"].startswith("(1, ")
+
+
+class TestProcess:
+    """``python -m dimwitness`` as a real process: ``__main__`` and its exit status."""
+
+    @staticmethod
+    def dimwitness(*argv, cwd):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "dimwitness", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_json_run_exits_0_and_parses(self, tmp_path):
+        done = self.dimwitness("bounds", "--witness", "quadratic", "--N", "7", "--d", "3", "--json", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["classical_bound"] == 16
+
+    def test_bad_argument_exits_2_with_one_error_line(self, tmp_path):
+        done = self.dimwitness("bounds", "--witness", "quadratic", "--N", "1", "--d", "2", cwd=tmp_path)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error: need at least 2 preparations, got 1\n"
+        assert "Traceback" not in done.stderr
+
+    def test_missing_table_exits_3(self, tmp_path):
+        done = self.dimwitness("evaluate", "--witness", "quadratic", "--table", "missing.json", cwd=tmp_path)
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr.startswith("i/o error: ") and "Traceback" not in done.stderr
 
 
 

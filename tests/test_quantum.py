@@ -207,6 +207,20 @@ class TestBatchedEnsemble:
             build(data)
         assert str(err.value) == f"{message}, got a ragged input whose members differ in shape"
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [(DensityMatrix, "density matrix"), (Effect, "effect"), (trace_norm, "matrix")],
+        ids=["DensityMatrix", "Effect", "trace_norm"],
+    )
+    @pytest.mark.parametrize(
+        "data", [np.stack([np.eye(2) / 2] * 3), np.full(2, 0.5), 0.5], ids=["stack", "vector", "scalar"]
+    )
+    def test_single_objects_take_one_matrix(self, build, name, data):
+        # a stack of three states is no state: taken as one it would claim dim 3 and trace norm 3
+        with pytest.raises(BadArgument) as err:
+            build(data)
+        assert str(err.value) == f"{name} must be one square matrix, got shape {np.shape(data)}"
+
     @pytest.mark.parametrize("build, data", [(Effect, [[{}, 0], [0, 1]]), (StateVector, ["up", 0])], ids=["Effect", "StateVector"])
     def test_single_objects_refuse_entries_that_are_not_numbers(self, build, data):
         with pytest.raises(BadArgument, match="not numbers$"):

@@ -225,3 +225,17 @@ class TestCertifyDimension:
     def test_boundary_values_certify_trivially(self):
         assert certify_dimension(L, 4, -5.0).min_quantum_d == 1
         assert certify_dimension(G, 4, 1.0) == (4, 4)
+
+    @pytest.mark.parametrize("kind, n, value", [(Q, 3, 3 + 5e-7), (L, 3, 3 + 5e-7), (G, 4, 1 + 5e-7)])
+    def test_value_within_the_numeric_slack_above_the_ceiling_certifies_n_on_both_sides(self, kind, n, value):
+        # C_N equals the unrestricted ceiling, so the classical scan falls back to N as the quantum one does
+        assert certify_dimension(kind, n, value) == (n, n)
+
+    def test_enumerated_maxima_are_compared_with_the_analytic_slack(self):
+        # C_2 = 6 at N = 5 for both pair witnesses: a closed form for the quadratic, an enumeration for the linear
+        assert certify_dimension(Q, 5, 6 + 5e-7) == (2, 3)
+        assert certify_dimension(L, 5, 6 + 5e-7) == (2, 3)
+
+    def test_unknown_classical_dimension_means_the_enumeration_guard_was_exceeded(self):
+        # linear N = 30 has no closed form at d = 2, and its d = 2 enumeration passes the guard
+        assert certify_dimension(L, 30, 10.0) == (2, None)
