@@ -4,11 +4,11 @@ Exact tables follow the Born rule P(b|x,y) = tr(rho_x M^b_y). Two optional
 distortions feed the certification pipeline with more realistic data:
 depolarizing noise, applied to the table through its linear action on the Born
 probabilities, and finite-shot sampling that replaces each cell with an
-empirical frequency. Every cell draws from its own counter-based Philox stream
-keyed by (seed, x, y), so tables are reproducible cell by cell regardless of
-evaluation order. One generator serves a whole table: before each cell it is
-reset to the fresh state of that cell's stream, which draws exactly what a new
-generator would.
+empirical frequency. Each preparation x draws its row of counts from its own
+counter-based Philox stream keyed by [seed, x], with one vectorised
+``binomial`` call, so a row does not depend on the other rows or on the order
+they are drawn in. Seeded finite-shot tables from versions that keyed one
+stream per (x, y) cell are not reproduced.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ def noisy_table(
     state, so tr(rho_eta E_y) = (1 - eta) tr(rho E_y) + eta tr(E_y)/d for
     rho_eta = (1 - eta) rho + eta I/d, and no depolarized state is built. With
     ``shots`` set, every (x, y) cell becomes the success frequency of that
-    many Bernoulli trials at that probability (clipped to [0, 1]), drawn with
-    one ``binomial`` call from the Philox stream keyed by
-    [seed, (x << 32) | y]. One bit generator serves the table: before each
-    cell it is reset to that stream's fresh state (counter 0, empty buffer),
-    so each cell gets the same draw as from its own new generator, independent
-    of evaluation order. The result is deterministic given the seed and is
-    flagged ``empirical``.
+    many Bernoulli trials at that probability (clipped to [0, 1]). Row x is
+    drawn by one ``binomial(shots, row)`` call on a new generator over the
+    Philox stream keyed [seed, x], so each row is the same whatever the other
+    preparations are. Both outcome frequencies, count/shots and
+    (shots - count)/shots, are correctly rounded. The result is deterministic
+    given the seed and is flagged ``empirical``; seeded tables from versions
+    with one stream per (x, y) cell are not reproduced.
     """
     seed = require_seed(seed)
     eta = noise.depolarizing_eta
@@ -84,21 +84,21 @@ def noisy_table(
     shots = noise.shots
     if shots is None:
         return ProbabilityTable(np.stack([p1, 1.0 - p1], axis=2))
-    key = [seed, 0]
-    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bit_generator = np.random.Philox(key=0)  # reset to a cell's stream before every draw
-    rng = np.random.Generator(bit_generator)
-    counts = []
-    for x, row in enumerate(np.clip(p1, 0.0, 1.0).tolist(), start=1):
-        for y, prob in enumerate(row, start=1):
-            key[1] = (x << 32) | y
-            bit_generator.state = fresh
-            counts.append(rng.binomial(shots, prob))
-    # int / int is correctly rounded for any shot count; a float64 array
-    # division is not once counts pass 2**53.
-    freq = np.array([c / shots for c in counts]).reshape(p1.shape)
-    return ProbabilityTable(np.stack([freq, 1.0 - freq], axis=2), empirical=True)
+    # as a plain list a seed past 2**63 would turn the key into float64
+    keys = np.array([[seed, x] for x in range(1, len(p1) + 1)], dtype=np.uint64)
+    counts = np.stack([np.random.Generator(np.random.Philox(key=key)).binomial(shots, row)
+                       for key, row in zip(keys, np.clip(p1, 0.0, 1.0))])
+    return ProbabilityTable(np.stack([_ratio(counts, shots), _ratio(shots - counts, shots)], axis=2),
+                            empirical=True)
+
+
+def _ratio(counts: np.ndarray, shots: int) -> np.ndarray:
+    """counts / shots, each entry correctly rounded."""
+    if shots <= 2**53:
+        # both operands convert to float64 exactly, so one rounding
+        return counts / shots
+    # past 2**53 a float64 array division rounds twice; int / int does not
+    return np.array([c / shots for c in counts.ravel().tolist()]).reshape(counts.shape)
 
 
 def guessing_table(ensemble: Ensemble, effects: Sequence[Effect]) -> ProbabilityTable:

@@ -150,53 +150,68 @@ class TestNoisyTable:
     def test_million_shot_convergence_on_reference_model(self):
         ensemble = fourier_ensemble(7, 2)
         ms = helstrom_measurements(ensemble)
-        exact = evaluate(Q, born_table(ensemble, ms))
-        empirical = noisy_table(ensemble, ms, NoiseModel(shots=10**6), seed=7)
-        assert abs(evaluate(Q, empirical) - exact) <= 5e-3
+        exact = born_table(ensemble, ms)
+        shots = 10**6
+        empirical = noisy_table(ensemble, ms, NoiseModel(shots=shots), seed=7)
+        # Cells are independent binomials of variance p(1 - p)/shots, and pair y
+        # is (x, x') in np.tril_indices order. For W = sum_y D_y^2 the bias is
+        # sum_y Var(D_y) and, to first order, Var(W) = sum_y 4 D_y^2 Var(D_y).
+        p1 = exact.p[:, :, 0]
+        cell_var = p1 * (1.0 - p1) / shots
+        x, xp = np.tril_indices(7, k=-1)
+        y = np.arange(len(x))
+        var_d = cell_var[x, y] + cell_var[xp, y]
+        sd = math.sqrt(np.sum(4.0 * pair_differences(exact) ** 2 * var_d))
+        bound = np.sum(var_d) + 6.0 * sd
+        assert abs(evaluate(Q, empirical) - evaluate(Q, exact)) <= bound
 
 
-def per_cell_frequencies(ensemble, measurements, eta, shots, seed):
-    """Reference sampler: a new Philox generator keyed [seed, (x << 32) | y] per cell."""
+def per_row_counts(ensemble, measurements, eta, shots, seed):
+    """Reference sampler: a new Philox generator keyed [seed, x] per row, one binomial call each."""
     exact = noisy_table(ensemble, measurements, NoiseModel(eta), seed).p[:, :, 0]
-    freq = np.empty(exact.shape)
-    for x in range(1, exact.shape[0] + 1):
-        for y in range(1, exact.shape[1] + 1):
-            key = np.array([seed, (x << 32) | y], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            freq[x - 1, y - 1] = rng.binomial(shots, float(np.clip(exact[x - 1, y - 1], 0.0, 1.0))) / shots
-    return freq
+    rows = []
+    for x, row in enumerate(exact, start=1):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, x], dtype=np.uint64)))
+        rows.append(rng.binomial(shots, np.clip(row, 0.0, 1.0)))
+    return np.stack(rows)
 
 
-def assert_same_as_per_cell(table, ensemble, measurements, eta, shots, seed):
-    freq = per_cell_frequencies(ensemble, measurements, eta, shots, seed)
+def assert_same_as_per_row(table, ensemble, measurements, eta, shots, seed):
+    counts = per_row_counts(ensemble, measurements, eta, shots, seed).tolist()
+    # Python's int / int is correctly rounded for any shot count
+    freq = np.array([[c / shots for c in row] for row in counts])
+    rest = np.array([[(shots - c) / shots for c in row] for row in counts])
     assert table.p[:, :, 0].tobytes() == freq.tobytes()
-    assert table.p[:, :, 1].tobytes() == (1.0 - freq).tobytes()
+    assert table.p[:, :, 1].tobytes() == rest.tobytes()
 
 
 class TestSamplerKeying:
-    """The one-generator sampler draws bit for bit what a generator per cell draws."""
+    """Each row is one binomial draw from the Philox stream keyed [seed, x]."""
 
     @pytest.mark.parametrize("shots", [1, 5, 100, 10**4, 10**6])
     def test_matches_a_generator_per_cell(self, shots):
+        """Cell by cell, bitwise, the table is what a new generator per row draws."""
         ensemble = fourier_ensemble(7, 3)
         ms = helstrom_measurements(ensemble)
         for seed in (0, 2**64 - 1):
             for eta in (0.0, 0.1):
                 table = noisy_table(ensemble, ms, NoiseModel(eta, shots), seed)
-                assert_same_as_per_cell(table, ensemble, ms, eta, shots, seed)
+                assert_same_as_per_row(table, ensemble, ms, eta, shots, seed)
 
-    @pytest.mark.parametrize("shots", [10**18 + 9, 2**63 - 1])
+    @pytest.mark.parametrize("shots", [2**53, 2**53 + 1, 10**18 + 9, 2**63 - 1])
     def test_matches_a_generator_per_cell_beyond_float_integers(self, shots):
-        # past 2**53 counts a float64 division of the count array rounds twice
+        """The same cell-by-cell match where counts pass the float64 integers."""
+        # past 2**53 shots a float64 division of the count array rounds twice
         ensemble = fourier_ensemble(12, 3)
         ms = helstrom_measurements(ensemble)
         table = noisy_table(ensemble, ms, NoiseModel(0.1, shots), 2**64 - 1)
-        assert_same_as_per_cell(table, ensemble, ms, 0.1, shots, 2**64 - 1)
+        assert_same_as_per_row(table, ensemble, ms, 0.1, shots, 2**64 - 1)
 
     def test_certain_outcomes_on_orthogonal_states(self):
         ensemble = basis_pair()
         table = noisy_table(ensemble, one_pair(np.diag([1.0, 0.0])), NoiseModel(shots=50), seed=4)
         assert table.p[:, 0, 0].tolist() == [1.0, 0.0]
+        assert table.p[:, 0, 1].tolist() == [0.0, 1.0]
 
     def test_interleaved_calls_with_different_seeds_do_not_disturb_each_other(self):
         ensemble = fourier_ensemble(5, 2)
@@ -206,8 +221,23 @@ class TestSamplerKeying:
         other = noisy_table(ensemble, ms, model, seed=2**64 - 1)
         again = noisy_table(ensemble, ms, model, seed=3)
         assert first.p.tobytes() == again.p.tobytes()
-        assert_same_as_per_cell(first, ensemble, ms, 0.05, 1000, 3)
-        assert_same_as_per_cell(other, ensemble, ms, 0.05, 1000, 2**64 - 1)
+        assert_same_as_per_row(first, ensemble, ms, 0.05, 1000, 3)
+        assert_same_as_per_row(other, ensemble, ms, 0.05, 1000, 2**64 - 1)
+
+    def test_a_row_does_not_depend_on_the_other_preparations(self):
+        ensemble = fourier_ensemble(7, 3)
+        ms = helstrom_measurements(ensemble)
+        vectors = ensemble.vectors().copy()
+        changed = 4
+        vectors[changed] = np.array([1.0, 1.0j, -1.0]) / np.sqrt(3)
+        other = Ensemble.from_vectors(vectors)
+        model = NoiseModel(0.1, 1000)
+        kept = np.arange(7) != changed
+        exact_a, exact_b = born_table(ensemble, ms).p, born_table(other, ms).p
+        assert exact_a[kept].tobytes() == exact_b[kept].tobytes()
+        a, b = noisy_table(ensemble, ms, model, seed=9).p, noisy_table(other, ms, model, seed=9).p
+        assert a[kept].tobytes() == b[kept].tobytes()
+        assert not np.array_equal(a[changed], b[changed])
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, 2**64, math.inf, "1"])
     def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
