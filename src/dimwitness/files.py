@@ -2,9 +2,12 @@
 
 Complex numbers are stored as [re, im] pairs and matrices as flat row-major
 lists of such pairs, so every file is trivially parseable anywhere and
-compact: one line of JSON with a trailing newline, written by the C encoder
-of ``json.dumps``. Floats go through ``repr`` (shortest decimal
-representation), which round-trips binary doubles exactly.
+compact: one line of JSON with a trailing newline. A file's bytes are exactly
+``json.dumps(payload) + "\n"`` with every array as its ``tolist()``: scalars
+and keys go through ``json.dumps``, and each float array through one encoder
+that formats every distinct double once with ``repr`` (shortest decimal
+representation, which round-trips binary doubles exactly) and writes the
+array row by row.
 
 Schemas
 -------
@@ -41,9 +44,9 @@ from .quantum import Ensemble, PairMeasurementSet, helstrom_measurements, requir
 from .witnesses import ProbabilityTable, WitnessKind, require_kind_shape
 
 
-def _complex_to_json(a: np.ndarray) -> list[list[float]]:
-    """A vector or matrix as a flat row-major list of [re, im] pairs."""
-    return np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist()
+def _pairs(stack: np.ndarray) -> np.ndarray:
+    """A stack of vectors or matrices as a (count, entries, 2) array: each member flat row-major, as [re, im] pairs."""
+    return np.stack([stack.real, stack.imag], axis=-1).reshape(len(stack), -1, 2)
 
 
 def _number_pair(pair) -> bool:
@@ -105,15 +108,51 @@ def _read_json(path) -> dict:
     return data
 
 
+def _rows(a: np.ndarray):
+    """The text ``json.dumps(row.tolist())`` gives each row of the float array ``a``, one row at a time.
+
+    ``repr`` runs once per distinct double. Distinct means distinct bits, so
+    ``-0.0`` keeps its sign next to ``0.0``. Every array written here is
+    finite, where ``repr`` and ``json.dumps`` agree.
+    """
+    bits = np.ascontiguousarray(a, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.fromiter(map(float.__repr__, distinct.view(float)), dtype=object, count=len(distinct))
+    # json.dumps's own separators: its text of a row of zeros, cut at each float
+    separators = json.dumps(np.zeros(a.shape[1:]).tolist()).split("0.0")
+    tokens = [None] * (2 * len(separators) - 1)
+    tokens[::2] = separators
+    # the inverse's shape differs across numpy versions
+    for row in inverse.reshape(len(a), -1):
+        tokens[1::2] = texts[row].tolist()
+        yield "".join(tokens)
+
+
 def _write_json(path, payload: dict) -> None:
-    # json.dumps without indent runs the C encoder; json.dump never does.
-    text = json.dumps(payload) + "\n"
+    """Write the bytes of ``json.dumps(payload) + "\n"``, with each array value as its ``tolist()``.
+
+    A value ``(keys, array)`` stands for the object mapping ``keys[i]`` to
+    ``array[i]``. Arrays are written to the file row by row as they are encoded.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for i, (name, value) in enumerate(payload.items()):
+            fh.write(f"{', ' if i else '{'}{json.dumps(name)}: ")
+            if isinstance(value, np.ndarray):
+                for j, row in enumerate(_rows(value)):
+                    fh.write(f"{', ' if j else '['}{row}")
+                fh.write("]")
+            elif isinstance(value, tuple):
+                keys, array = value
+                for j, (key, row) in enumerate(zip(keys, _rows(array))):
+                    fh.write(f"{', ' if j else '{'}{json.dumps(key)}: {row}")
+                fh.write("}")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}\n")
 
 
 def _pure_payload(ensemble: Ensemble) -> dict:
-    return {"dim": ensemble.dim, "states": [_complex_to_json(v) for v in ensemble.vectors()]}
+    return {"dim": ensemble.dim, "states": _pairs(ensemble.vectors())}
 
 
 def save_ensemble(ensemble: Ensemble, path) -> None:
@@ -121,7 +160,7 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
     if ensemble.pure:
         payload = _pure_payload(ensemble)
     else:
-        payload = {"dim": ensemble.dim, "density_matrices": [_complex_to_json(m) for m in ensemble.matrices()]}
+        payload = {"dim": ensemble.dim, "density_matrices": _pairs(ensemble.matrices())}
     _write_json(path, payload)
 
 
@@ -155,7 +194,7 @@ def save_table(table: ProbabilityTable, kind: WitnessKind, path) -> None:
         "N": table.N,
         "m": table.m,
         "k": table.k,
-        "p": table.p.tolist(),
+        "p": table.p,
         "empirical": table.empirical,
     }
     _write_json(path, payload)
@@ -182,9 +221,7 @@ def save_seesaw_dump(ensemble: Ensemble, path) -> None:
     """Write a see-saw model: a pure ensemble plus the Helstrom effect of each of its pairs."""
     payload = _pure_payload(ensemble)
     measurements = helstrom_measurements(ensemble)
-    payload["effects"] = {
-        f"{x},{xp}": _complex_to_json(effect) for (x, xp), effect in zip(pair_labels(ensemble.N), measurements.stack)
-    }
+    payload["effects"] = ([f"{x},{xp}" for x, xp in pair_labels(ensemble.N)], _pairs(measurements.stack))
     _write_json(path, payload)
 
 

@@ -291,3 +291,127 @@ class TestCompactWriterRoundTrip:
         ensemble, measurements = load_seesaw_dump(path)
         assert ensemble.vectors().tobytes() == result.ensemble.vectors().tobytes()
         assert measurements.stack.tobytes() == helstrom_measurements(result.ensemble).stack.tobytes()
+
+
+# -0.0 next to 0.0 catches an encoder that tells floats apart by value, not by bits
+SPECIAL = [-0.0, 5e-324, 0.0, 1.0, 1.0 / 3.0]
+
+
+def pairs_json(stack) -> list:
+    """Each member of a stack of vectors or matrices as a flat list of [re, im] pairs, by ``tolist``."""
+    return [np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist() for a in stack]
+
+
+def special_table(kind: WitnessKind, n: int) -> ProbabilityTable:
+    """A random table of ``kind`` at N = n that holds every SPECIAL entry."""
+    m, k = kind.table_shape(n)
+    p = np.random.default_rng(6).random((n, m, k))
+    p /= p.sum(axis=2, keepdims=True)
+    special = np.array(SPECIAL)
+    if k == 2:
+        p[0, : len(special)] = np.stack([special, 1.0 - special], axis=1)
+    else:
+        p[0, 0] = 0.0
+        p[0, 0, :6] = [-0.0, 5e-324, 0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]
+        p[1, 0] = 0.0
+        p[1, 0, 1] = 1.0
+    return ProbabilityTable(p)
+
+
+def special_ensemble() -> Ensemble:
+    third = np.sqrt(1.0 / 3.0)
+    return Ensemble.from_vectors(
+        np.array(
+            [
+                [complex(1.0, -0.0), complex(-0.0, 0.0), 0.0],
+                [complex(0.0, 5e-324), 1.0, complex(-0.0, -0.0)],
+                [third, complex(0.0, third), -third],
+                [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0],
+            ]
+        )
+    )
+
+
+class TestWriterBytes:
+    """Every writer's file is ``json.dumps`` of its payload as lists, byte for byte, and loads back bitwise."""
+
+    @staticmethod
+    def assert_text(path, payload) -> None:
+        assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [special_ensemble(), fourier_ensemble(7, 3), random_pure_ensemble(np.random.default_rng(8), 9, 4)],
+        ids=["special", "fourier", "random"],
+    )
+    def test_pure_ensemble(self, tmp_path, ensemble):
+        path = tmp_path / "pure.json"
+        save_ensemble(ensemble, path)
+        self.assert_text(path, {"dim": ensemble.dim, "states": pairs_json(ensemble.vectors())})
+        assert load_ensemble(path).vectors().tobytes() == ensemble.vectors().tobytes()
+
+    @pytest.mark.parametrize("source", ["special", "random"])
+    def test_mixed_ensemble(self, tmp_path, source):
+        path = tmp_path / "mixed.json"
+        if source == "special":
+            ensemble = Ensemble.from_matrices(special_ensemble().matrices())
+        else:
+            rng = np.random.default_rng(9)
+            ensemble = Ensemble.from_matrices(np.stack([random_density(rng, 3).matrix for _ in range(5)]))
+        save_ensemble(ensemble, path)
+        self.assert_text(path, {"dim": ensemble.dim, "density_matrices": pairs_json(ensemble.matrices())})
+        assert load_ensemble(path).matrices().tobytes() == ensemble.matrices().tobytes()
+
+    @pytest.mark.parametrize("source", ["special", "seesaw"])
+    def test_seesaw_dump(self, tmp_path, source):
+        path = tmp_path / "model.json"
+        if source == "special":
+            ensemble = special_ensemble()
+        else:
+            ensemble = optimize(SeesawConfig(WitnessKind.LINEAR, 5, 3, restarts=2)).ensemble
+        save_seesaw_dump(ensemble, path)
+        measurements = helstrom_measurements(ensemble)
+        keys = [f"{x},{xp}" for x in range(2, ensemble.N + 1) for xp in range(1, x)]
+        effects = dict(zip(keys, pairs_json(measurements.stack)))
+        self.assert_text(path, {"dim": ensemble.dim, "states": pairs_json(ensemble.vectors()), "effects": effects})
+        loaded, loaded_measurements = load_seesaw_dump(path)
+        assert loaded.vectors().tobytes() == ensemble.vectors().tobytes()
+        assert loaded_measurements.stack.tobytes() == measurements.stack.tobytes()
+
+    @staticmethod
+    def table_case(name: str) -> tuple[WitnessKind, ProbabilityTable]:
+        pair_ensemble = fourier_ensemble(8, 3)
+        if name == "special-pairs":
+            return WitnessKind.QUADRATIC, special_table(WitnessKind.QUADRATIC, 6)
+        if name == "exact-pairs":
+            return WitnessKind.LINEAR, born_table(pair_ensemble, helstrom_measurements(pair_ensemble))
+        if name == "empirical-pairs":
+            noise = NoiseModel(0.1, 50)
+            return WitnessKind.QUADRATIC, noisy_table(pair_ensemble, helstrom_measurements(pair_ensemble), noise, 3)
+        if name == "special-guessing":
+            return WitnessKind.GUESSING, special_table(WitnessKind.GUESSING, 7)
+        return WitnessKind.LINEAR, ProbabilityTable(np.random.default_rng(10).dirichlet([1.0, 1.0], (9, 36)))
+
+    @pytest.mark.parametrize(
+        "name", ["special-pairs", "exact-pairs", "empirical-pairs", "special-guessing", "all-distinct"]
+    )
+    def test_table(self, tmp_path, name):
+        kind, table = self.table_case(name)
+        path = tmp_path / "table.json"
+        save_table(table, kind, path)
+        self.assert_text(path, {"witness": kind.value, "N": table.N, "m": table.m, "k": table.k,
+                                "p": table.p.tolist(), "empirical": table.empirical})
+        loaded, loaded_kind = load_table(path)
+        assert loaded_kind is kind and loaded.empirical == table.empirical
+        assert loaded.p.tobytes() == table.p.tobytes()
+
+    def test_special_values_are_present(self):
+        # the cases above hold each special entry, both signed zeros included
+        for floats in [
+            special_table(WitnessKind.QUADRATIC, 6).p,
+            special_table(WitnessKind.GUESSING, 7).p,
+            special_ensemble().vectors().view(float),
+            Ensemble.from_matrices(special_ensemble().matrices()).matrices().view(float),
+        ]:
+            written = set(np.ascontiguousarray(floats).view(np.int64).ravel().tolist())
+            assert set(np.array(SPECIAL).view(np.int64).tolist()) <= written
