@@ -50,13 +50,6 @@ def _fmt(value: float, decimals: int = 6) -> str:
     return f"{value:.{decimals}f}"
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
 def _report(args, fields: list, notes=()) -> None:
     """Print one report from its fields: ``label: text`` lines, then ``notes``,
     or under ``--json`` one object of ``key: value`` entries.
@@ -92,11 +85,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_states(args) -> int:
     ensemble = fourier_ensemble(args.N, args.d)
     files.save_ensemble(ensemble, args.out)
-    _emit(
-        args,
-        {"N": args.N, "d": args.d, "out": args.out},
-        f"wrote fourier ensemble N={args.N} d={args.d} to {args.out}",
-    )
+    _report(args, [
+        (None, "N", args.N, None),
+        (None, "d", args.d, None),
+        (None, "out", args.out, None),
+    ], [f"wrote fourier ensemble N={args.N} d={args.d} to {args.out}"])
     return 0
 
 
@@ -174,14 +167,13 @@ def _reproduce_bound_table(args) -> int:
     lines = [f"Pair-comparison witness at N={_REPRODUCE_N}: classical (C_d) vs quantum (Q_d) maxima"]
     for label, cells in rows:
         lines.append((f"{label:<6}" + "".join(f"{cell:<7}" for cell in cells)).rstrip())
-    payload = {
-        "witness": "quadratic",
-        "N": _REPRODUCE_N,
-        "d": dims,
-        "classical": classical,
-        "quantum": quantum,
-    }
-    _emit(args, payload, "\n".join(lines))
+    _report(args, [
+        (None, "witness", "quadratic", None),
+        (None, "N", _REPRODUCE_N, None),
+        (None, "d", dims, None),
+        (None, "classical", classical, None),
+        (None, "quantum", quantum, None),
+    ], lines)
     return 0
 
 
@@ -194,13 +186,12 @@ def _reproduce_tightness(args) -> int:
         lines.append(f"N={e.N} d={e.d}: Q_d {e.bound:.6f}  best {e.best_value:.6f}  gap {e.gap:.2e}  {status}")
     if args.nmax >= 8:
         lines.append("note: N >= 8 rows are local-search reports; a miss is inconclusive")
-    payload = {
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "tol": tol,
-        "entries": [dataclasses.asdict(e) for e in entries],
-    }
-    _emit(args, payload, "\n".join(lines))
+    _report(args, [
+        (None, "restarts", args.restarts, None),
+        (None, "seed", args.seed, None),
+        (None, "tol", tol, None),
+        (None, "entries", [dataclasses.asdict(e) for e in entries], None),
+    ], lines)
     return 0
 
 

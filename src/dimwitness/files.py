@@ -21,9 +21,9 @@ lexicographically by (x, x') with x > x'. ``empirical`` marks finite-shot
 frequencies; a file without it holds exact probabilities.
 
 See-saw dump: the pure-ensemble schema plus ``"effects"``, a map from pair
-strings ``"x,x'"`` to flat matrices; P effects stand for the N preparations
-with P = N(N-1)/2, so their keys are exactly the pairs of that N. The writer
-builds the Helstrom effects of the states it is given.
+strings ``"x,x'"`` to flat matrices. The writer builds the Helstrom effects
+of the states it is given; ``load_ensemble`` reads a dump as the ensemble it
+holds and ignores ``"effects"``.
 
 Any ``DimWitnessError`` raised while loading a file becomes a
 ``FileFormatError`` whose message starts with the file's path.
@@ -38,9 +38,9 @@ import sys
 import numpy as np
 
 from .errors import BadArgument, DimWitnessError, FileFormatError, require_int
-from .kernels import pair_labels, preparation_count
+from .kernels import pair_labels
 from .linalg import real_array
-from .quantum import Ensemble, PairMeasurementSet, helstrom_measurements, require_compatible
+from .quantum import Ensemble, helstrom_measurements
 from .witnesses import ProbabilityTable, WitnessKind, require_kind_shape
 
 
@@ -56,12 +56,12 @@ def _number_pair(pair) -> bool:
         return False
 
 
-def _complex_stack(entries: list, count: int, where) -> np.ndarray:
+def _complex_stack(entries: list, count: int, key: str) -> np.ndarray:
     """Each entry a list of ``count`` [re, im] pairs, as one (len(entries), count) complex array.
 
     ``real_array`` reads well-formed input in one pass. Only when it refuses
-    does a scan find the first malformed entry, naming it ``where(i)`` or a
-    pair in it ``where(i)[j]``.
+    does a scan find the first malformed entry, naming it ``key[i]`` or a
+    pair in it ``key[i][j]``.
     """
     try:
         pairs = real_array(entries, "entries must be [re, im] pairs")
@@ -72,12 +72,12 @@ def _complex_stack(entries: list, count: int, where) -> np.ndarray:
         pass
     for i, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != count:
-            raise FileFormatError(f"{where(i)}: expected {count} [re, im] pairs")
+            raise FileFormatError(f"{key}[{i}]: expected {count} [re, im] pairs")
         for j, pair in enumerate(entry):
             if not _number_pair(pair):
-                raise FileFormatError(f"{where(i)}[{j}]: expected an [re, im] pair of numbers in the float range "
+                raise FileFormatError(f"{key}[{i}][{j}]: expected an [re, im] pair of numbers in the float range "
                                       f"(integers of at most 64 bits), got {pair}")
-    raise FileFormatError(f"{where(0)} to {where(len(entries) - 1)}: the [re, im] pairs do not form one array")
+    raise FileFormatError(f"{key}[0] to {key}[{len(entries) - 1}]: the [re, im] pairs do not form one array")
 
 
 def _names_its_file(load):
@@ -171,7 +171,7 @@ def _read_states(data: dict, key: str) -> Ensemble:
     if not isinstance(entries, list) or not entries:
         raise FileFormatError(f"'{key}' must be a nonempty list")
     pure = key == "states"
-    flat = _complex_stack(entries, dim if pure else dim * dim, lambda i: f"{key}[{i}]")
+    flat = _complex_stack(entries, dim if pure else dim * dim, key)
     return Ensemble.from_vectors(flat) if pure else Ensemble.from_matrices(flat.reshape(-1, dim, dim))
 
 
@@ -223,23 +223,3 @@ def save_seesaw_dump(ensemble: Ensemble, path) -> None:
     measurements = helstrom_measurements(ensemble)
     payload["effects"] = ([f"{x},{xp}" for x, xp in pair_labels(ensemble.N)], _pairs(measurements.stack))
     _write_json(path, payload)
-
-
-@_names_its_file
-def load_seesaw_dump(path) -> tuple[Ensemble, PairMeasurementSet]:
-    """Read a see-saw dump back into validated domain objects."""
-    data = _read_json(path)
-    ensemble = _read_states(data, "states")
-    dim = ensemble.dim
-    effects_json = data.get("effects")
-    if not isinstance(effects_json, dict) or not effects_json:
-        raise FileFormatError("'effects' must be a nonempty object")
-    n = preparation_count(len(effects_json))
-    keys = [f"{x},{xp}" for x, xp in pair_labels(n)] if n else []
-    if set(effects_json) != set(keys):
-        raise FileFormatError("effect keys must be exactly all 'x,x'' with N >= x > x' >= 1")
-    entries = [effects_json[key] for key in keys]
-    flat = _complex_stack(entries, dim * dim, lambda i: f"effects[{keys[i]}]")
-    measurements = PairMeasurementSet(flat.reshape(-1, dim, dim))
-    require_compatible(ensemble, measurements)
-    return ensemble, measurements

@@ -173,7 +173,8 @@ def _quantum_ceiling(kind: WitnessKind, n: int, dim: int) -> float:
     if kind is WitnessKind.QUADRATIC:
         # written as a difference so the value is exact whenever deff divides n
         return n * n / 2.0 - n * n / (2.0 * deff)
-    return n * math.sqrt(n * (n - 1)) / 2.0 * math.sqrt(1.0 - 1.0 / deff)
+    # one correctly rounded int / int under the root, so deff = n gives n(n-1)/2 exactly
+    return n / 2.0 * math.sqrt(n * (n - 1) * (deff - 1) / deff)
 
 
 def max_distinct_pairs(n_items: int, n_groups: int) -> int:

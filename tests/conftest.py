@@ -5,6 +5,7 @@ Everything is driven by explicitly seeded generators so failures reproduce.
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -23,8 +24,10 @@ def random_pure(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return pure_state(random_state_vector(rng, dim))
 
 
-def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
+    """A random state of the given rank (full rank by default)."""
+    rank = dim if rank is None else rank
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     g = a @ a.conj().T
     return DensityMatrix(g / np.trace(g).real)
 
@@ -53,6 +56,22 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarra
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2
+
+
+def dump_effects(path) -> np.ndarray:
+    """The ``"effects"`` of a see-saw dump as a (P, d, d) complex stack in pair order, parsed without the package.
+
+    The package reads a dump only as its ensemble; this checks what the writer
+    put next to the states. Viewing each [re, im] pair as one complex keeps
+    every bit, signed zeros too.
+    """
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    n, d = len(data["states"]), data["dim"]
+    keys = [f"{x},{xp}" for x in range(2, n + 1) for xp in range(1, x)]
+    assert list(data["effects"]) == keys
+    pairs = np.array([data["effects"][key] for key in keys], dtype=float)
+    return pairs.view(complex)[..., 0].reshape(-1, d, d)
 
 
 def retained_bytes(call) -> int:

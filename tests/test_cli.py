@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import dump_effects
 from dimwitness import (
     Ensemble,
     NoiseModel,
@@ -23,6 +24,7 @@ from dimwitness import (
     fourier_ensemble,
     helstrom_measurements,
     noisy_table,
+    optimize,
     quantum_bound,
     verify_table2,
 )
@@ -360,8 +362,6 @@ class TestSeesaw:
         assert abs(payload["best_value"] - 20.416667) <= 1e-3
 
     def test_model_dump(self, capsys, tmp_path):
-        from dimwitness.files import load_seesaw_dump
-
         for witness in ("linear", "quadratic"):
             path = str(tmp_path / f"{witness}.json")
             code, out, _ = run(
@@ -371,8 +371,11 @@ class TestSeesaw:
             )
             assert code == 0
             best = json.loads(out)["best_value"]
-            ensemble, measurements = load_seesaw_dump(path)
-            assert ensemble.N == 3 and measurements.N == 3
+            # the dump reads back as the see-saw's states, next to their Helstrom effects
+            loaded = load_ensemble(path)
+            states = optimize(SeesawConfig(WitnessKind(witness), 3, 2, restarts=3)).ensemble
+            assert loaded.vectors().tobytes() == states.vectors().tobytes()
+            assert dump_effects(path).tobytes() == helstrom_measurements(loaded).stack.tobytes()
             # the dumped states reproduce the see-saw's value under their Helstrom measurements
             code, out, _ = run(capsys, "evaluate", "--witness", witness, "--ensemble", path, "--helstrom", "--json")
             assert code == 0

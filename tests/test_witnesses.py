@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -122,9 +123,24 @@ class TestQuantumBound:
             assert quantum_bound(Q, n, n) == n * (n - 1) / 2
 
     def test_linear_tight_form_at_n_equals_d_plus_one(self):
-        for d in (2, 3, 4, 5):
-            expected = (d + 1) * math.sqrt(d * d - 1) / 2
-            assert quantum_bound(L, d + 1, d) == pytest.approx(expected, abs=1e-12)
+        for d in range(2, 2000):
+            assert quantum_bound(L, d + 1, d) == (d + 1) * math.sqrt(d * d - 1) / 2, d
+
+    def test_linear_ceiling_is_exact_at_full_dimension_and_within_1_5_ulps(self):
+        for n in range(2, 3000):
+            assert quantum_bound(L, n, n) == quantum_bound(L, n, n + 1) == n * (n - 1) / 2, n
+        # against n/2 * sqrt(n(n-1)(d'-1)/d') with d' = min(n, d), to 50 digits
+        context = decimal.Context(prec=50)
+        worst = 0.0
+        for n in range(2, 301):
+            for d in range(1, n + 2):
+                deff = min(n, d)
+                root = context.sqrt(context.divide(n * (n - 1) * (deff - 1), deff))
+                exact = context.divide(context.multiply(root, n), 2)
+                value = quantum_bound(L, n, d)
+                worst = max(worst, float(abs(decimal.Decimal(value) - exact)) / math.ulp(value))
+        assert worst < 1.5
+        assert math.isfinite(quantum_bound(L, 10**150, 10**150))
 
     def test_guessing(self):
         assert quantum_bound(G, 5, 2) == 0.4
