@@ -1,7 +1,7 @@
 """Probability tables from explicit quantum models.
 
-Exact tables follow the Born rule P(b|x,y) = tr(rho_x M^b_y). Two optional
-distortions feed the certification pipeline with more realistic data:
+Exact tables follow the Born rule P(b|x,y) = tr(rho_x M^b_y). ``noisy_table``
+builds every pair table, exact ones too, with two optional distortions:
 depolarizing noise, applied to the table through its linear action on the Born
 probabilities, and finite-shot sampling that replaces each cell with an
 empirical frequency. Each preparation x draws its row of counts from its own
@@ -51,10 +51,8 @@ def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
 
 
 def born_table(ensemble: Ensemble, measurements: PairMeasurementSet) -> ProbabilityTable:
-    """Exact pair-witness table: P(1|x, (x,x')) = tr(rho_x M_(x,x'))."""
-    require_compatible(ensemble, measurements)
-    p1 = kernels.born(ensemble.matrices(), measurements.stack)
-    return ProbabilityTable(np.stack([p1, 1.0 - p1], axis=2))
+    """Exact pair-witness table P(1|x, (x,x')) = tr(rho_x M_(x,x')): ``noisy_table`` without noise."""
+    return noisy_table(ensemble, measurements, NoiseModel(), 0)
 
 
 def noisy_table(
@@ -65,9 +63,10 @@ def noisy_table(
 ) -> ProbabilityTable:
     """Pair-witness table after depolarizing and (optionally) finite sampling.
 
-    Depolarizing is applied to the table: the Born rule is linear in the
-    state, so tr(rho_eta E_y) = (1 - eta) tr(rho E_y) + eta tr(E_y)/d for
-    rho_eta = (1 - eta) rho + eta I/d, and no depolarized state is built. With
+    One checked ``ProbabilityTable`` per call. Depolarizing acts on the table,
+    only for eta > 0 (no arithmetic turns a Born -0.0 into +0.0): the Born
+    rule is linear in the state, so tr(rho_eta E_y) = (1 - eta) tr(rho E_y) +
+    eta tr(E_y)/d for rho_eta = (1 - eta) rho + eta I/d; no state is built. With
     ``shots`` set, every (x, y) cell becomes the success frequency of that
     many Bernoulli trials at that probability (clipped to [0, 1]). Row x is
     drawn by one ``binomial(shots, row)`` call on a new generator over the
@@ -79,8 +78,11 @@ def noisy_table(
     """
     seed = require_seed(seed)
     eta = noise.depolarizing_eta
-    traces = np.trace(measurements.stack, axis1=1, axis2=2).real
-    p1 = (1.0 - eta) * born_table(ensemble, measurements).p[:, :, 0] + eta * traces / measurements.dim
+    require_compatible(ensemble, measurements)
+    p1 = kernels.born(ensemble.matrices(), measurements.stack)
+    if eta > 0:
+        traces = np.trace(measurements.stack, axis1=1, axis2=2).real
+        p1 = (1.0 - eta) * p1 + eta * traces / measurements.dim
     shots = noise.shots
     if shots is None:
         return ProbabilityTable(np.stack([p1, 1.0 - p1], axis=2))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -222,17 +222,20 @@ def _witness_range(kind: WitnessKind, n_preparations: int) -> tuple[float, float
     return -m, m
 
 
+def _smallest_dimension(n: int, value: float, ceiling: Callable[[int], float]) -> int:
+    # the first d in 1..N-1 whose ceiling admits value within the analytic slack, else N (the unrestricted ceilings)
+    return next((d for d in range(1, n) if ceiling(d) >= value - ANALYTIC_SLACK), n)
+
+
 def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> CertifiedDimensions:
     """Smallest quantum and classical dimensions compatible with ``value``.
 
-    Both sides scan d = 1..N with the analytic comparison slack: the quantum
-    side against the closed-form ceilings, the classical side against them
-    where a closed form exists and against the deterministic-strategy
-    enumeration, whose maxima are exact integers, for the linear witness
-    below d = N - 1. Both fall back to N, whose ceilings equal the
-    unrestricted one, for a value above it within the numeric slack. The
-    classical answer is ``None`` only when an enumeration would exceed its
-    search guard.
+    Both sides run one search, ``_smallest_dimension``, with the analytic
+    comparison slack: the quantum side over the closed-form ceilings, the
+    classical side over them where a closed form exists and over the
+    deterministic-strategy enumeration, whose maxima are exact integers, for
+    the linear witness below d = N - 1. The classical answer is ``None`` only
+    when an enumeration would exceed its search guard.
 
     Raises ``OutOfRange`` when ``value`` exceeds the unrestricted ceiling (or
     undershoots the witness range) by more than the numeric slack.
@@ -246,24 +249,15 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
     if value > ceiling + NUMERIC_SLACK:
         raise OutOfRange(f"value {value} exceeds the unrestricted ceiling {ceiling}")
 
-    min_quantum = n
-    for d in range(1, n + 1):
-        if _quantum_ceiling(kind, n, d) >= value - ANALYTIC_SLACK:
-            min_quantum = d
-            break
-
     from . import classical  # deferred: classical depends on this module
 
-    min_classical: int | None = n
-    for d in range(1, n + 1):
+    def classical_ceiling(d: int) -> float:
         bound = _classical_ceiling(kind, n, d)
-        if bound is None:
-            try:
-                bound, _ = classical.enumerate_max(kind, n, d)
-            except TooLarge:
-                min_classical = None
-                break
-        if bound >= value - ANALYTIC_SLACK:
-            min_classical = d
-            break
+        return classical.enumerate_max(kind, n, d)[0] if bound is None else bound
+
+    min_quantum = _smallest_dimension(n, value, lambda d: _quantum_ceiling(kind, n, d))
+    try:
+        min_classical = _smallest_dimension(n, value, classical_ceiling)
+    except TooLarge:
+        min_classical = None
     return CertifiedDimensions(min_quantum, min_classical)

@@ -442,6 +442,11 @@ class TestReproduce:
             main(["reproduce", "--table", "3"])
         assert exc.value.code == 2
 
+    def test_rows_past_seven_carry_the_local_search_note(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--table", "2", "--nmax", "8", "--restarts", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "note: N >= 8 rows are local-search reports; a miss is inconclusive"
+
 
 class TestClassical:
     def test_quadratic_reference_point(self, capsys):

@@ -14,9 +14,11 @@ from dimwitness import (
     BadArgument,
     DensityMatrix,
     DeterministicStrategy,
+    DimensionMismatch,
     Effect,
     Ensemble,
     FileFormatError,
+    IncompleteDecoding,
     PairMeasurementSet,
     ProbabilityTable,
     SeesawConfig,
@@ -31,8 +33,10 @@ from dimwitness import (
     enumerate_max,
     evaluate,
     fourier_ensemble,
+    guessing_table,
     helstrom_differences,
     helstrom_measurements,
+    pair_differences,
     pair_value,
     pure_state,
     quantum_bound,
@@ -615,3 +619,48 @@ class TestHugeCounts:
             helstrom_measurements(fourier_ensemble(3, 2))
         with pytest.raises(TooLarge, match="see-saw's size bound"):
             SeesawConfig(WitnessKind.LINEAR, 3, 2, restarts=1)
+
+
+class TestRefusalsRunOnce:
+    """Refusals no other test reaches: each raises its type with its message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: ProbabilityTable(np.full((2, 2), 0.5)), ShapeMismatch,
+         "table must have shape (N, m, k), got (2, 2)"),
+        # at N = 2 a guessing table has the pair shape
+        (lambda: pair_differences(ProbabilityTable(np.full((3, 1, 3), 1 / 3))), ShapeMismatch,
+         "pair differences need a pair-witness shaped table"),
+        (lambda: StateVector([[1, 0]]), BadArgument, "amplitudes must be a nonempty 1-D array, got shape (1, 2)"),
+        (lambda: fourier_ensemble(0, 1), BadArgument, "need at least one state, got 0"),
+        (lambda: DeterministicStrategy(3, 2, (1, 2), {}), BadArgument, "encoding must assign all 3 preparations"),
+        (lambda: strategy_table(DeterministicStrategy(2, 2, (1, 2), {(1, 1): 3, (1, 2): 1}),
+                                WitnessKind.QUADRATIC),
+         IncompleteDecoding, "decoding(1, 1) = 3 is not an outcome in 1..2"),
+        (lambda: guessing_table(fourier_ensemble(3, 2), [Effect(np.eye(3) / 3)] * 3), DimensionMismatch,
+         "effect dimension does not match the ensemble"),
+    ], ids=["2d-table", "guessing-pair-differences", "2d-state-vector", "no-fourier-states",
+            "short-encoding", "decoding-outcome-past-k", "guessing-effect-dimension"])
+    def test_object(self, call, error, message):
+        with pytest.raises(error) as refusal:
+            call()
+        assert str(refusal.value) == message
+
+    @pytest.mark.parametrize("source, data, message", [
+        ("--table", {**_TABLE, "p": [[[0.5, 0.5]]]}, "'p' has shape (1, 1, 2), declared (2, 1, 2)"),
+        ("--table", [_TABLE], "top level must be a JSON object"),
+        ("--ensemble", {"dim": 2, "states": []}, "'states' must be a nonempty list"),
+        ("--ensemble", {"dim": 2, "states": [[[1, 0], [0, 0]], [[1, 0]]]}, "states[1]: expected 2 [re, im] pairs"),
+    ], ids=["table-shape", "top-level-list", "no-states", "short-state"])
+    def test_file(self, capsys, tmp_path, source, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        helstrom = ["--helstrom"] if source == "--ensemble" else []
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", source, str(path), *helstrom)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    def test_ensemble_needs_helstrom(self, capsys):
+        # refused before the file is read, so the file need not exist
+        code, out, err = run(capsys, "evaluate", "--witness", "quadratic", "--ensemble", "F")
+        assert code == 2 and out == ""
+        assert err == "error: --ensemble needs --helstrom to derive the pair measurements\n"

@@ -13,6 +13,7 @@ from dimwitness import (
     NoiseModel,
     NotAPovm,
     PairMeasurementSet,
+    ProbabilityTable,
     ShapeMismatch,
     WitnessKind,
     average_state,
@@ -26,6 +27,7 @@ from dimwitness import (
     pair_differences,
     pure_state,
     quantum_bound,
+    simulate,
 )
 
 Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
@@ -98,9 +100,30 @@ class TestNoisyTable:
         assert evaluate(Q, table) == pytest.approx(0.0, abs=1e-24)
 
     def test_noiseless_exact_equals_born(self):
+        # bit for bit, whatever the seed: born_table is noisy_table without noise
         ensemble = fourier_ensemble(4, 2)
         ms = helstrom_measurements(ensemble)
-        assert np.array_equal(noisy_table(ensemble, ms, NoiseModel(), seed=0).p, born_table(ensemble, ms).p)
+        exact = born_table(ensemble, ms)
+        assert exact.empirical is False
+        for seed in (0, 2**64 - 1):
+            assert noisy_table(ensemble, ms, NoiseModel(), seed).p.tobytes() == exact.p.tobytes()
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.1), NoiseModel(0.1, 1000)],
+                             ids=["exact", "depolarized", "sampled"])
+    def test_one_table_is_built_per_call(self, monkeypatch, noise):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return ProbabilityTable(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProbabilityTable", counted)
+        ensemble = fourier_ensemble(5, 3)
+        ms = helstrom_measurements(ensemble)
+        noisy_table(ensemble, ms, noise, seed=0)
+        assert len(built) == 1
+        born_table(ensemble, ms)
+        assert len(built) == 2
 
     def test_depolarizing_scales_linear_witness(self):
         ensemble = fourier_ensemble(3, 2)
