@@ -27,7 +27,7 @@ import sys
 
 from . import classical as classical_mod
 from . import files, seesaw
-from .errors import DimWitnessError
+from .errors import BadArgument, DimWitnessError
 from .quantum import fourier_ensemble, helstrom_differences
 from .quantum import helstrom_measurements  # noqa: F401  bench/tracing.py wraps it as a cli attribute
 from .witnesses import (
@@ -177,18 +177,18 @@ def _reproduce_bound_table(args) -> int:
     return 0
 
 
-def _reproduce_tightness(args) -> int:
-    entries = seesaw.verify_table2(args.nmax, restarts=args.restarts, seed=args.seed)
+def _reproduce_tightness(args, nmax=7, restarts=seesaw.SeesawConfig.restarts, seed=seesaw.SeesawConfig.seed) -> int:
+    entries = seesaw.verify_table2(nmax, restarts=restarts, seed=seed)
     tol = seesaw.ATTAINMENT_GAP
-    lines = [f"Linear-witness tightness grid (restarts={args.restarts}, seed={args.seed}, tol={tol:.1e})"]
+    lines = [f"Linear-witness tightness grid (restarts={restarts}, seed={seed}, tol={tol:.1e})"]
     for e in entries:
         status = "attained" if e.attained else "not attained"
         lines.append(f"N={e.N} d={e.d}: Q_d {e.bound:.6f}  best {e.best_value:.6f}  gap {e.gap:.2e}  {status}")
-    if args.nmax >= 8:
+    if nmax >= 8:
         lines.append("note: N >= 8 rows are local-search reports; a miss is inconclusive")
     _report(args, [
-        (None, "restarts", args.restarts, None),
-        (None, "seed", args.seed, None),
+        (None, "restarts", restarts, None),
+        (None, "seed", seed, None),
         (None, "tol", tol, None),
         (None, "entries", [dataclasses.asdict(e) for e in entries], None),
     ], lines)
@@ -196,9 +196,13 @@ def _reproduce_tightness(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.table == 1:
-        return _reproduce_bound_table(args)
-    return _reproduce_tightness(args)
+    # the table 2 options default to absent, so table 1 can refuse any that were given
+    given = {name: getattr(args, name) for name in ("nmax", "restarts", "seed") if hasattr(args, name)}
+    if args.table == 2:
+        return _reproduce_tightness(args, **given)
+    if given:
+        raise BadArgument(f"--table 2 settings given with --table 1: {', '.join('--' + name for name in given)}")
+    return _reproduce_bound_table(args)
 
 
 def _cmd_classical(args) -> int:
@@ -268,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[common], help="print a reference table")
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
-    p.add_argument("--nmax", type=int, default=7, help="largest N for table 2")
-    p.add_argument("--restarts", type=int, default=seesaw.SeesawConfig.restarts)
-    p.add_argument("--seed", type=int, default=seesaw.SeesawConfig.seed)
+    p.add_argument("--nmax", type=int, default=argparse.SUPPRESS, help="largest N for table 2")
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_reproduce)
 
     p = sub.add_parser("classical", parents=[common], help="deterministic-strategy maximum")

@@ -4,11 +4,11 @@ Exact tables follow the Born rule P(b|x,y) = tr(rho_x M^b_y). ``noisy_table``
 builds every pair table, exact ones too, with two optional distortions:
 depolarizing noise, applied to the table through its linear action on the Born
 probabilities, and finite-shot sampling that replaces each cell with an
-empirical frequency. Each preparation x draws its row of counts from its own
-counter-based Philox stream keyed by [seed, x], with one vectorised
-``binomial`` call, so a row does not depend on the other rows or on the order
-they are drawn in. Seeded finite-shot tables from versions that keyed one
-stream per (x, y) cell are not reproduced.
+empirical frequency count/shots, one division for shots <= 2**53. Each
+preparation x draws its row of counts from its own counter-based Philox stream
+keyed by [seed, x], with one vectorised ``binomial`` call, so a row does not
+depend on the other rows or on the order they are drawn in. Seeded finite-shot
+tables from versions that keyed one stream per (x, y) cell are not reproduced.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class NoiseModel:
 
     ``depolarizing_eta`` mixes each state with the maximally mixed one:
     rho -> (1 - eta) rho + eta I/d. ``shots = None`` means exact
-    probabilities; otherwise it is an integer in [1, 2**63 - 1], the range
-    of the sampler's trial count.
+    probabilities; otherwise it is an integer in [1, 2**53], the range in
+    which every count is an exact double, so a frequency is one division.
     """
 
     depolarizing_eta: float = 0.0
@@ -41,7 +41,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "depolarizing_eta", require_real(self.depolarizing_eta, "depolarizing_eta", 0, 1))
         if self.shots is not None:
-            object.__setattr__(self, "shots", require_int(self.shots, "shots", 1, 2**63 - 1))
+            object.__setattr__(self, "shots", require_int(self.shots, "shots", 1, 2**53))
 
 
 def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
@@ -71,10 +71,10 @@ def noisy_table(
     many Bernoulli trials at that probability (clipped to [0, 1]). Row x is
     drawn by one ``binomial(shots, row)`` call on a new generator over the
     Philox stream keyed [seed, x], so each row is the same whatever the other
-    preparations are. Both outcome frequencies, count/shots and
-    (shots - count)/shots, are correctly rounded. The result is deterministic
-    given the seed and is flagged ``empirical``; seeded tables from versions
-    with one stream per (x, y) cell are not reproduced.
+    preparations are. Each frequency, count/shots or (shots - count)/shots,
+    is one correctly rounded division of exact doubles. The result is
+    deterministic given the seed and is flagged ``empirical``; seeded tables
+    from versions with one stream per (x, y) cell are not reproduced.
     """
     seed = require_seed(seed)
     eta = noise.depolarizing_eta
@@ -90,17 +90,7 @@ def noisy_table(
     keys = np.array([[seed, x] for x in range(1, len(p1) + 1)], dtype=np.uint64)
     counts = np.stack([np.random.Generator(np.random.Philox(key=key)).binomial(shots, row)
                        for key, row in zip(keys, np.clip(p1, 0.0, 1.0))])
-    return ProbabilityTable(np.stack([_ratio(counts, shots), _ratio(shots - counts, shots)], axis=2),
-                            empirical=True)
-
-
-def _ratio(counts: np.ndarray, shots: int) -> np.ndarray:
-    """counts / shots, each entry correctly rounded."""
-    if shots <= 2**53:
-        # both operands convert to float64 exactly, so one rounding
-        return counts / shots
-    # past 2**53 a float64 array division rounds twice; int / int does not
-    return np.array([c / shots for c in counts.ravel().tolist()]).reshape(counts.shape)
+    return ProbabilityTable(np.stack([counts, shots - counts], axis=2) / shots, empirical=True)
 
 
 def guessing_table(ensemble: Ensemble, effects: Sequence[Effect]) -> ProbabilityTable:

@@ -28,6 +28,7 @@ from dimwitness import (
     quantum_bound,
     verify_table2,
 )
+from dimwitness import seesaw as seesaw_mod
 from dimwitness.cli import build_parser, main
 from dimwitness.files import load_ensemble, save_ensemble, save_table
 from dimwitness.kernels import pair_index
@@ -442,6 +443,13 @@ class TestReproduce:
             main(["reproduce", "--table", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("settings", [["--nmax", "9", "--restarts", "3", "--seed", "5"], ["--seed", "1"]])
+    def test_bound_table_refuses_table_2_settings(self, capsys, settings):
+        code, out, err = run(capsys, "reproduce", "--table", "1", *settings)
+        assert (code, out) == (2, "")
+        given = ", ".join(option for option in settings if option.startswith("--"))
+        assert err == f"error: --table 2 settings given with --table 1: {given}\n"
+
     def test_rows_past_seven_carry_the_local_search_note(self, capsys):
         code, out, _ = run(capsys, "reproduce", "--table", "2", "--nmax", "8", "--restarts", "2")
         assert code == 0
@@ -539,13 +547,17 @@ class TestKnobs:
         knobs["verify_table2"] = list(inspect.signature(verify_table2).parameters)
         assert knobs == KNOBS
 
-    def test_defaults_are_the_config_ones(self):
+    def test_defaults_are_the_config_ones(self, capsys, monkeypatch):
         defaults = {"restarts": SeesawConfig.restarts, "seed": SeesawConfig.seed}
         seesaw_args = build_parser().parse_args(["seesaw", "--witness", "linear", "--N", "3", "--d", "2"])
-        reproduce_args = build_parser().parse_args(["reproduce", "--table", "2"])
         assert {**defaults, "max_iters": SeesawConfig.max_iters} == {
             name: getattr(seesaw_args, name) for name in ("restarts", "seed", "max_iters")}
-        assert defaults == {name: getattr(reproduce_args, name) for name in defaults}
+        # reproduce's table 2 options default to absent; read what it passes on and reports
+        calls = []
+        monkeypatch.setattr(seesaw_mod, "verify_table2", lambda n_max, **kwargs: calls.append((n_max, kwargs)) or ())
+        code, out, _ = run(capsys, "reproduce", "--table", "2", "--json")
+        assert code == 0 and calls == [(7, defaults)]
+        assert defaults == {name: json.loads(out)[name] for name in defaults}
         assert defaults == {name: p.default for name, p in inspect.signature(verify_table2).parameters.items()
                             if name in defaults}
 

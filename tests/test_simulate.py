@@ -54,8 +54,14 @@ class TestNoiseModel:
         with pytest.raises(BadArgument):
             NoiseModel(shots=shots)
 
-    def test_integer_shots_up_to_int64_max_are_kept_as_int(self):
-        assert NoiseModel(shots=2**63 - 1).shots == 2**63 - 1
+    @pytest.mark.parametrize("shots", [2**53 + 1, 10**18 + 9, 2**63 - 1])
+    def test_shots_past_2_pow_53_are_refused(self, shots):
+        """Past 2**53 a count need not be an exact double, so count/shots would round twice."""
+        with pytest.raises(BadArgument, match=r"^shots must be an integer in \[1, 9007199254740992\], got "):
+            NoiseModel(shots=shots)
+
+    def test_integer_shots_up_to_2_pow_53_are_kept_as_int(self):
+        assert NoiseModel(shots=2**53).shots == 2**53
         model = NoiseModel(shots=np.int64(100))
         assert model.shots == 100 and type(model.shots) is int
 
@@ -221,14 +227,12 @@ class TestSamplerKeying:
                 table = noisy_table(ensemble, ms, NoiseModel(eta, shots), seed)
                 assert_same_as_per_row(table, ensemble, ms, eta, shots, seed)
 
-    @pytest.mark.parametrize("shots", [2**53, 2**53 + 1, 10**18 + 9, 2**63 - 1])
-    def test_matches_a_generator_per_cell_beyond_float_integers(self, shots):
-        """The same cell-by-cell match where counts pass the float64 integers."""
-        # past 2**53 shots a float64 division of the count array rounds twice
+    def test_matches_a_generator_per_cell_at_the_largest_shot_count(self):
+        """The same cell-by-cell match at 2**53 shots, the last count that is an exact double."""
         ensemble = fourier_ensemble(12, 3)
         ms = helstrom_measurements(ensemble)
-        table = noisy_table(ensemble, ms, NoiseModel(0.1, shots), 2**64 - 1)
-        assert_same_as_per_row(table, ensemble, ms, 0.1, shots, 2**64 - 1)
+        table = noisy_table(ensemble, ms, NoiseModel(0.1, 2**53), 2**64 - 1)
+        assert_same_as_per_row(table, ensemble, ms, 0.1, 2**53, 2**64 - 1)
 
     def test_certain_outcomes_on_orthogonal_states(self):
         ensemble = basis_pair()

@@ -21,6 +21,7 @@ from dimwitness import (
     pair_value,
     quantum_bound,
 )
+from dimwitness.linalg import ROW_SUM_TOL
 
 Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
 
@@ -50,6 +51,18 @@ class TestTableValidation:
     def test_rejects_unnormalized_rows(self):
         with pytest.raises(ShapeMismatch):
             ProbabilityTable(np.full((2, 1, 2), 0.4))
+
+    @pytest.mark.parametrize("k", [2, 3, 30])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_row_sum_tolerance_edge(self, k, sign):
+        """One row among 50 off by 0.9 x ROW_SUM_TOL passes; off by 1.1 x it is refused."""
+        inside = np.full((50, 1, k), 1.0 / k)
+        outside = inside.copy()
+        inside[17, 0, 0] += sign * 0.9 * ROW_SUM_TOL
+        outside[17, 0, 0] += sign * 1.1 * ROW_SUM_TOL
+        ProbabilityTable(inside)
+        with pytest.raises(ShapeMismatch, match="must sum to 1"):
+            ProbabilityTable(outside)
 
     def test_rejects_out_of_range_entries(self):
         p = np.zeros((1, 1, 2))
