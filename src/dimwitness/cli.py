@@ -149,6 +149,7 @@ def _cmd_seesaw(args) -> int:
         (None, "restart_values", list(result.restart_values), None),
         (None, "restart_sweeps", list(result.restart_sweeps), None),
         (None, "restart_stops", list(result.restart_stops), None),
+        (None, "restart_halvings", list(result.restart_halvings), None),
         ("iterations", "iterations_used", result.iterations_used, result.iterations_used),
         (None, "out", args.out, None),
     ], [f"wrote model to {args.out}"] if args.out is not None else [])

@@ -16,9 +16,13 @@ model (``files.save_seesaw_dump``) builds their Helstrom effects itself.
 
 Restarts draw independent Haar-random pure starting states from a
 counter-based Philox stream keyed by (seed, restart index) and advance in
-lock-step as one stacked ascent on an (R, N, d) array of state vectors. Every
-operation acts on each restart alone, so a restart's result is reproducible
-and does not depend on how many restarts run beside it.
+lock-step as one stacked ascent on an (R, N, d) array of state vectors. An
+iteration makes only the numpy calls its restarts need: the full step runs on
+the whole active batch and only its Armijo failures halve, the L-BFGS history
+is slot-major so each filled slot is one contiguous (R, n) slice, and a
+restart's state is written back when it leaves. Every operation acts on each
+restart alone, so a restart's result is reproducible and does not depend on
+how many restarts run beside it.
 """
 
 from __future__ import annotations
@@ -101,7 +105,8 @@ class SeesawResult:
     ``IMPROVEMENT_TOL`` of the quantum ceiling, so no iteration could gain
     that much), ``"stalled"`` (an iteration gained less than
     ``IMPROVEMENT_TOL``, or no step along its direction gained at all) or
-    ``"max_iters"``.
+    ``"max_iters"``; ``restart_halvings`` counts the Armijo halvings of its
+    steps, each one more evaluation of the witness.
     """
 
     best_value: float
@@ -110,11 +115,13 @@ class SeesawResult:
     restart_values: tuple[float, ...]
     restart_sweeps: tuple[int, ...]
     restart_stops: tuple[str, ...]
+    restart_halvings: tuple[int, ...]
 
 
 def _random_pure_states(seed: int, restart: int, n: int, d: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, restart], dtype=np.uint64)))
-    vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    re, im = rng.standard_normal((2, n, d))
+    vecs = re + 1j * im
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
@@ -166,19 +173,26 @@ def gram_witness(
 
 
 def _two_loop(grad, steps, changes, rho, gamma):
-    # L-BFGS direction H grad from each restart's history, stored oldest
-    # pair first; an empty slot has rho = 0 and leaves the direction as it is
+    # L-BFGS direction H grad from each restart's history, stored slot-major
+    # as (slots, R, n) with the oldest pair first; the caller passes only the
+    # newest slots, since an empty slot has rho = 0 and changes nothing
     q = grad.copy()
     alphas = []
-    for i in reversed(range(HISTORY)):
-        a = rho[:, i] * np.einsum("rk,rk->r", steps[:, i], q)
-        q -= a[:, None] * changes[:, i]
+    for s, y, p in zip(steps[::-1], changes[::-1], rho[::-1]):
+        a = p * np.einsum("rk,rk->r", s, q)
+        q -= a[:, None] * y
         alphas.append(a)
     r = gamma[:, None] * q
-    for i, a in zip(range(HISTORY), reversed(alphas)):
-        b = rho[:, i] * np.einsum("rk,rk->r", changes[:, i], r)
-        r += (a - b)[:, None] * steps[:, i]
+    for s, y, p, a in zip(steps, changes, rho, reversed(alphas)):
+        b = p * np.einsum("rk,rk->r", y, r)
+        r += (a - b)[:, None] * s
     return r
+
+
+def _unit_scale(grad):
+    # the gradient's norm and the scale that makes it a unit step
+    norm = np.linalg.norm(grad, axis=-1)
+    return norm, np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
 
 
 def optimize(cfg: SeesawConfig) -> SeesawResult:
@@ -212,66 +226,81 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     x = np.stack(starts).reshape(n_restarts, -1).view(float)
     values, grad = witness(x)
     iterations = np.zeros(n_restarts, dtype=int)
+    halvings = np.zeros(n_restarts, dtype=int)
     stops = ["max_iters"] * n_restarts
 
-    # the active restarts' working state; a finished restart's x and value
-    # stay behind in the full arrays
+    # the active restarts' working state; a restart's x, value and iteration
+    # count go to the full arrays when it leaves
     active = np.arange(n_restarts)
-    ax, af, ag = x.copy(), values.copy(), grad.copy()
-    steps = np.zeros((n_restarts, HISTORY, x.shape[1]))
+    ax, af, ag = x, values, grad
+    steps = np.zeros((HISTORY, n_restarts, x.shape[1]))
     changes = np.zeros_like(steps)
-    rho = np.zeros((n_restarts, HISTORY))
+    rho = np.zeros((HISTORY, n_restarts))
     gamma = np.zeros(n_restarts)  # 0 until the first curvature pair
-    for _ in range(cfg.max_iters):
+    for sweep in range(1, cfg.max_iters + 1):
         # without a curvature pair, step a unit length along the gradient
-        norm = np.linalg.norm(ag, axis=-1)
-        first = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
-        direction = _two_loop(ag, steps, changes, rho, np.where(gamma > 0.0, gamma, first))
+        unit = None if (gamma > 0.0).all() else _unit_scale(ag)
+        scale = gamma if unit is None else np.where(gamma > 0.0, gamma, unit[1])
+        # the oldest slot a restart can have filled: an iteration fills at most one
+        oldest = HISTORY - min(sweep - 1, HISTORY)
+        direction = _two_loop(ag, steps[oldest:], changes[oldest:], rho[oldest:], scale)
         slope = np.einsum("rk,rk->r", ag, direction)
         # rounding can tilt the direction off the ascent: drop that history
         lost = ~(slope > 0.0)
-        rho[lost], gamma[lost] = 0.0, 0.0
-        direction[lost] = first[lost, None] * ag[lost]
-        slope[lost] = first[lost] * norm[lost] ** 2
+        if lost.any():
+            norm, first = _unit_scale(ag) if unit is None else unit
+            rho[:, lost], gamma[lost] = 0.0, 0.0
+            direction[lost] = first[lost, None] * ag[lost]
+            slope[lost] = first[lost] * norm[lost] ** 2
 
-        nx, nf, ng = ax.copy(), af.copy(), ag.copy()
-        alpha = np.ones(len(active))
-        todo = np.arange(len(active))
-        for _ in range(MAX_HALVINGS):
-            trial = ax[todo] + alpha[todo, None] * direction[todo]
+        # the full step on the whole batch; only its Armijo failures halve
+        nx = ax + direction
+        nf, ng = witness(nx)
+        todo = np.flatnonzero(~(nf >= af + ARMIJO * slope))
+        for halving in range(1, MAX_HALVINGS):
+            if not todo.size:
+                break
+            alpha = 0.5**halving
+            halvings[active[todo]] += 1
+            trial = ax[todo] + alpha * direction[todo]
             tf, tg = witness(trial)
-            ok = tf >= af[todo] + ARMIJO * alpha[todo] * slope[todo]
+            ok = tf >= af[todo] + ARMIJO * alpha * slope[todo]
             done = todo[ok]
             nx[done], nf[done], ng[done] = trial[ok], tf[ok], tg[ok]
             todo = todo[~ok]
-            if not todo.size:
-                break
-            alpha[todo] *= 0.5
+        else:
+            # no step along the direction gained: the restart stays where it is
+            nx[todo], nf[todo], ng[todo] = ax[todo], af[todo], ag[todo]
 
         # keep the pair only with positive curvature, which keeps H positive
         step, change = nx - ax, ag - ng
         sy = np.einsum("rk,rk->r", step, change)
         yy = np.einsum("rk,rk->r", change, change)
         curved = sy > 1e-10 * np.sqrt(np.einsum("rk,rk->r", step, step) * yy)
-        for history, new in ((steps, step[curved]), (changes, change[curved]), (rho, 1.0 / sy[curved])):
-            history[curved] = np.concatenate([history[curved, 1:], new[:, None]], axis=1)
-        gamma[curved] = sy[curved] / yy[curved]
+        # usually every pair is curved and the whole history shifts in place
+        c = slice(None) if curved.all() else np.flatnonzero(curved)
+        for history, new in ((steps, step[c]), (changes, change[c]), (rho, 1.0 / sy[c])):
+            history[:-1, c] = history[1:, c]
+            history[-1, c] = new
+        gamma[c] = sy[c] / yy[c]
 
         gain = nf - af
         ax, af, ag = nx, nf, ng
-        iterations[active] += 1
-        x[active], values[active] = ax, af
         at_ceiling = ceiling - af < IMPROVEMENT_TOL
-        stalled = gain < IMPROVEMENT_TOL
-        leaving = at_ceiling | stalled
-        for k in np.flatnonzero(leaving):
-            stops[active[k]] = "ceiling" if at_ceiling[k] else "stalled"
-        keep = ~leaving
-        if not keep.any():
-            break
-        active = active[keep]
-        ax, af, ag = ax[keep], af[keep], ag[keep]
-        steps, changes, rho, gamma = steps[keep], changes[keep], rho[keep], gamma[keep]
+        leaving = at_ceiling | (gain < IMPROVEMENT_TOL)
+        if leaving.any():
+            for k in np.flatnonzero(leaving):
+                stops[active[k]] = "ceiling" if at_ceiling[k] else "stalled"
+            gone = active[leaving]
+            x[gone], values[gone], iterations[gone] = ax[leaving], af[leaving], sweep
+            keep = ~leaving
+            if not keep.any():
+                break
+            active = active[keep]
+            ax, af, ag = ax[keep], af[keep], ag[keep]
+            steps, changes, rho, gamma = steps[:, keep], changes[:, keep], rho[:, keep], gamma[keep]
+    else:
+        x[active], values[active], iterations[active] = ax, af, cfg.max_iters
 
     # under the optimal measurements each pair difference is the pair's trace distance
     vecs = x.view(complex).reshape(n_restarts, *shape)
@@ -300,6 +329,7 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
         restart_values=tuple(float(v) for v in final),
         restart_sweeps=tuple(int(k) for k in iterations),
         restart_stops=tuple(stops),
+        restart_halvings=tuple(int(k) for k in halvings),
     )
 
 

@@ -70,6 +70,7 @@ SEESAW_FIELDS = SETTING + [
     (None, "restart_values", None),
     (None, "restart_sweeps", None),
     (None, "restart_stops", None),
+    (None, "restart_halvings", None),
     ("iterations", "iterations_used", int),
     (None, "out", None),
 ]
@@ -347,6 +348,8 @@ class TestSeesaw:
         assert len(payload["restart_sweeps"]) == len(payload["restart_stops"]) == 20
         assert sum(payload["restart_sweeps"]) == payload["iterations_used"]
         assert set(payload["restart_stops"]) <= {"stalled", "ceiling"}
+        halvings = payload["restart_halvings"]
+        assert len(halvings) == 20 and all(type(k) is int and k >= 0 for k in halvings)
 
     def test_full_dimension_quadratic(self, capsys):
         code, out, _ = run(capsys, "seesaw", "--witness", "quadratic", "--N", "4", "--d", "4")

@@ -102,6 +102,34 @@ class TestResultStructure:
         assert few.restart_values == many.restart_values[:3]
         assert few.restart_sweeps == many.restart_sweeps[:3]
 
+    @pytest.mark.parametrize("kind, n, d, seed", [
+        (L, 7, 4, 1), (Q, 7, 4, 1), (L, 6, 3, 1), (Q, 6, 3, 1),
+        # a restart here keeps ascending through many pairs without curvature
+        (L, 5, 2, 3),
+    ])
+    def test_every_path_keeps_restarts_independent_of_their_batch(self, kind, n, d, seed):
+        # the batches halve steps, update part of their history and lose
+        # restarts mid-run; none of it may reach the other restarts
+        cfg = SeesawConfig(kind, n, d, restarts=20, seed=seed)
+        many = optimize(cfg)
+        assert any(many.restart_halvings) and len(set(many.restart_sweeps)) > 1
+        for size in (1, 3):
+            few = optimize(replace(cfg, restarts=size))
+            for field in ("restart_values", "restart_sweeps", "restart_stops", "restart_halvings"):
+                assert getattr(few, field) == getattr(many, field)[:size], (size, field)
+
+    def test_leaving_on_the_last_allowed_iteration_keeps_its_stop(self):
+        full = optimize(SeesawConfig(L, 7, 4, seed=1))
+        last = min(k for k, stop in zip(full.restart_sweeps, full.restart_stops) if stop != "max_iters")
+        assert max(full.restart_sweeps) > last
+        cut = optimize(SeesawConfig(L, 7, 4, seed=1, max_iters=last))
+        for r, sweeps in enumerate(full.restart_sweeps):
+            got = (cut.restart_sweeps[r], cut.restart_stops[r])
+            if sweeps <= last:
+                assert got + (cut.restart_values[r],) == (sweeps, full.restart_stops[r], full.restart_values[r]), r
+            else:
+                assert got == (last, "max_iters"), r
+
     def test_lone_restart_matches_its_batch(self):
         # a batch of one lays fancy-indexed pair terms out differently
         for kind in (L, Q):
@@ -123,7 +151,8 @@ class TestResultStructure:
         assert all(0 < k < 500 for k in fast.restart_sweeps)
         for result in (slow, fast):
             assert sum(result.restart_sweeps) == result.iterations_used
-            assert len(result.restart_stops) == len(result.restart_sweeps) == 20
+            assert len(result.restart_stops) == len(result.restart_sweeps) == len(result.restart_halvings) == 20
+            assert all(type(k) is int and k >= 0 for k in result.restart_halvings)
 
     def test_max_iters_stops_every_restart(self):
         result = optimize(SeesawConfig(L, 7, 4, seed=1, max_iters=3))
