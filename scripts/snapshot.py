@@ -154,7 +154,10 @@ def _commands(table_files: list[tuple[str, str]], small: bool) -> list[list[str]
         ["reproduce", "--table", "2", "--nmax", "10", "--restarts", "5", "--seed", "3"],
     ]
     for kind in ("quadratic", "linear", "guessing"):
-        commands += [["classical", "--witness", kind, "--N", str(n), "--d", str(d)] for n, d in ((4, 2), (6, 3))]
+        # (8, 3), (9, 4) and (10, 5) are where the walk skips subtrees
+        commands += [["classical", "--witness", kind, "--N", str(n), "--d", str(d)]
+                     for n, d in ((4, 2), (6, 3), (8, 3), (9, 4), (10, 5))]
+    commands.append(["classical", "--witness", "linear", "--N", "2", "--d", "3"])
     # failures: usage (exit 2), validation (exit 2) and i/o (exit 3)
     commands += [
         ["bounds", "--witness", "linear", "--N", "3", "--d", "4"],
@@ -165,7 +168,7 @@ def _commands(table_files: list[tuple[str, str]], small: bool) -> list[list[str]
         ["seesaw", "--witness", "guessing", "--N", "3", "--d", "2"],
         ["seesaw", "--witness", "linear", "--N", "3", "--d", "2", "--restarts", "0"],
         ["reproduce", "--table", "1", "--nmax", "5"],
-        ["classical", "--witness", "linear", "--N", "2", "--d", "3"],
+        ["classical", "--witness", "quadratic", "--N", "30", "--d", "2"],
     ]
     return commands
 

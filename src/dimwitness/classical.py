@@ -8,15 +8,19 @@ exact classical bound is a finite search: enumerate message assignments
 closed form. Shared randomness is not modelled -- it cannot beat the
 deterministic maximum.
 
-Encodings are enumerated in canonical form (first occurrences of symbols in
+Encodings are searched in canonical form (first occurrences of symbols in
 increasing order, i.e. restricted growth strings), which quotients out symbol
-relabelling; the reported maximizer is the lexicographically smallest one.
+relabelling. One depth-first walk visits them in lexicographic order, keeps
+the score up to date as it sets and unsets each position, and skips every
+subtree that cannot beat the best encoding found so far. That best is
+replaced only by a strictly higher score, so the reported maximizer is the
+lexicographically smallest one, as if every encoding had been scored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -98,28 +102,41 @@ def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> Probab
     return ProbabilityTable(p)
 
 
-def _canonical_encodings(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings over at most d symbols, lexicographic order."""
-    enc = [1] * n
-    top = [1] * n  # top[i] = max(enc[:i + 1]), the symbols used up to position i
-    while True:
-        yield tuple(enc)
-        # the last position that can still grow: past neither d nor 1 + the max before it
-        i = n - 1
-        while i and (enc[i] > top[i - 1] or enc[i] == d):
+def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ...]]:
+    """The best score over canonical encodings and its lexicographically smallest maximizer.
+
+    Iterative, because N may pass the interpreter's recursion limit. Pair
+    witnesses score the pairs told apart, N(N-1)/2 minus the pairs inside one
+    symbol's block; the guessing witness scores the symbols used.
+    """
+    total = n * (n - 1) // 2
+    enc = [0] * n  # enc[i] = symbol at position i, 0 while unset
+    top = [0] * n  # top[i] = max(enc[:i]), the symbols used before position i
+    counts = [0] * (d + 1)  # block sizes; within = the pairs inside one block
+    within, best, best_enc, i = 0, -1, (), 0
+    while i >= 0:
+        s = enc[i]
+        if s:  # back out of s before trying the next symbol
+            counts[s] -= 1
+            within -= counts[s]
+        if s > top[i] or s == d:
+            enc[i] = 0
             i -= 1
-        if not i:
-            return
-        enc[i] += 1
-        enc[i + 1 :] = [1] * (n - 1 - i)
-        top[i:] = [max(top[i - 1], enc[i])] * (n - i)
-
-
-def _pair_value(encoding: tuple[int, ...]) -> int:
-    # the pairs told apart: all of them but those within one symbol's block;
-    # a canonical encoding uses exactly the symbols 1..max
-    n = len(encoding)
-    return n * (n - 1) // 2 - sum(c * (c - 1) // 2 for c in map(encoding.count, range(1, max(encoding) + 1)))
+            continue
+        enc[i] = s = s + 1
+        within += counts[s]
+        counts[s] += 1
+        used = max(top[i], s)
+        # a pair inside one block stays inside it, and each position left can add one new symbol
+        reach = min(d, used + n - 1 - i) if guessing else total - within
+        if reach <= best:  # ties too: the first maximizer was reached before them
+            continue
+        if i == n - 1:
+            best, best_enc = reach, tuple(enc)
+        else:
+            i += 1
+            top[i] = used
+    return best, best_enc
 
 
 def _pair_decoding(encoding: tuple[int, ...], d: int) -> dict[tuple[int, int], int]:
@@ -148,15 +165,18 @@ def enumerate_max(
 ) -> tuple[float, DeterministicStrategy]:
     """Exact witness maximum over deterministic strategies, with a maximizer.
 
-    Only encodings are enumerated; for a fixed encoding every measurement's
+    Only encodings are searched; for a fixed encoding every measurement's
     optimal decoding is analytic (pair witnesses: answer 1 exactly on the
     first preparation's message, contributing 1 per distinctly-encoded pair;
-    guessing: map each message to a preparation that sends it). Ties between
-    maximizing encodings resolve to the lexicographically smallest canonical
-    one. The decoding covers the messages 1..min(d, N), the only ones an
-    encoding of N preparations sends. Raises ``TooLarge`` when N exceeds
-    ``ENUMERATION_MAX_N`` or the number of canonical encodings exceeds the
-    search guard.
+    guessing: map each message to a preparation that sends it). The search
+    walks the canonical encodings in lexicographic order and prunes every
+    subtree whose best reachable score is no higher than the best so far, ties
+    included, so ties between maximizing encodings resolve to the
+    lexicographically smallest canonical one. The decoding covers the messages
+    1..min(d, N), the only ones an encoding of N preparations sends. Raises
+    ``TooLarge`` when N exceeds ``ENUMERATION_MAX_N`` or the number of
+    canonical encodings, the size of the search space rather than the nodes
+    the pruned walk visits, exceeds the search guard.
     """
     n, dim = require_bound_args(kind, n_preparations, dim)
     symbols = min(dim, n)
@@ -167,10 +187,8 @@ def enumerate_max(
     if n > ENUMERATION_MAX_N:
         raise TooLarge(f"N={n} exceeds {ENUMERATION_MAX_N}, the largest N the enumeration takes")
 
-    # a canonical encoding uses exactly the messages 1..max
-    score = max if kind is WitnessKind.GUESSING else _pair_value
-    # max keeps the first maximizer, the lexicographically smallest in canonical order
-    best = max(_canonical_encodings(n, symbols), key=score)
-    if kind is WitnessKind.GUESSING:
-        return score(best) / n, DeterministicStrategy(n, dim, best, _guessing_decoding(best, n, symbols))
-    return float(score(best)), DeterministicStrategy(n, dim, best, _pair_decoding(best, symbols))
+    guessing = kind is WitnessKind.GUESSING
+    score, best = _first_maximizer(n, symbols, guessing)
+    if guessing:
+        return score / n, DeterministicStrategy(n, dim, best, _guessing_decoding(best, n, symbols))
+    return float(score), DeterministicStrategy(n, dim, best, _pair_decoding(best, symbols))

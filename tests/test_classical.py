@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from dimwitness import (
@@ -14,7 +15,8 @@ from dimwitness import (
     evaluate,
     strategy_table,
 )
-from dimwitness.classical import ENUMERATION_MAX_N, _canonical_encodings, _pair_value
+from dimwitness.classical import ENUMERATION_MAX_N
+from dimwitness.witnesses import max_distinct_pairs
 
 Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
 
@@ -77,21 +79,47 @@ class TestEnumerateMax:
         with pytest.raises(TooLarge, match="exceeds 1000"):
             enumerate_max(G, ENUMERATION_MAX_N + 1, 1)
 
-    def test_canonical_encodings_are_the_restricted_growth_strings_in_order(self):
-        for n in range(1, 8):
-            # each symbol is at most one above every symbol before it, so none passes n
-            oracle = [
-                enc for enc in itertools.product(range(1, n + 1), repeat=n)
-                if all(s <= max(enc[:i], default=0) + 1 for i, s in enumerate(enc))
-            ]
-            for d in range(1, n + 2):
-                assert list(_canonical_encodings(n, d)) == [e for e in oracle if max(e) <= d], (n, d)
-
-    def test_pair_value_counts_the_pairs_told_apart(self):
-        # the block-size score against the pair-by-pair count
+    def test_brute_force_maximum_and_first_canonical_maximizer(self):
+        # every encoding of N preparations into the symbols 1..N, in lexicographic order
         for n in range(2, 8):
-            for enc in _canonical_encodings(n, n):
-                assert _pair_value(enc) == sum(enc[x] != enc[xp] for x in range(n) for xp in range(x)), enc
+            encodings = np.array(list(itertools.product(range(1, n + 1), repeat=n)))
+            told_apart = sum((encodings[:, x] != encodings[:, xp]).astype(int)
+                             for x in range(n) for xp in range(x))
+            used = sum(np.any(encodings == s, axis=1).astype(int) for s in range(1, n + 1))
+            # each symbol at most one above every symbol before it
+            running = np.maximum.accumulate(np.hstack([np.zeros((len(encodings), 1), int), encodings]), axis=1)
+            canonical = np.all(encodings <= running[:, :-1] + 1, axis=1)
+            top = encodings.max(axis=1)
+            for d in range(1, n + 2):
+                allowed = top <= d
+                for kind, score, scale in ((Q, told_apart, 1), (L, told_apart, 1), (G, used, n)):
+                    best = score[allowed].max()
+                    first = np.flatnonzero(allowed & canonical & (score == best))[0]
+                    value, strategy = enumerate_max(kind, n, d)
+                    assert value == best / scale, (kind, n, d)
+                    assert strategy.encoding == tuple(encodings[first]), (kind, n, d)
+
+    @pytest.mark.parametrize("kind", [Q, L])
+    def test_pair_maximizer_is_contiguous_balanced_with_larger_blocks_first(self, kind):
+        # every d is within the guard: N = 12 has Bell(12) = 4,213,597 canonical encodings
+        for n in range(2, 13):
+            for d in range(1, n + 2):
+                s = min(d, n)
+                blocks, extra = divmod(n, s)
+                sizes = [blocks + 1] * extra + [blocks] * (s - extra)
+                value, strategy = enumerate_max(kind, n, d)
+                # for example (1, 1, 1, 2, 2, 3, 3, 4, 4) at N = 9, d = 4
+                contiguous = tuple(symbol for symbol, size in enumerate(sizes, start=1) for _ in range(size))
+                assert strategy.encoding == contiguous, (n, d)
+                assert value == max_distinct_pairs(n, d), (n, d)
+
+    def test_guessing_maximizer_sends_every_new_symbol_last(self):
+        for n in range(2, 13):
+            for d in range(1, n + 2):
+                s = min(d, n)
+                value, strategy = enumerate_max(G, n, d)
+                assert strategy.encoding == (1,) * (n - s + 1) + tuple(range(2, s + 1)), (n, d)
+                assert value == s / n
 
     @pytest.mark.parametrize("kind", [Q, L, G])
     def test_decoding_size_does_not_grow_with_dimension(self, kind):
