@@ -19,7 +19,9 @@ The groups:
 - ``tables``: the ``p`` bytes and the ``empirical`` flag of ``born_table``
   and ``noisy_table`` over four Fourier ensembles and one mixed qutrit
   ensemble, each with its Helstrom measurements, and every depolarizing
-  strength, shot count and seed of the grid.
+  strength, shot count and seed of the grid; and the ``p`` bytes of
+  ``strategy_table`` for the maximizer ``enumerate_max`` returns, for every
+  witness, 2 <= N <= 8 and 1 <= d <= N + 1.
 
 The checkout whose ``src/`` is imported is the one holding this script, or
 ``--tree``. ``--against TREE`` runs this script's grid in TREE (for example a
@@ -101,6 +103,15 @@ def _tables(dw, entries: dict, small: bool) -> list:
         written += [tables[f"tables: born_table {name}"],
                     tables[f"tables: noisy_table {name} eta={etas[-1]} shots={shots[-1]} seed={seeds[0]}"]]
     return written
+
+
+def _strategy_tables(dw, entries: dict, small: bool) -> None:
+    """Hash the deterministic table of every enumerated maximizer of the grid into ``entries``."""
+    for kind in dw.WitnessKind:
+        for n in range(2, 5 if small else 9):
+            for d in range(1, n + 2):
+                table = dw.strategy_table(dw.enumerate_max(kind, n, d)[1], kind)
+                entries[f"tables: strategy_table {kind.value} N={n} d={d}"] = _digest(table.p.tobytes())
 
 
 def _table_files(dw, tables: list) -> list[tuple[str, str]]:
@@ -216,6 +227,7 @@ def snapshot(tree: Path, small: bool = False) -> dict:
         os.chdir(workdir)
         try:
             tables = _tables(dw, entries, small)
+            _strategy_tables(dw, entries, small)
             table_files = _table_files(dw, tables)
             for _, path in table_files:
                 entries[f"files: save_table :: {path}"] = _digest(Path(path).read_bytes())

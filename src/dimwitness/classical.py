@@ -20,12 +20,12 @@ lexicographically smallest one, as if every encoding had been scored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import kernels
 from .errors import BadArgument, IncompleteDecoding, TooLarge, require_int
+from .linalg import integer_array
 from .witnesses import ProbabilityTable, WitnessKind, require_bound_args, require_kind
 
 #: Enumeration refuses to visit more canonical encodings than this.
@@ -41,65 +41,61 @@ def _canonical_count(n: int, d: int) -> int:
 
     The count grows with n; at a large n it has thousands of digits.
     """
-    # Stirling-number recurrence S(i, j) = j S(i-1, j) + S(i-1, j-1)
-    row = [1] + [0] * d
+    # Stirling-number recurrence S(i, j) = j S(i-1, j) + S(i-1, j-1); n items use at most n symbols
+    row = [1] + [0] * min(d, n)
     for _ in range(n):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, d + 1)]
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, len(row))]
         if sum(row) > SEARCH_GUARD:
             break
     return sum(row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterministicStrategy:
-    """Message per preparation plus an outcome rule per (measurement, message).
+    """Message per preparation plus an outcome table per (measurement, message).
 
     ``encoding[x-1]`` is the message in {1..d} sent for preparation x;
-    ``decoding[(y, s)]`` is the outcome announced when measurement y receives
-    message s. Measurement indices follow ``pair_labels`` for pair witnesses
-    and are just y = 1 for the guessing witness.
+    ``decoding[y-1, s-1]``, a read-only int64 table of shape (m, w) with 1 <= w <= d,
+    is the outcome announced when measurement y receives message s. Measurement
+    indices follow ``pair_labels`` for pair witnesses and are y = 1 for guessing.
     """
 
     N: int
     d: int
     encoding: tuple[int, ...]
-    decoding: Mapping[tuple[int, int], int]
+    decoding: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("N", "d"):
             object.__setattr__(self, name, require_int(getattr(self, name), name, 1))
-        if not isinstance(self.encoding, Iterable) or not isinstance(self.decoding, Mapping):
-            raise BadArgument("encoding must be a sequence of symbols and decoding a mapping, got "
-                              f"{type(self.encoding).__name__} and {type(self.decoding).__name__}")
-        encoding = tuple(self.encoding)
-        if len(encoding) != self.N:
+        encoding = integer_array(self.encoding, "encoding must be a sequence of symbols")
+        if encoding.shape != (self.N,):
             raise BadArgument(f"encoding must assign all {self.N} preparations")
         encoding = tuple(require_int(s, f"symbol of preparation {x}", 1, self.d)
-                         for x, s in enumerate(encoding, start=1))
-        decoding = dict(self.decoding)
-        for key, b in decoding.items():
-            if type(b) is not int:  # the type test alone keeps a large decoding cheap to check
-                decoding[key] = require_int(b, f"decoding{key}")
+                         for x, s in enumerate(encoding.tolist(), start=1))
+        decoding = integer_array(self.decoding, "decoding must be a table of outcomes").copy()
+        if decoding.ndim != 2 or not 1 <= decoding.shape[1] <= self.d:
+            raise BadArgument(f"decoding must be an (m, w) table with 1 <= w <= {self.d}, got shape {decoding.shape}")
+        decoding.setflags(write=False)
         object.__setattr__(self, "encoding", encoding)
         object.__setattr__(self, "decoding", decoding)
 
 
 def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> ProbabilityTable:
     """Deterministic 0/1 table P(b|x,y) = [decoding(y, encoding(x)) = b]."""
-    n = strategy.N
-    m, k = require_kind(kind).table_shape(n)
-    p = np.zeros((n, m, k))
-    for x in range(1, n + 1):
-        symbol = strategy.encoding[x - 1]
-        for y in range(1, m + 1):
-            try:
-                outcome = strategy.decoding[(y, symbol)]
-            except KeyError:
-                raise IncompleteDecoding(f"no decoding for measurement {y}, symbol {symbol}") from None
-            if outcome < 1 or outcome > k:
-                raise IncompleteDecoding(f"decoding({y}, {symbol}) = {outcome} is not an outcome in 1..{k}")
-            p[x - 1, y - 1, outcome - 1] = 1.0
-    return ProbabilityTable(p)
+    m, k = require_kind(kind).table_shape(strategy.N)
+    rows, width = strategy.decoding.shape
+    symbols = np.array(strategy.encoding)
+    outcomes = np.zeros((len(symbols), m), np.int64)
+    outcomes[:, :rows] = strategy.decoding[:m, np.minimum(symbols, width) - 1].T
+    # IncompleteDecoding names the first cell, in (x, y) order, that the decoding lacks or maps outside 1..k
+    bad = (symbols[:, None] > width) | (np.arange(m) >= rows) | (outcomes < 1) | (outcomes > k)
+    if bad.any():
+        x, y = divmod(int(bad.argmax()), m)
+        if y >= rows or symbols[x] > width:
+            raise IncompleteDecoding(f"no decoding for measurement {y + 1}, symbol {symbols[x]}")
+        raise IncompleteDecoding(f"decoding({y + 1}, {symbols[x]}) = {outcomes[x, y]} is not an outcome in 1..{k}")
+    return ProbabilityTable((outcomes[..., None] == np.arange(1, k + 1)).astype(float))
 
 
 def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ...]]:
@@ -139,25 +135,15 @@ def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ..
     return best, best_enc
 
 
-def _pair_decoding(encoding: tuple[int, ...], d: int) -> dict[tuple[int, int], int]:
-    # For measurement (x, x') the b=1 effect fires on x's message. When both
-    # preparations share a message the pair contributes zero either way.
-    decoding = {}
-    for y, x in enumerate(kernels.pair_index(len(encoding))[0], start=1):
-        fire = encoding[x]
-        for s in range(1, d + 1):
-            decoding[(y, s)] = 1 if s == fire else 2
-    return decoding
+def _pair_decoding(encoding: tuple[int, ...], d: int) -> np.ndarray:
+    # pair (x, x')'s b=1 effect fires on x's message; a pair sharing one message scores zero either way
+    fire = np.array(encoding)[kernels.pair_index(len(encoding))[0]]
+    return np.where(fire[:, None] == np.arange(1, d + 1), 1, 2)
 
 
-def _guessing_decoding(encoding: tuple[int, ...], n: int, d: int) -> dict[tuple[int, int], int]:
-    # Each message answers the first preparation that sends it; unused
-    # messages answer preparation 1 (they never occur).
-    decoding = {}
-    for s in range(1, d + 1):
-        first = next((x for x in range(1, n + 1) if encoding[x - 1] == s), 1)
-        decoding[(1, s)] = first
-    return decoding
+def _guessing_decoding(encoding: tuple[int, ...], d: int) -> np.ndarray:
+    # each message answers the first preparation that sends it, an unsent one preparation 1 (argmax of all False)
+    return (np.array(encoding)[:, None] == np.arange(1, d + 1)).argmax(axis=0)[None, :] + 1
 
 
 def enumerate_max(
@@ -172,8 +158,8 @@ def enumerate_max(
     walks the canonical encodings in lexicographic order and prunes every
     subtree whose best reachable score is no higher than the best so far, ties
     included, so ties between maximizing encodings resolve to the
-    lexicographically smallest canonical one. The decoding covers the messages
-    1..min(d, N), the only ones an encoding of N preparations sends. Raises
+    lexicographically smallest canonical one. The decoding table is min(d, N)
+    wide: N preparations send only the messages 1..min(d, N). Raises
     ``TooLarge`` when N exceeds ``ENUMERATION_MAX_N`` or the number of
     canonical encodings, the size of the search space rather than the nodes
     the pruned walk visits, exceeds the search guard.
@@ -190,5 +176,5 @@ def enumerate_max(
     guessing = kind is WitnessKind.GUESSING
     score, best = _first_maximizer(n, symbols, guessing)
     if guessing:
-        return score / n, DeterministicStrategy(n, dim, best, _guessing_decoding(best, n, symbols))
+        return score / n, DeterministicStrategy(n, dim, best, _guessing_decoding(best, symbols))
     return float(score), DeterministicStrategy(n, dim, best, _pair_decoding(best, symbols))

@@ -1,8 +1,8 @@
 """Dense Hermitian linear algebra: the package tolerances, the Hermitian check, trace norm.
 
-Functions take square arrays of numbers: ``complex_array`` and ``real_array``
-hold the one rule for what counts as a number in an array, for the API and the
-file loaders alike.
+Functions take square arrays of numbers. Three array rules, ``complex_array``,
+``real_array`` and ``integer_array`` (int64), share one check of what counts as
+a number in an array, for the API and the file loaders alike.
 ``require_hermitian`` validates one matrix or a whole stack in one pass;
 the stacked eigensolves of the pair computations live in ``kernels``.
 """
@@ -62,6 +62,14 @@ def complex_array(data, need: str) -> np.ndarray:
 def real_array(data, need: str) -> np.ndarray:
     """``data`` as a float array of integers or floats; see ``_numeric_array``."""
     return _numeric_array(data, need, "iuf", "real numbers").astype(float, copy=False)
+
+
+def integer_array(data, need: str) -> np.ndarray:
+    """``data`` as an int64 array of integers; see ``_numeric_array``. Unsigned entries past int64 are refused."""
+    arr = _numeric_array(data, need, "iu", "integers")
+    if arr.dtype == np.uint64 and (arr >> 63).any():
+        raise BadArgument(f"{need}, got integers past the int64 range")
+    return arr.astype(np.int64, copy=False)
 
 
 def require_hermitian(a, what: str | Callable[[int], str] = "matrix") -> np.ndarray:

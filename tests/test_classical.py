@@ -23,14 +23,14 @@ Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
 
 class TestStrategyTable:
     def test_two_preparations_distinct_symbols(self):
-        strategy = DeterministicStrategy(2, 2, (1, 2), {(1, 1): 2, (1, 2): 1})
+        strategy = DeterministicStrategy(2, 2, (1, 2), [[2, 1]])
         table = strategy_table(strategy, Q)
         # the lone pair is (2, 1); the b=1 effect fires on preparation 2's symbol
         assert table.p[1, 0, 0] - table.p[0, 0, 0] == 1.0
         assert evaluate(Q, table) == 1.0
 
     def test_single_message_carries_nothing(self):
-        strategy = DeterministicStrategy(2, 1, (1, 1), {(1, 1): 1})
+        strategy = DeterministicStrategy(2, 1, (1, 1), [[1]])
         assert evaluate(Q, strategy_table(strategy, Q)) == 0.0
 
     def test_balanced_four_preparations(self):
@@ -39,13 +39,98 @@ class TestStrategyTable:
         assert evaluate(Q, table) == 4.0  # 6 pairs, 2 within groups
 
     def test_missing_decoding_entry(self):
-        strategy = DeterministicStrategy(2, 2, (1, 2), {(1, 1): 1})
-        with pytest.raises(IncompleteDecoding):
+        # one column decodes message 1 only, and preparation 2 sends message 2
+        strategy = DeterministicStrategy(2, 2, (1, 2), [[1]])
+        with pytest.raises(IncompleteDecoding, match=r"^no decoding for measurement 1, symbol 2$"):
             strategy_table(strategy, Q)
+
+    def test_decoding_is_a_read_only_int64_table(self):
+        decoding = np.array([[2, 1]])
+        strategy = DeterministicStrategy(2, 2, (1, 2), decoding)
+        decoding[0, 0] = 1  # the strategy keeps its own copy
+        assert strategy.decoding.tolist() == [[2, 1]] and strategy.decoding.dtype == np.int64
+        assert decoding.flags.writeable and not strategy.decoding.flags.writeable
 
     def test_encoding_validation(self):
         with pytest.raises(BadArgument):
             DeterministicStrategy(2, 2, (1, 3), {})
+
+
+def oracle_table(strategy: DeterministicStrategy, kind: WitnessKind) -> np.ndarray:
+    """P(b|x,y) = [decoding(y, encoding(x)) = b], one cell at a time, with the cell-by-cell refusals."""
+    m, k = kind.table_shape(strategy.N)
+    rows, width = strategy.decoding.shape
+    p = np.zeros((strategy.N, m, k))
+    for x in range(1, strategy.N + 1):
+        symbol = strategy.encoding[x - 1]
+        for y in range(1, m + 1):
+            if y > rows or symbol > width:
+                raise IncompleteDecoding(f"no decoding for measurement {y}, symbol {symbol}")
+            outcome = int(strategy.decoding[y - 1, symbol - 1])
+            if outcome < 1 or outcome > k:
+                raise IncompleteDecoding(f"decoding({y}, {symbol}) = {outcome} is not an outcome in 1..{k}")
+            p[x - 1, y - 1, outcome - 1] = 1.0
+    return p
+
+
+class TestStrategyTableOracle:
+    """``strategy_table`` against the per-cell rule, bit for bit, refusals and messages included."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except IncompleteDecoding as refusal:
+            return str(refusal)
+
+    @pytest.mark.parametrize("kind", [Q, L, G])
+    def test_seeded_random_strategies(self, kind):
+        rng = np.random.default_rng(2012 + list(WitnessKind).index(kind))
+        refused = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            d = int(rng.integers(1, n + 3))
+            m, k = kind.table_shape(n)
+            encoding = rng.integers(1, d + 1, n)
+            # a table w < d columns wide, short of rows, or with outcomes outside 1..k, now and then
+            rows = m if rng.random() < 0.7 else int(rng.integers(1, m + 2))
+            width = d if rng.random() < 0.5 else int(rng.integers(1, d + 1))
+            low, high = (1, k + 1) if rng.random() < 0.8 else (0, k + 2)
+            strategy = DeterministicStrategy(n, d, encoding, rng.integers(low, high, (rows, width)))
+            want = self.outcome(lambda: oracle_table(strategy, kind))
+            got = self.outcome(lambda: strategy_table(strategy, kind).p)
+            refused += isinstance(want, str)
+            assert type(got) is type(want)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert 30 < refused < 270  # both outcomes are exercised
+
+    def test_guessing_with_every_preparation_told_apart(self):
+        # k = N: each preparation sends its own message and each message names its sender
+        for n in range(2, 9):
+            value, strategy = enumerate_max(G, n, n)
+            assert strategy.decoding.tolist() == [list(range(1, n + 1))] and value == 1.0
+            assert strategy_table(strategy, G).p.tobytes() == oracle_table(strategy, G).tobytes()
+
+    def test_narrow_table_of_a_large_dimension(self):
+        # w = 2 < d = 5: only the messages sent need columns
+        strategy = DeterministicStrategy(4, 5, (1, 2, 2, 1), [[1, 2], [2, 1], [1, 1], [2, 2], [1, 2], [2, 1]])
+        assert strategy.decoding.shape == (6, 2)
+        assert strategy_table(strategy, Q).p.tobytes() == oracle_table(strategy, Q).tobytes()
+
+    @pytest.mark.parametrize("decoding, message", [
+        ([[1, 2], [2, 1]], "no decoding for measurement 3, symbol 1"),  # three pairs, two rows
+        ([[1], [2], [1]], "no decoding for measurement 1, symbol 2"),   # preparation 2 sends message 2
+        ([[1, 2], [2, 0], [1, 2]], "decoding(2, 2) = 0 is not an outcome in 1..2"),
+    ])
+    def test_incomplete_decodings(self, decoding, message):
+        strategy = DeterministicStrategy(3, 2, (1, 2, 2), decoding)
+        assert self.outcome(lambda: oracle_table(strategy, Q)) == message
+        with pytest.raises(IncompleteDecoding) as refusal:
+            strategy_table(strategy, Q)
+        assert str(refusal.value) == message
 
 
 class TestEnumerateMax:
@@ -125,9 +210,10 @@ class TestEnumerateMax:
     def test_decoding_size_does_not_grow_with_dimension(self, kind):
         # only the messages 1..min(d, N) can be sent, so only they are decoded
         small = enumerate_max(kind, 3, 3)[1]
+        assert small.decoding.shape == (kind.table_shape(3)[0], 3)
         for d in (4, 10**6, 10**18):
             value, strategy = enumerate_max(kind, 3, d)
-            assert strategy.decoding == small.decoding and strategy.d == d
+            assert np.array_equal(strategy.decoding, small.decoding) and strategy.d == d
             assert value == evaluate(kind, strategy_table(strategy, kind))
 
     def test_canonical_balanced_maximizer(self):

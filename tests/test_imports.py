@@ -58,7 +58,7 @@ def test_modules_use_every_name_they_import():
 IMPORTS = {
     "__init__": {"classical", "errors", "kernels", "linalg", "quantum", "seesaw", "simulate", "witnesses"},
     "__main__": {"cli"},
-    "classical": {"errors", "kernels", "witnesses"},
+    "classical": {"errors", "kernels", "linalg", "witnesses"},
     "cli": {"classical", "errors", "files", "quantum", "seesaw", "witnesses"},
     "errors": set(),
     "files": {"errors", "kernels", "linalg", "quantum", "witnesses"},

@@ -435,21 +435,31 @@ class TestDeterministicStrategyIntegers:
             (2, "2", (1, 2), {}),
             (2, 2, (1, 1.5), {(1, 1): 1}),
             (2, 2, (1, True), {(1, 1): 1}),
-            (2, 2, (1, 2), {(1, 1): 1.5, (1, 2): 1}),
-            (2, 2, (1, 2), {(1, 1): 1, (1, 2): "2"}),
-            (2, 2, 5, {}),
-            (2, 2, (1, 1), [(1, 1)]),
+            (2, 2, (1, 2), [[1.5, 1]]),
+            (2, 2, (1, 2), [[1, "2"]]),
+            (2, 2, (1, 2), [[True, 1]]),
+            (2, 2, (1, 2), [[1, 2**63]]),
+            (2, 2, 5, [[1, 2]]),
+            (2, 2, (1, 1), [1, 2]),
+            (2, 2, (1, 1), {(1, 1): 1, (1, 2): 2}),
+            (2, 2, (1, 1), [[1, 2], [1]]),
+            (2, 2, (1, 1), [[1, 2, 1]]),
         ],
         ids=["bool-N", "float-N", "string-d", "float-symbol", "bool-symbol", "float-outcome", "string-outcome",
-             "int-encoding", "list-decoding"],
+             "bool-outcome", "outcome-past-int64", "int-encoding", "list-decoding", "mapping-decoding",
+             "ragged-decoding", "decoding-wider-than-d"],
     )
     def test_refused(self, args):
         with pytest.raises(BadArgument):
             DeterministicStrategy(*args)
 
     def test_integral_values_are_kept_as_int(self):
-        strategy = DeterministicStrategy(np.int64(2), 2, (np.int64(1), 2), {(1, 1): np.int64(2), (1, 2): 1})
-        assert [type(v) for v in (strategy.N, strategy.encoding[0], strategy.decoding[(1, 1)])] == [int] * 3
+        strategy = DeterministicStrategy(np.int64(2), 2, (np.int64(1), 2), [[np.int64(2), 1]])
+        assert [type(v) for v in (strategy.N, strategy.encoding[0])] == [int] * 2
+        assert strategy.decoding.dtype == np.int64 and strategy.decoding.tolist() == [[2, 1]]
+        # uint8 entries and Python integers past int32 are integers too, kept in int64
+        assert DeterministicStrategy(2, 2, (1, 2), np.array([[2, 1]], np.uint8)).decoding.dtype == np.int64
+        assert DeterministicStrategy(2, 2, (1, 2), [[2**40, 1]]).decoding.tolist() == [[2**40, 1]]
         assert strategy_table(strategy, WitnessKind.QUADRATIC).p[:, 0, 0].tolist() == [0.0, 1.0]
 
 
@@ -524,6 +534,13 @@ class TestHugeCounts:
         code, out, err = run(capsys, "classical", "--witness", "linear", "--N", "10000", "--d", "3")
         assert code == 2 and out == ""
         assert err == "error: N=10000, d=3 has more than 10^7 canonical encodings, the search guard\n"
+
+    @pytest.mark.parametrize("n, d", [(10**9, 10**7), (10**12, 10**11)])
+    def test_enumeration_guard_counts_no_more_symbols_than_items(self, capsys, n, d):
+        # the guard counts 1001 items, which use at most 1001 symbols, however large d is
+        code, out, err = run(capsys, "classical", "--witness", "linear", "--N", str(n), "--d", str(d))
+        assert code == 2 and out == ""
+        assert err == f"error: N={n}, d={d} has more than 10^7 canonical encodings, the search guard\n"
 
     def test_single_message_enumeration_is_bounded_in_n(self, capsys):
         # d = 1 has one encoding for every N, so the search guard alone never refuses it
@@ -633,7 +650,7 @@ class TestRefusalsRunOnce:
         (lambda: StateVector([[1, 0]]), BadArgument, "amplitudes must be a nonempty 1-D array, got shape (1, 2)"),
         (lambda: fourier_ensemble(0, 1), BadArgument, "need at least one state, got 0"),
         (lambda: DeterministicStrategy(3, 2, (1, 2), {}), BadArgument, "encoding must assign all 3 preparations"),
-        (lambda: strategy_table(DeterministicStrategy(2, 2, (1, 2), {(1, 1): 3, (1, 2): 1}),
+        (lambda: strategy_table(DeterministicStrategy(2, 2, (1, 2), [[3, 1]]),
                                 WitnessKind.QUADRATIC),
          IncompleteDecoding, "decoding(1, 1) = 3 is not an outcome in 1..2"),
         (lambda: guessing_table(fourier_ensemble(3, 2), [Effect(np.eye(3) / 3)] * 3), DimensionMismatch,

@@ -49,7 +49,7 @@ def random_strategy(rng: np.random.Generator, n: int, d: int) -> DeterministicSt
     """A d-message strategy with a random encoding and a random binary outcome per (pair, message)."""
     encoding = tuple(int(s) for s in rng.integers(1, d + 1, n))
     pairs = n * (n - 1) // 2
-    decoding = {(y, s): int(rng.integers(1, 3)) for y in range(1, pairs + 1) for s in range(1, d + 1)}
+    decoding = [[int(rng.integers(1, 3)) for s in range(1, d + 1)] for y in range(1, pairs + 1)]
     return DeterministicStrategy(n, d, encoding, decoding)
 
 
