@@ -165,9 +165,10 @@ def _commands(table_files: list[tuple[str, str]], small: bool) -> list[list[str]
         ["reproduce", "--table", "2", "--nmax", "10", "--restarts", "5", "--seed", "3"],
     ]
     for kind in ("quadratic", "linear", "guessing"):
-        # (8, 3), (9, 4) and (10, 5) are where the walk skips subtrees
+        # (8, 3), (9, 4) and (10, 5) are where the walk skips subtrees; (10, 4) and (12, 4)
+        # are its longest walks here, (10, 4) the longest that evaluate --table runs at N = 10
         commands += [["classical", "--witness", kind, "--N", str(n), "--d", str(d)]
-                     for n, d in ((4, 2), (6, 3), (8, 3), (9, 4), (10, 5))]
+                     for n, d in ((4, 2), (6, 3), (8, 3), (9, 4), (10, 4), (10, 5), (12, 4))]
     commands.append(["classical", "--witness", "linear", "--N", "2", "--d", "3"])
     # failures: usage (exit 2), validation (exit 2) and i/o (exit 3)
     commands += [

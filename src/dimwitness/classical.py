@@ -12,9 +12,10 @@ Encodings are searched in canonical form (first occurrences of symbols in
 increasing order, i.e. restricted growth strings), which quotients out symbol
 relabelling. One depth-first walk visits them in lexicographic order, keeps
 the score up to date as it sets and unsets each position, and skips every
-subtree that cannot beat the best encoding found so far. That best is
-replaced only by a strictly higher score, so the reported maximizer is the
-lexicographically smallest one, as if every encoding had been scored.
+subtree that cannot beat the best encoding found so far. It stops one
+position short of the leaves and picks the last symbol in closed form. The
+best is replaced only by a strictly higher score, so the reported maximizer
+is the lexicographically smallest one, as if every encoding had been scored.
 """
 
 from __future__ import annotations
@@ -103,35 +104,46 @@ def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ..
 
     Iterative, because N may pass the interpreter's recursion limit. Pair
     witnesses score the pairs told apart, N(N-1)/2 minus the pairs inside one
-    symbol's block; the guessing witness scores the symbols used.
+    symbol's block; the guessing witness scores the symbols used. The last
+    position is scored, not walked: its first best symbol is a new one while
+    fewer than d are used, else the first with the smallest block (guessing:
+    symbol 1, as every symbol scores d).
     """
     total = n * (n - 1) // 2
-    enc = [0] * n  # enc[i] = symbol at position i, 0 while unset
-    top = [0] * n  # top[i] = max(enc[:i]), the symbols used before position i
+    last = n - 2  # the deepest position the walk sets
+    enc = [0] * (n - 1)  # enc[i] = symbol at position i, 0 while unset
+    top = [0] * (n - 1)  # top[i] = max(enc[:i]), the symbols used before position i
     counts = [0] * (d + 1)  # block sizes; within = the pairs inside one block
     within, best, best_enc, i = 0, -1, (), 0
     while i >= 0:
         s = enc[i]
-        if s:  # back out of s before trying the next symbol
+        if s:  # back out of s, and climb once s was the last symbol to try
             counts[s] -= 1
             within -= counts[s]
-        if s > top[i] or s == d:
-            enc[i] = 0
-            i -= 1
-            continue
+            if s > top[i] or s == d:
+                enc[i] = 0
+                i -= 1
+                continue
         enc[i] = s = s + 1
         within += counts[s]
         counts[s] += 1
-        used = max(top[i], s)
+        used = s if s > top[i] else top[i]
         # a pair inside one block stays inside it, and each position left can add one new symbol
         reach = min(d, used + n - 1 - i) if guessing else total - within
         if reach <= best:  # ties too: the first maximizer was reached before them
             continue
-        if i == n - 1:
-            best, best_enc = reach, tuple(enc)
-        else:
+        if i < last:
             i += 1
             top[i] = used
+        # i == last: the position after it is scored without setting it
+        elif used < d:  # a new symbol's empty block scores the reach
+            best, best_enc = reach, (*enc, used + 1)
+        elif guessing:  # every symbol scores d
+            best, best_enc = reach, (*enc, 1)
+        else:  # the first symbol with the smallest block; a tie keeps the earlier best
+            smallest = min(counts[1:])
+            if reach - smallest > best:
+                best, best_enc = reach - smallest, (*enc, counts.index(smallest, 1))
     return best, best_enc
 
 
@@ -158,11 +170,12 @@ def enumerate_max(
     walks the canonical encodings in lexicographic order and prunes every
     subtree whose best reachable score is no higher than the best so far, ties
     included, so ties between maximizing encodings resolve to the
-    lexicographically smallest canonical one. The decoding table is min(d, N)
-    wide: N preparations send only the messages 1..min(d, N). Raises
-    ``TooLarge`` when N exceeds ``ENUMERATION_MAX_N`` or the number of
-    canonical encodings, the size of the search space rather than the nodes
-    the pruned walk visits, exceeds the search guard.
+    lexicographically smallest canonical one. The last position's best
+    symbol is taken in closed form, under the same pruning. The decoding
+    table is min(d, N) wide: N preparations send only the messages
+    1..min(d, N). Raises ``TooLarge`` when N exceeds ``ENUMERATION_MAX_N``
+    or the number of canonical encodings, the size of the search space
+    rather than the nodes the pruned walk visits, exceeds the search guard.
     """
     n, dim = require_bound_args(kind, n_preparations, dim)
     symbols = min(dim, n)

@@ -5,9 +5,9 @@ lists of such pairs, so every file is trivially parseable anywhere and
 compact: one line of JSON with a trailing newline. A file's bytes are exactly
 ``json.dumps(payload) + "\n"`` with every array as its ``tolist()``: scalars
 and keys go through ``json.dumps``, and each float array through one encoder
-that formats every distinct double once with ``repr`` (shortest decimal
-representation, which round-trips binary doubles exactly) and writes the
-array row by row.
+that formats every distinct double of each chunk of rows once with ``repr``
+(shortest decimal representation, which round-trips binary doubles exactly)
+and writes the array row by row.
 
 Schemas
 -------
@@ -42,6 +42,9 @@ from .kernels import pair_labels
 from .linalg import real_array
 from .quantum import Ensemble, helstrom_measurements
 from .witnesses import ProbabilityTable, WitnessKind, require_kind_shape
+
+#: Entries that ``_rows`` formats at a time; an array of at most this many is one chunk.
+_CHUNK = 2**20
 
 
 def _pairs(stack: np.ndarray) -> np.ndarray:
@@ -111,21 +114,26 @@ def _read_json(path) -> dict:
 def _rows(a: np.ndarray):
     """The text ``json.dumps(row.tolist())`` gives each row of the float array ``a``, one row at a time.
 
-    ``repr`` runs once per distinct double. Distinct means distinct bits, so
+    Rows are encoded in chunks of about ``_CHUNK`` entries (at least one
+    row), so the texts held at once stay bounded for any array. ``repr`` runs
+    once per distinct double in each chunk. Distinct means distinct bits, so
     ``-0.0`` keeps its sign next to ``0.0``. Every array written here is
     finite, where ``repr`` and ``json.dumps`` agree.
     """
-    bits = np.ascontiguousarray(a, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.fromiter(map(float.__repr__, distinct.view(float)), dtype=object, count=len(distinct))
+    bits = np.ascontiguousarray(a, dtype=float).view(np.int64).reshape(len(a), -1)
     # json.dumps's own separators: its text of a row of zeros, cut at each float
     separators = json.dumps(np.zeros(a.shape[1:]).tolist()).split("0.0")
     tokens = [None] * (2 * len(separators) - 1)
     tokens[::2] = separators
-    # the inverse's shape differs across numpy versions
-    for row in inverse.reshape(len(a), -1):
-        tokens[1::2] = texts[row].tolist()
-        yield "".join(tokens)
+    step = max(1, _CHUNK // bits.shape[1])  # rows per chunk
+    for start in range(0, len(bits), step):
+        chunk = bits[start:start + step]
+        distinct, inverse = np.unique(chunk, return_inverse=True)
+        texts = np.fromiter(map(float.__repr__, distinct.view(float)), dtype=object, count=len(distinct))
+        # the inverse's shape differs across numpy versions
+        for row in inverse.reshape(chunk.shape):
+            tokens[1::2] = texts[row].tolist()
+            yield "".join(tokens)
 
 
 def _write_json(path, payload: dict) -> None:

@@ -15,7 +15,7 @@ from dimwitness import (
     evaluate,
     strategy_table,
 )
-from dimwitness.classical import ENUMERATION_MAX_N
+from dimwitness.classical import ENUMERATION_MAX_N, _canonical_count
 from dimwitness.witnesses import max_distinct_pairs
 
 Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
@@ -131,6 +131,65 @@ class TestStrategyTableOracle:
         with pytest.raises(IncompleteDecoding) as refusal:
             strategy_table(strategy, Q)
         assert str(refusal.value) == message
+
+
+def walked_first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ...]]:
+    """The pruned walk down to the leaves: every position is set, the last one too, in lexicographic order."""
+    total = n * (n - 1) // 2
+    enc = [0] * n  # enc[i] = symbol at position i, 0 while unset
+    top = [0] * n  # top[i] = max(enc[:i]), the symbols used before position i
+    counts = [0] * (d + 1)  # block sizes; within = the pairs inside one block
+    within, best, best_enc, i = 0, -1, (), 0
+    while i >= 0:
+        s = enc[i]
+        if s:  # back out of s before trying the next symbol
+            counts[s] -= 1
+            within -= counts[s]
+        if s > top[i] or s == d:
+            enc[i] = 0
+            i -= 1
+            continue
+        enc[i] = s = s + 1
+        within += counts[s]
+        counts[s] += 1
+        used = max(top[i], s)
+        # a pair inside one block stays inside it, and each position left can add one new symbol
+        reach = min(d, used + n - 1 - i) if guessing else total - within
+        if reach <= best:  # ties too: the first maximizer was reached before them
+            continue
+        if i == n - 1:
+            best, best_enc = reach, tuple(enc)
+        else:
+            i += 1
+            top[i] = used
+    return best, best_enc
+
+
+class TestWalkOracle:
+    """``enumerate_max`` against the walk that sets the last position too: the same value and first maximizer.
+
+    The grid reaches every closed-form case of the last position: a new symbol
+    ((3, 2) after (1, 1)), a unique smallest block ((4, 2) after (1, 1, 2)),
+    tied smallest blocks ((3, 2) after (1, 2)) and guessing with every symbol
+    used ((3, 1)). The tied case never decides a result: the first pair
+    maximizer is contiguous and balanced, so without its last position its
+    last block is empty or the unique smallest. The grid takes every case of
+    2 <= N <= 11, 1 <= d <= N + 1 with at most 3*10^5 canonical encodings:
+    all of N <= 10, and d <= 4 at N = 11.
+    """
+
+    CASES = [(n, d) for n in range(2, 12) for d in range(1, n + 2) if _canonical_count(n, min(d, n)) <= 3 * 10**5]
+
+    def test_grid(self):
+        assert len(self.CASES) == sum(n + 1 for n in range(2, 11)) + 4
+
+    @pytest.mark.parametrize("kind", [Q, L, G])
+    def test_same_value_and_first_maximizer(self, kind):
+        for n, d in self.CASES:
+            score, encoding = walked_first_maximizer(n, min(d, n), kind is G)
+            value, strategy = enumerate_max(kind, n, d)
+            assert value == (score / n if kind is G else float(score)), (n, d)
+            assert strategy.encoding == encoding, (n, d)
 
 
 class TestEnumerateMax:

@@ -20,6 +20,7 @@ from dimwitness import (
     noisy_table,
     optimize,
 )
+from dimwitness import files
 from dimwitness.cli import main
 from dimwitness.files import (
     load_ensemble,
@@ -389,3 +390,17 @@ class TestWriterBytes:
         ]:
             written = set(np.ascontiguousarray(floats).view(np.int64).ravel().tolist())
             assert set(np.array(SPECIAL).view(np.int64).tolist()) <= written
+
+
+class TestWriterBytesInChunks(TestWriterBytes):
+    """The same bytes when the float encoder splits each array into many chunks of rows."""
+
+    # one row per chunk, and a few rows per chunk with a last chunk that is short
+    @pytest.fixture(autouse=True, params=[1, 40])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(files, "_CHUNK", request.param)
+
+    def test_rows_of_many_chunks(self):
+        # seven rows of six entries: seven chunks of one row, or a chunk of six rows and a chunk of one
+        states = files._pairs(fourier_ensemble(7, 3).vectors())
+        assert list(files._rows(states)) == [json.dumps(row.tolist()) for row in states]
