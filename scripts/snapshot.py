@@ -165,10 +165,11 @@ def _commands(table_files: list[tuple[str, str]], small: bool) -> list[list[str]
         ["reproduce", "--table", "2", "--nmax", "10", "--restarts", "5", "--seed", "3"],
     ]
     for kind in ("quadratic", "linear", "guessing"):
-        # (8, 3), (9, 4) and (10, 5) are where the walk skips subtrees; (10, 4) and (12, 4)
-        # are its longest walks here, (10, 4) the longest that evaluate --table runs at N = 10
+        # (8, 3), (9, 4) and (10, 5) are where the walk skips subtrees; (12, 4) and (12, 5) are
+        # its longest walks here, (10, 4) the longest that evaluate --table runs at N = 10, and
+        # (12, 6) the one whose forced pairs skip nearly every subtree
         commands += [["classical", "--witness", kind, "--N", str(n), "--d", str(d)]
-                     for n, d in ((4, 2), (6, 3), (8, 3), (9, 4), (10, 4), (10, 5), (12, 4))]
+                     for n, d in ((4, 2), (6, 3), (8, 3), (9, 4), (10, 4), (10, 5), (12, 4), (12, 5), (12, 6))]
     commands.append(["classical", "--witness", "linear", "--N", "2", "--d", "3"])
     # failures: usage (exit 2), validation (exit 2) and i/o (exit 3)
     commands += [
@@ -179,6 +180,7 @@ def _commands(table_files: list[tuple[str, str]], small: bool) -> list[list[str]
         ["evaluate", "--witness", "quadratic", "--table", "guessing.json"],
         ["seesaw", "--witness", "guessing", "--N", "3", "--d", "2"],
         ["seesaw", "--witness", "linear", "--N", "3", "--d", "2", "--restarts", "0"],
+        ["seesaw", "--witness", "linear", "--N", "3", "--d", "2", "--restarts", "1", "--out", "no-such-dir/m.json"],
         ["reproduce", "--table", "1", "--nmax", "5"],
         ["classical", "--witness", "quadratic", "--N", "30", "--d", "2"],
     ]

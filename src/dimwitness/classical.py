@@ -12,10 +12,12 @@ Encodings are searched in canonical form (first occurrences of symbols in
 increasing order, i.e. restricted growth strings), which quotients out symbol
 relabelling. One depth-first walk visits them in lexicographic order, keeps
 the score up to date as it sets and unsets each position, and skips every
-subtree that cannot beat the best encoding found so far. It stops one
-position short of the leaves and picks the last symbol in closed form. The
-best is replaced only by a strictly higher score, so the reported maximizer
-is the lexicographically smallest one, as if every encoding had been scored.
+subtree that cannot beat the best encoding found so far; a pair witness's
+subtree loses the pairs inside one block and one more for each position
+left past the free symbols. The walk stops one position short of the leaves
+and picks the last symbol in closed form. The best is replaced only by a
+strictly higher score, so the reported maximizer is the lexicographically
+smallest one, as if every encoding had been scored.
 """
 
 from __future__ import annotations
@@ -104,13 +106,16 @@ def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ..
 
     Iterative, because N may pass the interpreter's recursion limit. Pair
     witnesses score the pairs told apart, N(N-1)/2 minus the pairs inside one
-    symbol's block; the guessing witness scores the symbols used. The last
-    position is scored, not walked: its first best symbol is a new one while
-    fewer than d are used, else the first with the smallest block (guessing:
-    symbol 1, as every symbol scores d).
+    symbol's block; the guessing witness scores the symbols used. A subtree
+    whose bound is no higher than the best is skipped: for pairs, the total
+    minus the pairs inside a block minus max(0, left - (d - used)); for
+    guessing, min(d, used + left). The last position is scored, not walked:
+    its first best symbol is a new one while fewer than d are used, else the
+    first with the smallest block (guessing: symbol 1, as every symbol scores d).
     """
     total = n * (n - 1) // 2
     last = n - 2  # the deepest position the walk sets
+    spare = n - 1 - d  # forced pairs below position i: used - i + spare, when positive
     enc = [0] * (n - 1)  # enc[i] = symbol at position i, 0 while unset
     top = [0] * (n - 1)  # top[i] = max(enc[:i]), the symbols used before position i
     counts = [0] * (d + 1)  # block sizes; within = the pairs inside one block
@@ -128,9 +133,14 @@ def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ..
         within += counts[s]
         counts[s] += 1
         used = s if s > top[i] else top[i]
-        # a pair inside one block stays inside it, and each position left can add one new symbol
-        reach = min(d, used + n - 1 - i) if guessing else total - within
-        if reach <= best:  # ties too: the first maximizer was reached before them
+        if guessing:  # each position left can add one new symbol
+            reach = bound = min(d, used + n - 1 - i)
+        else:  # a pair inside a block stays there; each position left past the d - used free symbols adds one
+            reach = bound = total - within
+            forced = used - i + spare
+            if forced > 0:
+                bound -= forced
+        if bound <= best:  # ties too: the first maximizer was reached before them
             continue
         if i < last:
             i += 1
@@ -170,9 +180,10 @@ def enumerate_max(
     walks the canonical encodings in lexicographic order and prunes every
     subtree whose best reachable score is no higher than the best so far, ties
     included, so ties between maximizing encodings resolve to the
-    lexicographically smallest canonical one. The last position's best
-    symbol is taken in closed form, under the same pruning. The decoding
-    table is min(d, N) wide: N preparations send only the messages
+    lexicographically smallest canonical one. A pair witness's bound drops
+    the pairs inside one block and one per preparation left past the unused
+    messages. The last position's best symbol is taken in closed form. The
+    decoding table is min(d, N) wide: N preparations send only the messages
     1..min(d, N). Raises ``TooLarge`` when N exceeds ``ENUMERATION_MAX_N``
     or the number of canonical encodings, the size of the search space
     rather than the nodes the pruned walk visits, exceeds the search guard.

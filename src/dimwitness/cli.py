@@ -136,6 +136,8 @@ def _cmd_seesaw(args) -> int:
         max_iters=args.max_iters,
         seed=args.seed,
     )
+    if args.out is not None:
+        files.require_output_path(args.out)
     result = seesaw.optimize(cfg)
     bound = quantum_bound(kind, args.N, args.d)
     gap = bound - result.best_value

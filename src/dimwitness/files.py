@@ -31,8 +31,10 @@ Any ``DimWitnessError`` raised while loading a file becomes a
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -157,6 +159,19 @@ def _write_json(path, payload: dict) -> None:
             else:
                 fh.write(json.dumps(value))
         fh.write("}\n")
+
+
+def require_output_path(path) -> None:
+    """Raise the ``OSError`` ``open(path, "w")`` would if ``path`` is a directory or its directory is not one.
+
+    Creates nothing: a long command calls it first, so a bad path fails before the work.
+    """
+    try:  # "dir/" fails as the open would: ENOENT when dir is missing, ENOTDIR when it is a file
+        os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _pure_payload(ensemble: Ensemble) -> dict:

@@ -175,13 +175,17 @@ class TestWalkOracle:
     maximizer is contiguous and balanced, so without its last position its
     last block is empty or the unique smallest. The grid takes every case of
     2 <= N <= 11, 1 <= d <= N + 1 with at most 3*10^5 canonical encodings:
-    all of N <= 10, and d <= 4 at N = 11.
+    all of N <= 10, and d <= 4 at N = 11. Four larger cases follow, where
+    the forced-pair bound skips the most subtrees: (11, 5), (11, 6), (12, 5)
+    and (12, 6).
     """
 
     CASES = [(n, d) for n in range(2, 12) for d in range(1, n + 2) if _canonical_count(n, min(d, n)) <= 3 * 10**5]
+    CASES += [(11, 5), (11, 6), (12, 5), (12, 6)]
 
     def test_grid(self):
-        assert len(self.CASES) == sum(n + 1 for n in range(2, 11)) + 4
+        assert len(self.CASES) == sum(n + 1 for n in range(2, 11)) + 4 + 4
+        assert len(set(self.CASES)) == len(self.CASES)
 
     @pytest.mark.parametrize("kind", [Q, L, G])
     def test_same_value_and_first_maximizer(self, kind):

@@ -397,6 +397,20 @@ class TestSeesaw:
         assert text["restarts"] == "3" and len(payload["restart_values"]) == 3
         assert payload["out"] == (path if out else None)
 
+    @pytest.mark.parametrize("out", ["missing_dir/m.json", "a_dir", "a_file/m.json"])
+    def test_bad_out_path_exits_3_before_the_search(self, capsys, tmp_path, monkeypatch, out):
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("")
+        path = str(tmp_path / out)
+        with pytest.raises(OSError) as write:
+            open(path, "w")  # the error the write itself gives
+        monkeypatch.setattr(seesaw_mod, "optimize", lambda cfg: pytest.fail("searched before refusing --out"))
+        code, stdout, err = run(capsys, "seesaw", "--witness", "linear", "--N", "3", "--d", "2",
+                                "--restarts", "1", "--out", path)
+        assert (code, stdout, err) == (3, "", f"i/o error: {write.value}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file"]
+        assert not any((tmp_path / "a_dir").iterdir())
+
     def test_guessing_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["seesaw", "--witness", "guessing", "--N", "3", "--d", "2"])
