@@ -26,13 +26,16 @@ of the states it is given; ``load_ensemble`` reads a dump as the ensemble it
 holds and ignores ``"effects"``.
 
 Any ``DimWitnessError`` raised while loading a file becomes a
-``FileFormatError`` whose message starts with the file's path.
+``FileFormatError`` whose message starts with the file's path. A load pauses
+the cyclic garbage collector, for every thread, and then restores its state:
+a JSON parse builds no reference cycle, so a collection would free nothing.
 """
 
 from __future__ import annotations
 
 import errno
 import functools
+import gc
 import json
 import os
 import sys
@@ -86,14 +89,23 @@ def _complex_stack(entries: list, count: int, key: str) -> np.ndarray:
 
 
 def _names_its_file(load):
-    """``load(path)`` with every ``DimWitnessError`` it raises reworded to start with the path."""
+    """``load(path)`` with every ``DimWitnessError`` it raises reworded to start with the path.
+
+    The cyclic collector stays paused in every thread until the load returns or raises,
+    so reference counting frees the parsed lists before any collection scans them.
+    """
 
     @functools.wraps(load)
     def loader(path):
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return load(path)
         except DimWitnessError as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
+        finally:
+            if enabled:
+                gc.enable()
 
     return loader
 

@@ -5,6 +5,7 @@ Everything is driven by explicitly seeded generators so failures reproduce.
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 
@@ -83,6 +84,20 @@ def retained_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that returns with the cyclic garbage collector disabled.
+
+    ``files`` pauses the collector for each load. Every test that loads a file
+    thus also checks that the load restored it. The collector is enabled again
+    before the failure, so later tests run as usual.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test returned with the cyclic garbage collector disabled")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -209,6 +210,65 @@ class TestSeesawDump:
         with pytest.raises(FileFormatError) as err:
             load_ensemble(path)
         assert str(err.value).startswith(f"{path}: states[1]: ")
+
+
+class TestCollectorPause:
+    """A load runs with the cyclic garbage collector paused and leaves it as it found it."""
+
+    def test_loading_a_finite_shot_table_starts_no_collection(self, tmp_path):
+        # the N = 30 table of the noisy pipeline parses into 13,081 lists
+        path = tmp_path / "table.json"
+        ensemble = fourier_ensemble(30, 4)
+        table = noisy_table(ensemble, helstrom_measurements(ensemble), NoiseModel(0.1, 10**4), 1)
+        save_table(table, WitnessKind.QUADRATIC, path)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            loaded, _ = load_table(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
+        assert loaded.p.tobytes() == table.p.tobytes()
+
+    TEXTS = {
+        load_ensemble: {
+            "loads": '{"dim": 1, "states": [[[1.0, 0.0]]]}',
+            "malformed-json": "{not json",
+            "bad-content": '{"dim": 1, "states": [[[2.0, 0.0]]]}',
+        },
+        load_table: {
+            "loads": '{"witness": "guessing", "N": 2, "m": 1, "k": 2, "p": [[[1.0, 0.0]], [[0.0, 1.0]]]}',
+            "malformed-json": "{not json",
+            "bad-content": '{"witness": "guessing", "N": 2, "m": 1, "k": 2, "p": [[[0.9, 0.0]], [[1.0, 0.0]]]}',
+        },
+    }
+    RAISES = {"loads": None, "malformed-json": FileFormatError, "bad-content": FileFormatError, "missing": OSError}
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled-by-caller"])
+    @pytest.mark.parametrize("case", list(RAISES))
+    @pytest.mark.parametrize("load", [load_ensemble, load_table], ids=lambda load: load.__name__)
+    def test_collector_state_is_restored(self, tmp_path, load, case, enabled):
+        path = tmp_path / "file.json"
+        if case != "missing":
+            path.write_text(self.TEXTS[load][case])
+        error = self.RAISES[case]
+        if not enabled:
+            gc.disable()
+        try:
+            if error is None:
+                load(path)
+            else:
+                with pytest.raises(error):
+                    load(path)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 def compact_text(path) -> str:
