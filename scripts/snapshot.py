@@ -171,6 +171,9 @@ def _commands(table_files: list[tuple[str, str]], small: bool) -> list[list[str]
         commands += [["classical", "--witness", kind, "--N", str(n), "--d", str(d)]
                      for n, d in ((4, 2), (6, 3), (8, 3), (9, 4), (10, 4), (10, 5), (12, 4), (12, 5), (12, 6))]
     commands.append(["classical", "--witness", "linear", "--N", "2", "--d", "3"])
+    # guessing past the pair search guard, where its maximizer is closed form
+    commands += [["classical", "--witness", "guessing", "--N", str(n), "--d", str(d)]
+                 for n, d in ((30, 3), (1000, 999))]
     # failures: usage (exit 2), validation (exit 2) and i/o (exit 3)
     commands += [
         ["bounds", "--witness", "linear", "--N", "3", "--d", "4"],

@@ -1,23 +1,24 @@
-"""Deterministic classical strategies and exact brute-force maxima.
+"""Deterministic classical strategies and exact classical maxima.
 
 A classical device of dimension d can forward one of d messages per
 preparation; the measuring device then answers from the message alone. By
 convexity the witness maxima are reached by deterministic strategies, so an
-exact classical bound is a finite search: enumerate message assignments
-(encodings) and pick each measurement's answer rule (decoding) optimally in
-closed form. Shared randomness is not modelled -- it cannot beat the
-deterministic maximum.
+exact classical bound is a maximum over message assignments (encodings),
+each measurement's answer rule (decoding) being optimal in closed form.
+Shared randomness is not modelled -- it cannot beat the deterministic
+maximum.
 
-Encodings are searched in canonical form (first occurrences of symbols in
-increasing order, i.e. restricted growth strings), which quotients out symbol
-relabelling. One depth-first walk visits them in lexicographic order, keeps
-the score up to date as it sets and unsets each position, and skips every
-subtree that cannot beat the best encoding found so far; a pair witness's
-subtree loses the pairs inside one block and one more for each position
-left past the free symbols. The walk stops one position short of the leaves
-and picks the last symbol in closed form. The best is replaced only by a
-strictly higher score, so the reported maximizer is the lexicographically
-smallest one, as if every encoding had been scored.
+The guessing witness scores one per message sent, so its maximizer is
+closed form. The pair witnesses are searched over canonical encodings (first
+occurrences of symbols in increasing order, i.e. restricted growth strings),
+which quotients out symbol relabelling. One depth-first walk visits them in
+lexicographic order, keeps the pairs inside one block up to date as it sets
+and unsets each position, and skips every subtree that cannot beat the best
+encoding found so far: the subtree loses those pairs and one more for each
+position left past the free symbols. The walk stops one position short of
+the leaves and picks the last symbol in closed form. The best is replaced
+only by a strictly higher score, so the reported maximizer is the
+lexicographically smallest one, as if every encoding had been scored.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .errors import BadArgument, IncompleteDecoding, TooLarge, require_int
 from .linalg import integer_array
 from .witnesses import ProbabilityTable, WitnessKind, require_bound_args, require_kind
 
-#: Enumeration refuses to visit more canonical encodings than this.
+#: The pair-witness search refuses more canonical encodings than this.
 SEARCH_GUARD = 10**7
-#: Enumeration refuses more preparations than this. It bounds N where the
-#: guard cannot: at d = 1 there is one encoding for every N, but the pair
-#: witnesses still build N(N-1)/2 labels and decoding entries.
+#: Enumeration refuses more preparations than this, for every witness: a
+#: strategy's N symbols are checked one at a time. It bounds N where the guard
+#: cannot: at d = 1 there is one encoding for every N, but the pair witnesses
+#: still build N(N-1)/2 labels and decoding entries.
 ENUMERATION_MAX_N = 1000
 
 
@@ -101,17 +103,15 @@ def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> Probab
     return ProbabilityTable((outcomes[..., None] == np.arange(1, k + 1)).astype(float))
 
 
-def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ...]]:
-    """The best score over canonical encodings and its lexicographically smallest maximizer.
+def _first_maximizer(n: int, d: int) -> tuple[int, tuple[int, ...]]:
+    """The most pairs told apart over canonical encodings, and its lexicographically smallest maximizer.
 
-    Iterative, because N may pass the interpreter's recursion limit. Pair
-    witnesses score the pairs told apart, N(N-1)/2 minus the pairs inside one
-    symbol's block; the guessing witness scores the symbols used. A subtree
-    whose bound is no higher than the best is skipped: for pairs, the total
-    minus the pairs inside a block minus max(0, left - (d - used)); for
-    guessing, min(d, used + left). The last position is scored, not walked:
-    its first best symbol is a new one while fewer than d are used, else the
-    first with the smallest block (guessing: symbol 1, as every symbol scores d).
+    Iterative, because N may pass the interpreter's recursion limit. An
+    encoding scores N(N-1)/2 minus the pairs inside one symbol's block. A
+    subtree is skipped when its bound, the total minus the pairs inside a
+    block minus max(0, left - (d - used)), is no higher than the best. The
+    last position is scored, not walked: its first best symbol is a new one
+    while fewer than d are used, else the first with the smallest block.
     """
     total = n * (n - 1) // 2
     last = n - 2  # the deepest position the walk sets
@@ -133,13 +133,11 @@ def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ..
         within += counts[s]
         counts[s] += 1
         used = s if s > top[i] else top[i]
-        if guessing:  # each position left can add one new symbol
-            reach = bound = min(d, used + n - 1 - i)
-        else:  # a pair inside a block stays there; each position left past the d - used free symbols adds one
-            reach = bound = total - within
-            forced = used - i + spare
-            if forced > 0:
-                bound -= forced
+        # a pair inside a block stays there; each position left past the d - used free symbols adds one
+        reach = bound = total - within
+        forced = used - i + spare
+        if forced > 0:
+            bound -= forced
         if bound <= best:  # ties too: the first maximizer was reached before them
             continue
         if i < last:
@@ -148,8 +146,6 @@ def _first_maximizer(n: int, d: int, guessing: bool) -> tuple[int, tuple[int, ..
         # i == last: the position after it is scored without setting it
         elif used < d:  # a new symbol's empty block scores the reach
             best, best_enc = reach, (*enc, used + 1)
-        elif guessing:  # every symbol scores d
-            best, best_enc = reach, (*enc, 1)
         else:  # the first symbol with the smallest block; a tie keeps the earlier best
             smallest = min(counts[1:])
             if reach - smallest > best:
@@ -163,42 +159,36 @@ def _pair_decoding(encoding: tuple[int, ...], d: int) -> np.ndarray:
     return np.where(fire[:, None] == np.arange(1, d + 1), 1, 2)
 
 
-def _guessing_decoding(encoding: tuple[int, ...], d: int) -> np.ndarray:
-    # each message answers the first preparation that sends it, an unsent one preparation 1 (argmax of all False)
-    return (np.array(encoding)[:, None] == np.arange(1, d + 1)).argmax(axis=0)[None, :] + 1
-
-
 def enumerate_max(
     kind: WitnessKind, n_preparations: int, dim: int
 ) -> tuple[float, DeterministicStrategy]:
     """Exact witness maximum over deterministic strategies, with a maximizer.
 
-    Only encodings are searched; for a fixed encoding every measurement's
-    optimal decoding is analytic (pair witnesses: answer 1 exactly on the
-    first preparation's message, contributing 1 per distinctly-encoded pair;
-    guessing: map each message to a preparation that sends it). The search
-    walks the canonical encodings in lexicographic order and prunes every
-    subtree whose best reachable score is no higher than the best so far, ties
-    included, so ties between maximizing encodings resolve to the
-    lexicographically smallest canonical one. A pair witness's bound drops
-    the pairs inside one block and one per preparation left past the unused
-    messages. The last position's best symbol is taken in closed form. The
-    decoding table is min(d, N) wide: N preparations send only the messages
-    1..min(d, N). Raises ``TooLarge`` when N exceeds ``ENUMERATION_MAX_N``
-    or the number of canonical encodings, the size of the search space
-    rather than the nodes the pruned walk visits, exceeds the search guard.
+    For a fixed encoding every measurement's optimal decoding is analytic.
+    Guessing maps each message to the first preparation that sends it, so
+    s = min(d, N) messages score s/N, and the maximizer is closed form: message
+    1 repeated, then each new message once. A pair witness answers 1 exactly
+    on the first preparation's message, scoring 1 per distinctly-encoded pair;
+    its encodings are searched by ``_first_maximizer``, so ties between
+    maximizing encodings resolve to the lexicographically smallest canonical
+    one. The decoding table is min(d, N) wide: N preparations send only the
+    messages 1..min(d, N). Raises ``TooLarge`` when N exceeds
+    ``ENUMERATION_MAX_N`` or, for a pair witness, when the number of canonical
+    encodings, the size of the search space rather than the nodes the pruned
+    walk visits, exceeds the search guard.
     """
     n, dim = require_bound_args(kind, n_preparations, dim)
     symbols = min(dim, n)
+    guessing = kind is WitnessKind.GUESSING
     # the count grows with N, so counting at most one item past the N bound
     # decides the guard for every d >= 2 and never loops N times at d = 1
-    if _canonical_count(min(n, ENUMERATION_MAX_N + 1), symbols) > SEARCH_GUARD:
+    if not guessing and _canonical_count(min(n, ENUMERATION_MAX_N + 1), symbols) > SEARCH_GUARD:
         raise TooLarge(f"N={n}, d={dim} has more than 10^7 canonical encodings, the search guard")
     if n > ENUMERATION_MAX_N:
         raise TooLarge(f"N={n} exceeds {ENUMERATION_MAX_N}, the largest N the enumeration takes")
 
-    guessing = kind is WitnessKind.GUESSING
-    score, best = _first_maximizer(n, symbols, guessing)
-    if guessing:
-        return score / n, DeterministicStrategy(n, dim, best, _guessing_decoding(best, symbols))
+    if guessing:  # each message names the first preparation that sends it
+        encoding = (1,) * (n - symbols + 1) + tuple(range(2, symbols + 1))
+        return symbols / n, DeterministicStrategy(n, dim, encoding, [[1, *range(n - symbols + 2, n + 1)]])
+    score, best = _first_maximizer(n, symbols)
     return float(score), DeterministicStrategy(n, dim, best, _pair_decoding(best, symbols))

@@ -7,7 +7,7 @@ Subcommands::
     evaluate   witness value + minimal-dimension certification for a model
     seesaw     numerical attainability search for the pair witnesses
     reproduce  print the reference bound table (1) or tightness grid (2)
-    classical  brute-force deterministic maximum vs the closed form
+    classical  exact deterministic maximum vs the closed form
 
 ``evaluate --ensemble F --helstrom`` reads a pair witness off the Helstrom
 pair differences, which are the pair trace distances

@@ -33,7 +33,7 @@ class IncompleteDecoding(DimWitnessError):
 
 
 class TooLarge(DimWitnessError):
-    """A brute-force enumeration would exceed the search guard."""
+    """A search or an array would exceed one of the program's size bounds."""
 
 
 class OutOfRange(DimWitnessError):

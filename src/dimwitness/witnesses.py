@@ -104,9 +104,17 @@ def require_kind(kind) -> WitnessKind:
     return kind
 
 
+def _require_table(table) -> ProbabilityTable:
+    if not isinstance(table, ProbabilityTable):
+        raise BadArgument(f"table must be a ProbabilityTable, got {type(table).__name__}")
+    return table
+
+
 def require_kind_shape(table: ProbabilityTable, kind: WitnessKind) -> None:
-    """Raise ``BadArgument`` unless ``kind`` is a ``WitnessKind``, ``ShapeMismatch`` unless the table has its shape."""
-    expected = require_kind(kind).table_shape(table.N)
+    """Raise ``BadArgument`` unless ``kind`` is a ``WitnessKind`` and ``table`` a ``ProbabilityTable``,
+    ``ShapeMismatch`` unless the table has the kind's shape."""
+    require_kind(kind)
+    expected = kind.table_shape(_require_table(table).N)
     if (table.m, table.k) != expected:
         raise ShapeMismatch(
             f"{kind.value} witness with N={table.N} needs (m, k)={expected}, got ({table.m}, {table.k})"
@@ -115,6 +123,7 @@ def require_kind_shape(table: ProbabilityTable, kind: WitnessKind) -> None:
 
 def pair_differences(table: ProbabilityTable) -> np.ndarray:
     """P(1|x,(x,x')) - P(1|x',(x,x')) for every pair, in ``pair_labels`` order."""
+    _require_table(table)
     if table.k != 2 or table.m != table.N * (table.N - 1) // 2:
         raise ShapeMismatch("pair differences need a pair-witness shaped table")
     return kernels.pair_differences(table.p[:, :, 0])
@@ -123,17 +132,25 @@ def pair_differences(table: ProbabilityTable) -> np.ndarray:
 def pair_value(kind: WitnessKind, differences: np.ndarray) -> float:
     """A pair witness from its pair differences: their sum (linear) or their sum of squares (quadratic).
 
-    ``differences`` must be a 1-D real array of N(N-1)/2 entries for some N >= 2, else ``BadArgument``.
+    ``differences`` must be a 1-D array of N(N-1)/2 finite real numbers for some N >= 2, else
+    ``BadArgument``, which is also raised when finite differences give a witness past the float range.
     """
     require_kind(kind)
     differences = real_array(differences, "pair differences must be a 1-D array of real numbers")
     if differences.ndim != 1 or kernels.preparation_count(len(differences)) is None:
         raise BadArgument(f"need N(N-1)/2 pair differences for some N >= 2, got shape {differences.shape}")
     if kind is WitnessKind.QUADRATIC:
-        return float(np.dot(differences, differences))
-    if kind is WitnessKind.LINEAR:
-        return float(np.sum(differences))
-    raise BadArgument(f"the {kind.value} witness is not a pair witness")
+        value = float(np.dot(differences, differences))
+    elif kind is WitnessKind.LINEAR:
+        value = float(np.sum(differences))
+    else:
+        raise BadArgument(f"the {kind.value} witness is not a pair witness")
+    # as in ProbabilityTable, the entries are scanned only when the value shows something is wrong
+    if not math.isfinite(value):
+        if not np.isfinite(differences).all():
+            raise BadArgument("pair differences must be finite")
+        raise BadArgument(f"the {kind.value} witness of these pair differences overflows a float")
+    return value
 
 
 def evaluate(kind: WitnessKind, table: ProbabilityTable) -> float:

@@ -224,6 +224,7 @@ class TestEnumerateMax:
     def test_preparation_bound(self):
         # the enumeration runs at the bound, deeper than the interpreter's recursion limit
         assert enumerate_max(G, ENUMERATION_MAX_N, 1)[0] == 1 / ENUMERATION_MAX_N
+        assert enumerate_max(Q, ENUMERATION_MAX_N, 1)[1].encoding == (1,) * ENUMERATION_MAX_N
         with pytest.raises(TooLarge, match="exceeds 1000"):
             enumerate_max(G, ENUMERATION_MAX_N + 1, 1)
 
@@ -268,6 +269,18 @@ class TestEnumerateMax:
                 value, strategy = enumerate_max(G, n, d)
                 assert strategy.encoding == (1,) * (n - s + 1) + tuple(range(2, s + 1)), (n, d)
                 assert value == s / n
+
+    @pytest.mark.parametrize("n, d", [(30, 3), (1000, 999), (1000, 10**18)])
+    def test_guessing_maximizer_past_the_pair_search_guard(self, n, d):
+        # the pair witnesses refuse these sizes; the guessing maximizer is closed form
+        s = min(d, n)
+        value, strategy = enumerate_max(G, n, d)
+        assert value == s / n and strategy.d == d
+        assert strategy.encoding == (1,) * (n - s + 1) + tuple(range(2, s + 1))
+        # each message names the first preparation that sends it
+        assert strategy.decoding.tolist() == [[1, *range(n - s + 2, n + 1)]]
+        if n == 30:
+            assert evaluate(G, strategy_table(strategy, G)) == value
 
     @pytest.mark.parametrize("kind", [Q, L, G])
     def test_decoding_size_does_not_grow_with_dimension(self, kind):

@@ -494,6 +494,12 @@ class TestClassical:
         assert "closed-form value: 5" in out
         assert "verdict: match" in out
 
+    def test_guessing_past_the_pair_search_guard(self, capsys):
+        code, out, _ = run(capsys, "classical", "--witness", "guessing", "--N", "30", "--d", "3")
+        assert code == 0
+        assert "enumerated maximum: 0.100000" in out
+        assert "verdict: match" in out
+
     def test_guard_exits_2(self, capsys):
         assert run(capsys, "classical", "--witness", "quadratic", "--N", "30", "--d", "3")[0] == 2
 

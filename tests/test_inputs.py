@@ -354,14 +354,41 @@ class TestTableAndDifferenceEdges:
             lambda: pair_value(WitnessKind.LINEAR, [0.5, 0.5]),
             lambda: pair_value(WitnessKind.QUADRATIC, [True]),
             lambda: pair_value(WitnessKind.LINEAR, "x"),
+            lambda: pair_value(WitnessKind.LINEAR, [np.nan]),
+            lambda: pair_value(WitnessKind.QUADRATIC, [np.inf]),
+            lambda: pair_value(WitnessKind.LINEAR, [-np.inf]),
         ],
         ids=["ragged", "string", "strings", "bools", "objects", "complex", "empirical-string",
              "empirical-int", "2d-differences", "complex-differences", "no-differences",
-             "not-a-pair-count", "bool-differences", "string-differences"],
+             "not-a-pair-count", "bool-differences", "string-differences", "nan-difference",
+             "inf-difference", "minus-inf-difference"],
     )
     def test_refused(self, call):
         with pytest.raises(BadArgument):
             call()
+
+    @pytest.mark.parametrize("kind, differences, message", [
+        (WitnessKind.LINEAR, [0.5, np.nan, 0.5], "^pair differences must be finite$"),
+        (WitnessKind.QUADRATIC, [0.5, -np.inf, 0.5], "^pair differences must be finite$"),
+        # finite entries past the float range: the refusal names the witness, not the entries
+        (WitnessKind.QUADRATIC, [1e200], "^the quadratic witness of these pair differences overflows a float$"),
+        (WitnessKind.LINEAR, [1e308, 1e308, 1e308], "^the linear witness of these pair differences overflows a float$"),
+    ])
+    def test_non_finite_value_is_refused_with_its_cause(self, kind, differences, message):
+        with np.errstate(over="ignore"), pytest.raises(BadArgument, match=message):
+            pair_value(kind, differences)
+
+    @pytest.mark.parametrize("call", [
+        lambda table, path: evaluate(WitnessKind.LINEAR, table),
+        lambda table, path: pair_differences(table),
+        lambda table, path: save_table(table, WitnessKind.LINEAR, path),
+    ], ids=["evaluate", "pair_differences", "save_table"])
+    def test_table_must_be_a_probability_table(self, call, tmp_path):
+        path = tmp_path / "table.json"
+        for table in (np.full((2, 1, 2), 0.5), [[[0.5, 0.5]], [[0.5, 0.5]]]):
+            with pytest.raises(BadArgument, match="^table must be a ProbabilityTable, got "):
+                call(table, path)
+        assert not path.exists()
 
     def test_numbers_pass(self):
         assert ProbabilityTable(np.array(HALF, dtype=np.float32), empirical=True).empirical is True
