@@ -147,6 +147,8 @@ def _commands(table_files: list[tuple[str, str]], small: bool) -> list[list[str]
     for kind in ("quadratic", "linear", "guessing"):
         for n, d in ((3, 2), (7, 3), (7, 7), (10, 4), (30, 5)):
             commands.append(["bounds", "--witness", kind, "--N", str(n), "--d", str(d)])
+    # the linear witness's single-message ceiling is closed form, as from d = N - 1 up
+    commands.append(["bounds", "--witness", "linear", "--N", "7", "--d", "1"])
     commands += [["states", "--N", str(n), "--d", str(d), "--out", f"states-{n}-{d}.json"]
                  for n, d in ((5, 2), (7, 3), (30, 4))]
     for kind in ("quadratic", "linear"):
@@ -173,7 +175,9 @@ def _commands(table_files: list[tuple[str, str]], small: bool) -> list[list[str]
     commands.append(["classical", "--witness", "linear", "--N", "2", "--d", "3"])
     # guessing past the pair search guard, where its maximizer is closed form
     commands += [["classical", "--witness", "guessing", "--N", str(n), "--d", str(d)]
-                 for n, d in ((30, 3), (1000, 999))]
+                 for n, d in ((30, 3), (1000, 999), (5000, 3))]
+    # a single-message pair strategy far past a thousand preparations, within the size bound
+    commands.append(["classical", "--witness", "linear", "--N", "1500", "--d", "1"])
     # failures: usage (exit 2), validation (exit 2) and i/o (exit 3)
     commands += [
         ["bounds", "--witness", "linear", "--N", "3", "--d", "4"],

@@ -34,11 +34,6 @@ from .witnesses import ProbabilityTable, WitnessKind, require_bound_args, requir
 
 #: The pair-witness search refuses more canonical encodings than this.
 SEARCH_GUARD = 10**7
-#: Enumeration refuses more preparations than this, for every witness: a
-#: strategy's N symbols are checked one at a time. It bounds N where the guard
-#: cannot: at d = 1 there is one encoding for every N, but the pair witnesses
-#: still build N(N-1)/2 labels and decoding entries.
-ENUMERATION_MAX_N = 1000
 
 
 def _canonical_count(n: int, d: int) -> int:
@@ -76,19 +71,23 @@ class DeterministicStrategy:
         encoding = integer_array(self.encoding, "encoding must be a sequence of symbols")
         if encoding.shape != (self.N,):
             raise BadArgument(f"encoding must assign all {self.N} preparations")
-        encoding = tuple(require_int(s, f"symbol of preparation {x}", 1, self.d)
-                         for x, s in enumerate(encoding.tolist(), start=1))
+        bad = (encoding < 1) | (encoding > self.d)
+        if bad.any():  # the first offender, in require_int's words
+            x = int(bad.argmax())
+            require_int(encoding[x].item(), f"symbol of preparation {x + 1}", 1, self.d)
         decoding = integer_array(self.decoding, "decoding must be a table of outcomes").copy()
         if decoding.ndim != 2 or not 1 <= decoding.shape[1] <= self.d:
             raise BadArgument(f"decoding must be an (m, w) table with 1 <= w <= {self.d}, got shape {decoding.shape}")
         decoding.setflags(write=False)
-        object.__setattr__(self, "encoding", encoding)
+        object.__setattr__(self, "encoding", tuple(encoding.tolist()))
         object.__setattr__(self, "decoding", decoding)
 
 
 def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> ProbabilityTable:
     """Deterministic 0/1 table P(b|x,y) = [decoding(y, encoding(x)) = b]."""
     m, k = require_kind(kind).table_shape(strategy.N)
+    if strategy.N * m * k > kernels.MAX_PAIR_ENTRIES:
+        raise TooLarge(f"N={strategy.N} needs more than 10^7 table entries (N * m * k), the table size bound")
     rows, width = strategy.decoding.shape
     symbols = np.array(strategy.encoding)
     outcomes = np.zeros((len(symbols), m), np.int64)
@@ -172,20 +171,19 @@ def enumerate_max(
     its encodings are searched by ``_first_maximizer``, so ties between
     maximizing encodings resolve to the lexicographically smallest canonical
     one. The decoding table is min(d, N) wide: N preparations send only the
-    messages 1..min(d, N). Raises ``TooLarge`` when N exceeds
-    ``ENUMERATION_MAX_N`` or, for a pair witness, when the number of canonical
-    encodings, the size of the search space rather than the nodes the pruned
-    walk visits, exceeds the search guard.
+    messages 1..min(d, N). Raises ``TooLarge`` past ``kernels.MAX_PAIR_ENTRIES``
+    strategy entries (N symbols, an m x min(d, N) decoding) or, for a pair
+    witness, past the search guard on canonical encodings, which counts the
+    search space rather than the nodes the pruned walk visits.
     """
     n, dim = require_bound_args(kind, n_preparations, dim)
     symbols = min(dim, n)
     guessing = kind is WitnessKind.GUESSING
-    # the count grows with N, so counting at most one item past the N bound
-    # decides the guard for every d >= 2 and never loops N times at d = 1
-    if not guessing and _canonical_count(min(n, ENUMERATION_MAX_N + 1), symbols) > SEARCH_GUARD:
+    if n + kind.table_shape(n)[0] * symbols > kernels.MAX_PAIR_ENTRIES:
+        raise TooLarge(f"N={n}, d={dim} needs more than 10^7 strategy entries (N + m * min(d, N)), "
+                       "the strategy size bound")
+    if not guessing and _canonical_count(n, symbols) > SEARCH_GUARD:
         raise TooLarge(f"N={n}, d={dim} has more than 10^7 canonical encodings, the search guard")
-    if n > ENUMERATION_MAX_N:
-        raise TooLarge(f"N={n} exceeds {ENUMERATION_MAX_N}, the largest N the enumeration takes")
 
     if guessing:  # each message names the first preparation that sends it
         encoding = (1,) * (n - symbols + 1) + tuple(range(2, symbols + 1))

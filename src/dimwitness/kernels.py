@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import ZERO_EIGENVALUE_TOL
 
-#: The Helstrom effects, the see-saw and ``fourier_ensemble`` refuse to build stacks with more entries than this.
+#: The package's one size bound: pair stacks, the see-saw, ``fourier_ensemble`` and classical strategies stay within it.
 MAX_PAIR_ENTRIES = 10**7
 
 

@@ -210,7 +210,7 @@ def max_distinct_pairs(n_items: int, n_groups: int) -> int:
 def classical_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float | None:
     """Largest witness value reachable classically with dim messages.
 
-    Returns ``None`` for the linear witness below dim = N - 1, where no
+    Returns ``None`` for the linear witness at 2 <= dim <= N - 2, where no
     closed form is available; use the enumeration oracle in
     :mod:`dimwitness.classical` instead.
     """
@@ -221,7 +221,8 @@ def _classical_ceiling(kind: WitnessKind, n: int, dim: int) -> float | None:
     # the closed forms behind classical_bound, on checked (N, d)
     if kind is WitnessKind.GUESSING:
         return min(dim, n) / n
-    if kind is WitnessKind.QUADRATIC or dim >= n - 1:
+    # one message tells no pair apart, so the linear witness, like the quadratic one, has C_1 = 0
+    if kind is WitnessKind.QUADRATIC or dim == 1 or dim >= n - 1:
         return float(max_distinct_pairs(n, min(dim, n)))
     return None
 
@@ -252,8 +253,8 @@ def certify_dimension(kind: WitnessKind, n_preparations: int, value: float) -> C
     comparison slack: the quantum side over the closed-form ceilings, the
     classical side over them where a closed form exists and over the
     deterministic-strategy enumeration, whose maxima are exact integers, for
-    the linear witness below d = N - 1. The classical answer is ``None`` only
-    when an enumeration would exceed its search guard.
+    the linear witness at 2 <= d <= N - 2. The classical answer is ``None``
+    only when such an enumeration would exceed the pair search guard.
 
     Raises ``OutOfRange`` when ``value`` exceeds the unrestricted ceiling (or
     undershoots the witness range) by more than the numeric slack.

@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from dimwitness import (
     evaluate,
     strategy_table,
 )
-from dimwitness.classical import ENUMERATION_MAX_N, _canonical_count
+from dimwitness.classical import _canonical_count
 from dimwitness.witnesses import max_distinct_pairs
 
 Q, L, G = WitnessKind.QUADRATIC, WitnessKind.LINEAR, WitnessKind.GUESSING
@@ -54,6 +55,26 @@ class TestStrategyTable:
     def test_encoding_validation(self):
         with pytest.raises(BadArgument):
             DeterministicStrategy(2, 2, (1, 3), {})
+
+    @pytest.mark.parametrize("encoding, message", [
+        ((1, 3, 1), "symbol of preparation 2 must be an integer in [1, 2], got 3"),
+        ((1, 2, 0), "symbol of preparation 3 must be an integer in [1, 2], got 0"),
+        ((-5, 7, 1), "symbol of preparation 1 must be an integer in [1, 2], got -5"),
+    ])
+    def test_first_bad_symbol_is_named(self, encoding, message):
+        with pytest.raises(BadArgument) as caught:
+            DeterministicStrategy(3, 2, np.array(encoding), [[1, 1]])
+        assert str(caught.value) == message
+
+    def test_encoding_is_a_tuple_of_ints(self):
+        strategy = DeterministicStrategy(3, 10**150, np.array([1, 2, 2**62]), [[1]])
+        assert strategy.encoding == (1, 2, 2**62) and all(type(s) is int for s in strategy.encoding)
+
+    def test_table_size_is_bounded(self):
+        # a 10^5 x 1 x 10^5 guessing table: a TooLarge, not numpy's MemoryError on a 9.3 GiB array
+        strategy = enumerate_max(G, 10**5, 7)[1]
+        with pytest.raises(TooLarge, match=r"^N=100000 needs more than 10\^7 table entries \(N \* m \* k\)"):
+            strategy_table(strategy, G)
 
 
 def oracle_table(strategy: DeterministicStrategy, kind: WitnessKind) -> np.ndarray:
@@ -222,11 +243,12 @@ class TestEnumerateMax:
             enumerate_max(Q, 30, 3)
 
     def test_preparation_bound(self):
-        # the enumeration runs at the bound, deeper than the interpreter's recursion limit
-        assert enumerate_max(G, ENUMERATION_MAX_N, 1)[0] == 1 / ENUMERATION_MAX_N
-        assert enumerate_max(Q, ENUMERATION_MAX_N, 1)[1].encoding == (1,) * ENUMERATION_MAX_N
-        with pytest.raises(TooLarge, match="exceeds 1000"):
-            enumerate_max(G, ENUMERATION_MAX_N + 1, 1)
+        # the largest single-message pair strategy within 10^7 entries, 4471 symbols and 4471 * 4470 / 2
+        # decoding rows: the walk runs deeper than the interpreter's recursion limit
+        value, strategy = enumerate_max(Q, 4471, 1)
+        assert value == 0.0 and strategy.encoding == (1,) * 4471
+        with pytest.raises(TooLarge, match=r"^N=4472, d=1 needs more than 10\^7 strategy entries"):
+            enumerate_max(Q, 4472, 1)
 
     def test_brute_force_maximum_and_first_canonical_maximizer(self):
         # every encoding of N preparations into the symbols 1..N, in lexicographic order
@@ -270,7 +292,7 @@ class TestEnumerateMax:
                 assert strategy.encoding == (1,) * (n - s + 1) + tuple(range(2, s + 1)), (n, d)
                 assert value == s / n
 
-    @pytest.mark.parametrize("n, d", [(30, 3), (1000, 999), (1000, 10**18)])
+    @pytest.mark.parametrize("n, d", [(30, 3), (1000, 999), (1000, 10**18), (10**5, 7)])
     def test_guessing_maximizer_past_the_pair_search_guard(self, n, d):
         # the pair witnesses refuse these sizes; the guessing maximizer is closed form
         s = min(d, n)
@@ -281,6 +303,14 @@ class TestEnumerateMax:
         assert strategy.decoding.tolist() == [[1, *range(n - s + 2, n + 1)]]
         if n == 30:
             assert evaluate(G, strategy_table(strategy, G)) == value
+
+    @pytest.mark.parametrize("kind, n, d", [(L, 10**9, 10**7), (G, 10**150, 1), (Q, 10**150, 1)])
+    def test_size_bound_refuses_at_once(self, kind, n, d):
+        # the entry count is checked before the canonical count and before anything is built
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=r"needs more than 10\^7 strategy entries \(N \+ m \* min\(d, N\)\)"):
+            enumerate_max(kind, n, d)
+        assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize("kind", [Q, L, G])
     def test_decoding_size_does_not_grow_with_dimension(self, kind):

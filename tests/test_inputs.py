@@ -558,27 +558,35 @@ class TestHugeCounts:
     """Counts whose digits or squares are too large end in one error line, exit 2."""
 
     def test_enumeration_guard_message_stays_short(self, capsys):
+        # 10000 symbols and 49,995,000 x 3 decoding entries pass the size bound before the search guard is counted
         code, out, err = run(capsys, "classical", "--witness", "linear", "--N", "10000", "--d", "3")
         assert code == 2 and out == ""
-        assert err == "error: N=10000, d=3 has more than 10^7 canonical encodings, the search guard\n"
+        assert err == ("error: N=10000, d=3 needs more than 10^7 strategy entries (N + m * min(d, N)), "
+                       "the strategy size bound\n")
 
     @pytest.mark.parametrize("n, d", [(10**9, 10**7), (10**12, 10**11)])
     def test_enumeration_guard_counts_no_more_symbols_than_items(self, capsys, n, d):
-        # the guard counts 1001 items, which use at most 1001 symbols, however large d is
+        # the entry count is arithmetic on N and min(d, N): nothing is built or counted one symbol at a time
         code, out, err = run(capsys, "classical", "--witness", "linear", "--N", str(n), "--d", str(d))
         assert code == 2 and out == ""
-        assert err == f"error: N={n}, d={d} has more than 10^7 canonical encodings, the search guard\n"
+        assert err == (f"error: N={n}, d={d} needs more than 10^7 strategy entries (N + m * min(d, N)), "
+                       "the strategy size bound\n")
 
     def test_single_message_enumeration_is_bounded_in_n(self, capsys):
-        # d = 1 has one encoding for every N, so the search guard alone never refuses it
+        # d = 1 has one encoding for every N, so the search guard alone never refuses it; the size
+        # bound does, past 4471 symbols and 4471 * 4470 / 2 decoding rows
         code, out, err = run(capsys, "classical", "--witness", "linear", "--N", "1500", "--d", "1")
+        assert code == 0 and err == "" and "enumerated maximum: 0\n" in out
+        code, out, err = run(capsys, "classical", "--witness", "linear", "--N", "4472", "--d", "1")
         assert code == 2 and out == ""
-        assert err == "error: N=1500 exceeds 1000, the largest N the enumeration takes\n"
+        assert err == ("error: N=4472, d=1 needs more than 10^7 strategy entries (N + m * min(d, N)), "
+                       "the strategy size bound\n")
 
     def test_single_message_count_check_does_not_loop_over_n(self, capsys):
         code, out, err = run(capsys, "classical", "--witness", "guessing", "--N", str(10**150), "--d", "1")
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and err.endswith("exceeds 1000, the largest N the enumeration takes\n")
+        assert err.count("\n") == 1 and err.endswith("needs more than 10^7 strategy entries (N + m * min(d, N)), "
+                                                       "the strategy size bound\n")
 
     def test_preparations_whose_square_overflows(self, capsys):
         code, out, err = run(capsys, "bounds", "--witness", "quadratic", "--N", str(10**160), "--d", "2")

@@ -176,6 +176,10 @@ class TestClassicalBound:
         assert classical_bound(L, 5, 2) is None
         assert classical_bound(L, 5, 5) == 10.0
 
+    def test_linear_single_message_tells_no_pair_apart(self):
+        assert classical_bound(L, 5, 1) == 0.0
+        assert classical_bound(L, 10**150, 1) == 0.0
+
     def test_linear_next_to_full_dimension_is_all_pairs_but_one(self):
         for n in range(2, 41):
             assert classical_bound(L, n, n - 1) == n * (n - 1) / 2 - 1
@@ -253,6 +257,8 @@ class TestCertifyDimension:
 
     def test_boundary_values_certify_trivially(self):
         assert certify_dimension(L, 4, -5.0).min_quantum_d == 1
+        # one message admits any linear value <= 0, at every N, without building a strategy
+        assert certify_dimension(L, 2000, -5.0) == (1, 1)
         assert certify_dimension(G, 4, 1.0) == (4, 4)
 
     @pytest.mark.parametrize("kind, n, value", [(Q, 3, 3 + 5e-7), (L, 3, 3 + 5e-7), (G, 4, 1 + 5e-7)])
