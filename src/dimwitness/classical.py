@@ -37,10 +37,7 @@ SEARCH_GUARD = 10**7
 
 
 def _canonical_count(n: int, d: int) -> int:
-    """Set partitions of n items into <= d blocks, or the first count past ``SEARCH_GUARD``.
-
-    The count grows with n; at a large n it has thousands of digits.
-    """
+    """Set partitions of n items into <= d blocks, or the first count past ``SEARCH_GUARD``."""
     # Stirling-number recurrence S(i, j) = j S(i-1, j) + S(i-1, j-1); n items use at most n symbols
     row = [1] + [0] * min(d, n)
     for _ in range(n):
@@ -54,21 +51,22 @@ def _canonical_count(n: int, d: int) -> int:
 class DeterministicStrategy:
     """Message per preparation plus an outcome table per (measurement, message).
 
-    ``encoding[x-1]`` is the message in {1..d} sent for preparation x;
-    ``decoding[y-1, s-1]``, a read-only int64 table of shape (m, w) with 1 <= w <= d,
+    Both tables are read-only int64 arrays, copied from the inputs once.
+    ``encoding[x-1]``, of shape (N,), is the message in {1..d} sent for
+    preparation x; ``decoding[y-1, s-1]``, of shape (m, w) with 1 <= w <= d,
     is the outcome announced when measurement y receives message s. Measurement
     indices follow ``pair_labels`` for pair witnesses and are y = 1 for guessing.
     """
 
     N: int
     d: int
-    encoding: tuple[int, ...]
+    encoding: np.ndarray
     decoding: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("N", "d"):
             object.__setattr__(self, name, require_int(getattr(self, name), name, 1))
-        encoding = integer_array(self.encoding, "encoding must be a sequence of symbols")
+        encoding = integer_array(self.encoding, "encoding must be a sequence of symbols").copy()
         if encoding.shape != (self.N,):
             raise BadArgument(f"encoding must assign all {self.N} preparations")
         bad = (encoding < 1) | (encoding > self.d)
@@ -78,9 +76,9 @@ class DeterministicStrategy:
         decoding = integer_array(self.decoding, "decoding must be a table of outcomes").copy()
         if decoding.ndim != 2 or not 1 <= decoding.shape[1] <= self.d:
             raise BadArgument(f"decoding must be an (m, w) table with 1 <= w <= {self.d}, got shape {decoding.shape}")
-        decoding.setflags(write=False)
-        object.__setattr__(self, "encoding", tuple(encoding.tolist()))
-        object.__setattr__(self, "decoding", decoding)
+        for name, table in (("encoding", encoding), ("decoding", decoding)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
 
 def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> ProbabilityTable:
@@ -89,8 +87,8 @@ def strategy_table(strategy: DeterministicStrategy, kind: WitnessKind) -> Probab
     if strategy.N * m * k > kernels.MAX_PAIR_ENTRIES:
         raise TooLarge(f"N={strategy.N} needs more than 10^7 table entries (N * m * k), the table size bound")
     rows, width = strategy.decoding.shape
-    symbols = np.array(strategy.encoding)
-    outcomes = np.zeros((len(symbols), m), np.int64)
+    symbols = strategy.encoding
+    outcomes = np.zeros((strategy.N, m), np.int64)
     outcomes[:, :rows] = strategy.decoding[:m, np.minimum(symbols, width) - 1].T
     # IncompleteDecoding names the first cell, in (x, y) order, that the decoding lacks or maps outside 1..k
     bad = (symbols[:, None] > width) | (np.arange(m) >= rows) | (outcomes < 1) | (outcomes > k)
@@ -152,12 +150,6 @@ def _first_maximizer(n: int, d: int) -> tuple[int, tuple[int, ...]]:
     return best, best_enc
 
 
-def _pair_decoding(encoding: tuple[int, ...], d: int) -> np.ndarray:
-    # pair (x, x')'s b=1 effect fires on x's message; a pair sharing one message scores zero either way
-    fire = np.array(encoding)[kernels.pair_index(len(encoding))[0]]
-    return np.where(fire[:, None] == np.arange(1, d + 1), 1, 2)
-
-
 def enumerate_max(
     kind: WitnessKind, n_preparations: int, dim: int
 ) -> tuple[float, DeterministicStrategy]:
@@ -166,9 +158,10 @@ def enumerate_max(
     For a fixed encoding every measurement's optimal decoding is analytic.
     Guessing maps each message to the first preparation that sends it, so
     s = min(d, N) messages score s/N, and the maximizer is closed form: message
-    1 repeated, then each new message once. A pair witness answers 1 exactly
-    on the first preparation's message, scoring 1 per distinctly-encoded pair;
-    its encodings are searched by ``_first_maximizer``, so ties between
+    1 repeated, then each new message once; the value is that strategy's own
+    score, not the formula. A pair witness answers 1 exactly on the first
+    preparation's message, scoring 1 per distinctly-encoded pair; its
+    encodings are searched by ``_first_maximizer``, so ties between
     maximizing encodings resolve to the lexicographically smallest canonical
     one. The decoding table is min(d, N) wide: N preparations send only the
     messages 1..min(d, N). Raises ``TooLarge`` past ``kernels.MAX_PAIR_ENTRIES``
@@ -186,7 +179,10 @@ def enumerate_max(
         raise TooLarge(f"N={n}, d={dim} has more than 10^7 canonical encodings, the search guard")
 
     if guessing:  # each message names the first preparation that sends it
-        encoding = (1,) * (n - symbols + 1) + tuple(range(2, symbols + 1))
-        return symbols / n, DeterministicStrategy(n, dim, encoding, [[1, *range(n - symbols + 2, n + 1)]])
+        strategy = DeterministicStrategy(n, dim, np.arange(symbols - n + 1, symbols + 1).clip(1),
+                                         np.r_[1, n - symbols + 2:n + 1][None])
+        return float(np.mean(strategy.decoding[0, strategy.encoding - 1] == np.arange(1, n + 1))), strategy
     score, best = _first_maximizer(n, symbols)
-    return float(score), DeterministicStrategy(n, dim, best, _pair_decoding(best, symbols))
+    # pair (x, x') in pair_labels order answers 1 on x's message; a pair sharing one message scores zero either way
+    decoding = np.where(np.repeat(best[1:], np.arange(1, n))[:, None] == np.arange(1, symbols + 1), 1, 2)
+    return float(score), DeterministicStrategy(n, dim, best, decoding)

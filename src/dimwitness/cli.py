@@ -222,7 +222,7 @@ def _cmd_classical(args) -> int:
         ("enumerated maximum", "enumerated", value, _fmt(value)),
         ("closed-form value", "closed_form", closed, "none" if closed is None else _fmt(closed)),
         ("verdict", "verdict", verdict, verdict),
-        ("optimal encoding", "encoding", list(strategy.encoding), strategy.encoding),
+        ("optimal encoding", "encoding", strategy.encoding.tolist(), tuple(strategy.encoding.tolist())),
     ])
     return 0
 

@@ -210,9 +210,10 @@ def max_distinct_pairs(n_items: int, n_groups: int) -> int:
 def classical_bound(kind: WitnessKind, n_preparations: int, dim: int) -> float | None:
     """Largest witness value reachable classically with dim messages.
 
-    Returns ``None`` for the linear witness at 2 <= dim <= N - 2, where no
-    closed form is available; use the enumeration oracle in
-    :mod:`dimwitness.classical` instead.
+    Returns ``None`` for the linear witness at 2 <= dim <= N - 2. A
+    deterministic pair scores 1 there exactly when x and x' send different
+    messages, so the maximum is ``max_distinct_pairs(N, dim)``, but the package
+    still enumerates it: use the oracle in :mod:`dimwitness.classical`.
     """
     return _classical_ceiling(kind, *require_bound_args(kind, n_preparations, dim))
 

@@ -1,10 +1,12 @@
 import itertools
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import dimwitness.classical
 from dimwitness import (
     BadArgument,
     DeterministicStrategy,
@@ -51,6 +53,8 @@ class TestStrategyTable:
         decoding[0, 0] = 1  # the strategy keeps its own copy
         assert strategy.decoding.tolist() == [[2, 1]] and strategy.decoding.dtype == np.int64
         assert decoding.flags.writeable and not strategy.decoding.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            strategy.decoding[0, 0] = 1
 
     def test_encoding_validation(self):
         with pytest.raises(BadArgument):
@@ -66,9 +70,14 @@ class TestStrategyTable:
             DeterministicStrategy(3, 2, np.array(encoding), [[1, 1]])
         assert str(caught.value) == message
 
-    def test_encoding_is_a_tuple_of_ints(self):
-        strategy = DeterministicStrategy(3, 10**150, np.array([1, 2, 2**62]), [[1]])
-        assert strategy.encoding == (1, 2, 2**62) and all(type(s) is int for s in strategy.encoding)
+    def test_encoding_is_a_read_only_int64_table(self):
+        encoding = np.array([1, 2, 2**62])
+        strategy = DeterministicStrategy(3, 10**150, encoding, [[1]])
+        encoding[0] = 2  # the strategy keeps its own copy
+        assert strategy.encoding.tolist() == [1, 2, 2**62] and strategy.encoding.dtype == np.int64
+        assert strategy.encoding.shape == (3,) and not strategy.encoding.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            strategy.encoding[0] = 1
 
     def test_table_size_is_bounded(self):
         # a 10^5 x 1 x 10^5 guessing table: a TooLarge, not numpy's MemoryError on a 9.3 GiB array
@@ -214,14 +223,14 @@ class TestWalkOracle:
             score, encoding = walked_first_maximizer(n, min(d, n), kind is G)
             value, strategy = enumerate_max(kind, n, d)
             assert value == (score / n if kind is G else float(score)), (n, d)
-            assert strategy.encoding == encoding, (n, d)
+            assert strategy.encoding.tolist() == list(encoding), (n, d)
 
 
 class TestEnumerateMax:
     def test_reference_quadratic_point(self):
         value, strategy = enumerate_max(Q, 7, 2)
         assert value == 12.0
-        assert strategy.encoding == (1, 1, 1, 1, 2, 2, 2)
+        assert strategy.encoding.tolist() == [1, 1, 1, 1, 2, 2, 2]
 
     def test_full_dimension_maximum(self):
         for n in (3, 4, 5):
@@ -246,7 +255,7 @@ class TestEnumerateMax:
         # the largest single-message pair strategy within 10^7 entries, 4471 symbols and 4471 * 4470 / 2
         # decoding rows: the walk runs deeper than the interpreter's recursion limit
         value, strategy = enumerate_max(Q, 4471, 1)
-        assert value == 0.0 and strategy.encoding == (1,) * 4471
+        assert value == 0.0 and strategy.encoding.tolist() == [1] * 4471
         with pytest.raises(TooLarge, match=r"^N=4472, d=1 needs more than 10\^7 strategy entries"):
             enumerate_max(Q, 4472, 1)
 
@@ -268,7 +277,7 @@ class TestEnumerateMax:
                     first = np.flatnonzero(allowed & canonical & (score == best))[0]
                     value, strategy = enumerate_max(kind, n, d)
                     assert value == best / scale, (kind, n, d)
-                    assert strategy.encoding == tuple(encodings[first]), (kind, n, d)
+                    assert np.array_equal(strategy.encoding, encodings[first]), (kind, n, d)
 
     @pytest.mark.parametrize("kind", [Q, L])
     def test_pair_maximizer_is_contiguous_balanced_with_larger_blocks_first(self, kind):
@@ -281,7 +290,7 @@ class TestEnumerateMax:
                 value, strategy = enumerate_max(kind, n, d)
                 # for example (1, 1, 1, 2, 2, 3, 3, 4, 4) at N = 9, d = 4
                 contiguous = tuple(symbol for symbol, size in enumerate(sizes, start=1) for _ in range(size))
-                assert strategy.encoding == contiguous, (n, d)
+                assert strategy.encoding.tolist() == list(contiguous), (n, d)
                 assert value == max_distinct_pairs(n, d), (n, d)
 
     def test_guessing_maximizer_sends_every_new_symbol_last(self):
@@ -289,7 +298,7 @@ class TestEnumerateMax:
             for d in range(1, n + 2):
                 s = min(d, n)
                 value, strategy = enumerate_max(G, n, d)
-                assert strategy.encoding == (1,) * (n - s + 1) + tuple(range(2, s + 1)), (n, d)
+                assert strategy.encoding.tolist() == [1] * (n - s + 1) + list(range(2, s + 1)), (n, d)
                 assert value == s / n
 
     @pytest.mark.parametrize("n, d", [(30, 3), (1000, 999), (1000, 10**18), (10**5, 7)])
@@ -298,11 +307,30 @@ class TestEnumerateMax:
         s = min(d, n)
         value, strategy = enumerate_max(G, n, d)
         assert value == s / n and strategy.d == d
-        assert strategy.encoding == (1,) * (n - s + 1) + tuple(range(2, s + 1))
+        assert strategy.encoding.tolist() == [1] * (n - s + 1) + list(range(2, s + 1))
         # each message names the first preparation that sends it
         assert strategy.decoding.tolist() == [[1, *range(n - s + 2, n + 1)]]
         if n == 30:
             assert evaluate(G, strategy_table(strategy, G)) == value
+
+    def test_guessing_value_is_the_strategy_score(self, monkeypatch):
+        # a decoding row rolled by one names the wrong sender for every message; the value must say so
+        build = dimwitness.classical.DeterministicStrategy
+        monkeypatch.setattr(dimwitness.classical, "DeterministicStrategy",
+                            lambda n, d, encoding, decoding: build(n, d, encoding, np.roll(decoding, 1, axis=1)))
+        value, strategy = enumerate_max(G, 7, 3)
+        assert value == evaluate(G, strategy_table(strategy, G)) < 3 / 7
+
+    def test_guessing_maximizer_at_a_million_preparations_is_small(self):
+        # each of the two tables is 8 MB of int64; the bound leaves room for a few such arrays, not for N Python ints
+        tracemalloc.start()
+        try:
+            value, strategy = enumerate_max(G, 10**6, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0 and strategy.encoding[-1] == 10**6
+        assert peak < 64 * 10**6
 
     @pytest.mark.parametrize("kind, n, d", [(L, 10**9, 10**7), (G, 10**150, 1), (Q, 10**150, 1)])
     def test_size_bound_refuses_at_once(self, kind, n, d):
@@ -325,7 +353,7 @@ class TestEnumerateMax:
     def test_canonical_balanced_maximizer(self):
         value, strategy = enumerate_max(Q, 7, 3)
         assert value == 16.0
-        assert strategy.encoding == (1, 1, 1, 2, 2, 3, 3)
+        assert strategy.encoding.tolist() == [1, 1, 1, 2, 2, 3, 3]
 
     def test_maximizer_group_sizes_differ_by_at_most_one(self):
         for n in range(2, 9):

@@ -482,10 +482,12 @@ class TestDeterministicStrategyIntegers:
 
     def test_integral_values_are_kept_as_int(self):
         strategy = DeterministicStrategy(np.int64(2), 2, (np.int64(1), 2), [[np.int64(2), 1]])
-        assert [type(v) for v in (strategy.N, strategy.encoding[0])] == [int] * 2
-        assert strategy.decoding.dtype == np.int64 and strategy.decoding.tolist() == [[2, 1]]
+        assert type(strategy.N) is int
+        for table, entries in ((strategy.encoding, [1, 2]), (strategy.decoding, [[2, 1]])):
+            assert table.dtype == np.int64 and table.tolist() == entries
         # uint8 entries and Python integers past int32 are integers too, kept in int64
-        assert DeterministicStrategy(2, 2, (1, 2), np.array([[2, 1]], np.uint8)).decoding.dtype == np.int64
+        uint8 = DeterministicStrategy(2, 2, np.array([1, 2], np.uint8), np.array([[2, 1]], np.uint8))
+        assert uint8.encoding.dtype == uint8.decoding.dtype == np.int64
         assert DeterministicStrategy(2, 2, (1, 2), [[2**40, 1]]).decoding.tolist() == [[2**40, 1]]
         assert strategy_table(strategy, WitnessKind.QUADRATIC).p[:, 0, 0].tolist() == [0.0, 1.0]
 
