@@ -14,15 +14,17 @@ must not fall below the ascent's, which the search asserts, and the best
 restart's model is its states. The search builds no effects: a dump of the
 model (``files.save_seesaw_dump``) builds their Helstrom effects itself.
 
-Restarts draw independent Haar-random pure starting states from a
-counter-based Philox stream keyed by (seed, restart index) and advance in
-lock-step as one stacked ascent on an (R, N, d) array of state vectors. An
-iteration makes only the numpy calls its restarts need: the full step runs on
-the whole active batch and only its Armijo failures halve, the L-BFGS history
-is slot-major so each filled slot is one contiguous (R, n) slice, and a
-restart's state is written back when it leaves. Every operation acts on each
-restart alone, so a restart's result is reproducible and does not depend on
-how many restarts run beside it.
+Each restart draws its Haar-random pure starting states from its own
+counter-based Philox stream keyed by (seed, restart index); the starts are
+stacked and normalized in one pass. The restarts advance in lock-step as one
+stacked ascent on an (R, N, d) array of state vectors, and the witness's
+per-size constants, the pair index and the (N, N) off-diagonal weights, are
+built once per search. An iteration makes only the numpy calls its restarts
+need: the full step runs on the whole active batch and only its Armijo
+failures halve, the L-BFGS history is slot-major so each filled slot is one
+contiguous (R, n) slice, and a restart's state is written back when it
+leaves. Every operation acts on each restart alone, so a restart's result is
+reproducible and does not depend on how many restarts run beside it.
 """
 
 from __future__ import annotations
@@ -118,11 +120,19 @@ class SeesawResult:
     restart_halvings: tuple[int, ...]
 
 
-def _random_pure_states(seed: int, restart: int, n: int, d: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, restart], dtype=np.uint64)))
-    re, im = rng.standard_normal((2, n, d))
-    vecs = re + 1j * im
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+def _row_norms(vecs: np.ndarray) -> np.ndarray:
+    # np.linalg.norm's own formula along the last axis, without its Python wrapper
+    return np.sqrt(np.add.reduce((vecs.conj() * vecs).real, axis=-1, keepdims=True))
+
+
+def _random_pure_states(seed: int, restarts: int, n: int, d: int) -> np.ndarray:
+    # restart r's normals come from its own Philox stream keyed [seed, r];
+    # the (R, 2, N, d) stack is then assembled and normalized in one pass
+    normals = np.empty((restarts, 2, n, d))
+    for r in range(restarts):
+        np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64))).standard_normal(out=normals[r])
+    vecs = normals[:, 0] + 1j * normals[:, 1]
+    return vecs / _row_norms(vecs)
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -138,8 +148,14 @@ def _pair_sum(terms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(terms).sum(axis=-1)
 
 
+def off_diagonal(n: int, quadratic: bool) -> np.ndarray:
+    """``gram_witness``'s (N, N) constant: the quadratic weights (-1 off the diagonal), or the linear mask."""
+    offdiag = ~np.eye(n, dtype=bool)
+    return np.where(offdiag, -1.0, 0.0) if quadratic else offdiag
+
+
 def gram_witness(
-    vecs: np.ndarray, quadratic: bool, pairs: tuple[np.ndarray, np.ndarray]
+    vecs: np.ndarray, quadratic: bool, pairs: tuple[np.ndarray, np.ndarray], offdiag: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pair-witness value under optimal measurements and its gradient, stacked.
 
@@ -150,22 +166,22 @@ def gram_witness(
     gradient is 2 (W o A^T) U with each row projected off u_x (the value
     ignores norms and phases) and divided by |v_x|. A pair of coincident
     states contributes no gradient, where the linear one would be infinite.
-    ``pairs`` is ``kernels.pair_index(N)``, built once by the caller.
+    ``pairs`` is ``kernels.pair_index(N)`` and ``offdiag`` is
+    ``off_diagonal(N, quadratic)``, both built once by the caller.
     """
-    norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
+    norms = _row_norms(vecs)
     u = vecs / norms
     gram = u.conj() @ np.swapaxes(u, -1, -2)
     # 1 - |A|^2 is the squared trace distance of each pair of states
     dist2 = np.maximum(1.0 - (gram.real**2 + gram.imag**2), 0.0)
     ix, ixp = pairs
-    offdiag = ~np.eye(vecs.shape[-2], dtype=bool)
     if quadratic:
         values = _pair_sum(dist2[:, ix, ixp])
-        weights = np.where(offdiag, -1.0, 0.0)
+        weights = offdiag
     else:
         dist = np.sqrt(dist2)
         values = _pair_sum(dist[:, ix, ixp])
-        weights = np.zeros_like(dist)
+        weights = np.zeros(dist.shape)
         np.divide(-0.5, dist, out=weights, where=offdiag & (dist > 0.0))
     grad = 2.0 * (weights * gram.conj()) @ u
     radial = np.einsum("rxi,rxi->rx", u.conj(), grad).real
@@ -216,14 +232,14 @@ def optimize(cfg: SeesawConfig) -> SeesawResult:
     shape = (cfg.N, cfg.d)
     n_restarts = cfg.restarts
     ix, ixp = kernels.pair_index(cfg.N)
+    offdiag = off_diagonal(cfg.N, quadratic)
 
     def witness(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the ascent runs on the real (re, im)-interleaved vectors, (R, 2Nd)
-        values, grad = gram_witness(points.view(complex).reshape(len(points), *shape), quadratic, (ix, ixp))
+        values, grad = gram_witness(points.view(complex).reshape(len(points), *shape), quadratic, (ix, ixp), offdiag)
         return values, grad.reshape(len(points), -1).view(float)
 
-    starts = [_random_pure_states(cfg.seed, r, *shape) for r in range(n_restarts)]
-    x = np.stack(starts).reshape(n_restarts, -1).view(float)
+    x = _random_pure_states(cfg.seed, n_restarts, *shape).reshape(n_restarts, -1).view(float)
     values, grad = witness(x)
     iterations = np.zeros(n_restarts, dtype=int)
     halvings = np.zeros(n_restarts, dtype=int)

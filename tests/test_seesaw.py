@@ -176,8 +176,8 @@ class TestResultStructure:
         two_loop = seesaw._two_loop
         monkeypatch.setattr(seesaw, "_two_loop", lambda *args: -two_loop(*args))
         cfg = SeesawConfig(L, 3, 2, restarts=4, seed=2)
-        starts = np.stack([seesaw._random_pure_states(2, r, 3, 2) for r in range(4)])
-        start_values, _ = seesaw.gram_witness(starts, False, kernels.pair_index(3))
+        starts = seesaw._random_pure_states(2, 4, 3, 2)
+        start_values, _ = seesaw.gram_witness(starts, False, kernels.pair_index(3), seesaw.off_diagonal(3, False))
         result = optimize(cfg)
         assert all(v > s for v, s in zip(result.restart_values, start_values))
         assert quantum_bound(L, 3, 2) - result.best_value <= 1e-6
@@ -192,16 +192,16 @@ def test_gradient_matches_central_differences(kind):
     rng = np.random.default_rng(31)
     # unnormalized vectors: the value reads only the states they stand for
     vecs = rng.standard_normal((3, 5, 3)) + 1j * rng.standard_normal((3, 5, 3))
-    pairs = kernels.pair_index(5)
-    values, grad = seesaw.gram_witness(vecs, kind is Q, pairs)
+    pairs, offdiag = kernels.pair_index(5), seesaw.off_diagonal(5, kind is Q)
+    values, grad = seesaw.gram_witness(vecs, kind is Q, pairs, offdiag)
     h = 1e-6
     for unit in (1.0, 1j):
         numeric = np.zeros(vecs.shape)
         for idx in np.ndindex(vecs.shape[1:]):
             bump = np.zeros(vecs.shape, dtype=complex)
             bump[(slice(None),) + idx] = h * unit
-            up, _ = seesaw.gram_witness(vecs + bump, kind is Q, pairs)
-            down, _ = seesaw.gram_witness(vecs - bump, kind is Q, pairs)
+            up, _ = seesaw.gram_witness(vecs + bump, kind is Q, pairs, offdiag)
+            down, _ = seesaw.gram_witness(vecs - bump, kind is Q, pairs, offdiag)
             numeric[(slice(None),) + idx] = (up - down) / (2 * h)
         analytic = grad.real if unit == 1.0 else grad.imag
         assert np.max(np.abs(analytic - numeric)) <= 1e-8
@@ -211,6 +211,83 @@ def test_gradient_matches_central_differences(kind):
         ensemble = Ensemble.from_vectors(states[r])
         table = born_table(ensemble, helstrom_measurements(ensemble))
         assert values[r] == pytest.approx(evaluate(kind, table), abs=1e-12)
+
+
+def per_restart_starts(seed, restarts, n, d):
+    """Reference starts: a new Philox generator keyed [seed, r] per restart, normalized by np.linalg.norm."""
+    starts = []
+    for r in range(restarts):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+        re, im = rng.standard_normal((2, n, d))
+        vecs = re + 1j * im
+        starts.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+    return starts
+
+
+def reference_gram_witness(vecs, quadratic, pairs):
+    """Reference witness and gradient: builds its constants per call, with ``np.linalg.norm`` and ``~np.eye``."""
+    norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
+    u = vecs / norms
+    gram = u.conj() @ np.swapaxes(u, -1, -2)
+    dist2 = np.maximum(1.0 - (gram.real**2 + gram.imag**2), 0.0)
+    ix, ixp = pairs
+    offdiag = ~np.eye(vecs.shape[-2], dtype=bool)
+    if quadratic:
+        values = seesaw._pair_sum(dist2[:, ix, ixp])
+        weights = np.where(offdiag, -1.0, 0.0)
+    else:
+        dist = np.sqrt(dist2)
+        values = seesaw._pair_sum(dist[:, ix, ixp])
+        weights = np.zeros_like(dist)
+        np.divide(-0.5, dist, out=weights, where=offdiag & (dist > 0.0))
+    grad = 2.0 * (weights * gram.conj()) @ u
+    radial = np.einsum("rxi,rxi->rx", u.conj(), grad).real
+    return values, (grad - radial[..., None] * u) / norms
+
+
+class TestStartKeying:
+    """Restart r's start is the Philox stream keyed [seed, r], whatever the batch."""
+
+    @pytest.mark.parametrize("restarts", [1, 3, 20])
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_stack_matches_a_generator_per_restart(self, seed, restarts):
+        for n, d in ((3, 2), (7, 4), (10, 10)):
+            stack = seesaw._random_pure_states(seed, restarts, n, d)
+            assert stack.shape == (restarts, n, d)
+            for row, reference in zip(stack, per_restart_starts(seed, restarts, n, d), strict=True):
+                assert row.tobytes() == reference.tobytes()
+
+
+class TestGramWitnessReference:
+    """Values and gradients are bitwise those of the reference body above."""
+
+    @pytest.mark.parametrize("kind", [L, Q])
+    @pytest.mark.parametrize("restarts", [1, 3, 20])
+    def test_bitwise_equal_to_the_reference(self, kind, restarts):
+        rng = np.random.default_rng(restarts)
+        for n, d in ((3, 2), (6, 3), (9, 8)):
+            # unnormalized vectors, as the ascent passes them
+            vecs = rng.standard_normal((restarts, n, d)) + 1j * rng.standard_normal((restarts, n, d))
+            pairs = kernels.pair_index(n)
+            values, grad = seesaw.gram_witness(vecs, kind is Q, pairs, seesaw.off_diagonal(n, kind is Q))
+            ref_values, ref_grad = reference_gram_witness(vecs, kind is Q, pairs)
+            assert values.tobytes() == ref_values.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("kind", [L, Q])
+    def test_coincident_pair_keeps_a_zero_weight(self, kind):
+        vecs = seesaw._random_pure_states(5, 3, 4, 2)
+        # states 0 and 2 coincide up to norm and phase, with exact overlap 1 in every restart
+        vecs[:, 0], vecs[:, 2] = [1.0, 0.0], [2.0j, 0.0]
+        pairs = kernels.pair_index(4)
+        values, grad = seesaw.gram_witness(vecs, kind is Q, pairs, seesaw.off_diagonal(4, kind is Q))
+        ref_values, ref_grad = reference_gram_witness(vecs, kind is Q, pairs)
+        assert values.tobytes() == ref_values.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        # the pair's trace distance is 0; a nonzero linear weight there would be infinite
+        u = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+        assert np.all(np.abs(np.einsum("ri,ri->r", u[:, 2].conj(), u[:, 0])) == 1.0)
+        assert np.isfinite(grad).all()
 
 
 class TestVerifyTable2:
